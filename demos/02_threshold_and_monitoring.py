@@ -37,7 +37,7 @@ def main():
         value_function=IdentityValue(),
     )
 
-    th = threshold(inst, MuStar(), horizon=50, behavior="lookahead")
+    th = threshold(run(inst, MuStar(), behavior="lookahead", rounds=50))
     print(f"value floor theta = {th.theta}")
     for pid in inst.ids:
         print(f"  player {pid}: worst harmful-round value = {th.of(pid)}")

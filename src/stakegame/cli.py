@@ -92,7 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "max_d": max(rec.d for rec in trace.records),
     }
     if args.theta:
-        th = threshold(scenario.instance, scenario.policy, scenario.rounds)
+        th = threshold(trace)
         theta = th.theta
         summary["theta"] = None if theta is None else format_scalar(theta)
         summary["rounds_below_theta"] = [] if theta is None else [

@@ -58,7 +58,8 @@ def rank(stakes: StakeProfile) -> Tuple[PlayerId, ...]:
     """
     if not stakes:
         raise ValueError("cannot rank an empty stake profile")
-    return tuple(sorted(stakes, key=lambda pid: (-stakes[pid], pid)))
+    # A stable descending sort keeps the ascending-id order among equal stakes.
+    return tuple(sorted(sorted(stakes), key=stakes.__getitem__, reverse=True))
 
 
 def suffix_set(ranking: Sequence[PlayerId], start_rank: int) -> frozenset:
@@ -104,7 +105,10 @@ class TableValue:
         raise ValueError(f"value table has no entry for decentralization {d}")
 
 
-ValueFunction = Union[IdentityValue, AffineValue, TableValue]
+# PEP 604 unions of package classes: typing.Union would keep each class (and
+# so every copy of its module, were the package imported afresh) alive in
+# typing's cache.
+ValueFunction = IdentityValue | AffineValue | TableValue
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,16 @@ class Instance:
     tau_threshold: Fraction
     value_function: ValueFunction
     horizon: Optional[int] = None
+    # id -> Player (first occurrence wins) and id -> type, built once.
+    _by_id: Dict[PlayerId, Player] = field(init=False, repr=False, compare=False)
+    _types: Dict[PlayerId, Fraction] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id: Dict[PlayerId, Player] = {}
+        for p in self.players:
+            by_id.setdefault(p.id, p)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_types", {pid: p.type_ for pid, p in by_id.items()})
 
     @staticmethod
     def build(
@@ -150,34 +164,17 @@ class Instance:
         return tuple(p.id for p in self.players)
 
     def player(self, pid: PlayerId) -> Player:
-        for p in self.players:
-            if p.id == pid:
-                return p
-        raise KeyError(f"no player with id {pid}")
+        try:
+            return self._by_id[pid]
+        except KeyError:
+            raise KeyError(f"no player with id {pid}") from None
 
     def types(self) -> Dict[PlayerId, Fraction]:
-        return {p.id: p.type_ for p in self.players}
+        """id -> type, one map shared by every call: read it, do not change it."""
+        return self._types
 
     def stakes(self) -> Dict[PlayerId, Fraction]:
         return dict(self.initial_stakes)
-
-
-@dataclass(frozen=True)
-class GameState:
-    """Per-round state: round counter plus the current stake profile.
-
-    States are value-semantic; the engine advances by producing a successor.
-    """
-
-    round: int
-    stakes: Tuple[Tuple[PlayerId, Fraction], ...]
-
-    @staticmethod
-    def initial(instance: Instance) -> "GameState":
-        return GameState(round=1, stakes=instance.initial_stakes)
-
-    def stake_dict(self) -> Dict[PlayerId, Fraction]:
-        return dict(self.stakes)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import Instance, PlayerId, RoundRecord, format_scalar
+from .core import ZERO, Instance, PlayerId, RoundRecord, format_scalar
 from .equilibrium import LookaheadSolver, myopic_equilibrium, stage_value
 from .policies import (
     FixedWinner,
@@ -35,6 +35,9 @@ from .policies import (
     stage_policy,
     winner_distribution,
 )
+
+
+PairTuple = Tuple[Tuple[PlayerId, Fraction], ...]
 
 
 @dataclass
@@ -54,6 +57,22 @@ class Trace:
         if not self.records:
             return self.instance.stakes()
         return dict(self.records[-1].stakes_after)
+
+
+def _shared(
+    values: Dict[PlayerId, Fraction], previous: Optional[PairTuple]
+) -> PairTuple:
+    """``values`` as sorted (id, value) pairs, reusing equal pairs of ``previous``.
+
+    A trace keeps every round, so consecutive records share what did not
+    change: the whole tuple when nothing did, else each unchanged pair.
+    """
+    fresh = tuple(sorted(values.items()))
+    if previous is None or len(previous) != len(fresh):
+        return fresh
+    if fresh == previous:
+        return previous
+    return tuple(old if old == new else new for old, new in zip(previous, fresh))
 
 
 class Runner:
@@ -82,8 +101,8 @@ class Runner:
         self.horizon_cap = horizon_cap
         self._rng = random.Random(seed) if mode == "sampled" else None
         self._shadow = MuEllShadow(instance, horizon_cap) if isinstance(policy, MuEll) else None
-        # Solver caches are only valid while the stage policy is fixed, so
-        # MuEll (a different FixedWinner each round) builds one per step.
+        # MuEll's stage policy (a fixed winner) changes every round, so it
+        # gets a fresh solver per step.
         self._solver: Optional[LookaheadSolver] = None
         if behavior == "lookahead" and self._shadow is None:
             self._solver = LookaheadSolver(instance, policy, horizon_cap)
@@ -102,15 +121,20 @@ class Runner:
     def step(self) -> RoundRecord:
         self.round += 1
         stage = stage_policy(self.policy, self._shadow)
-        before = tuple(sorted(self.stakes.items()))
+        last = self.trace.records[-1] if self.trace.records else None
+        before = _shared(
+            self.stakes, last.stakes_after if last else self.instance.initial_stakes
+        )
         participants = self._participants(stage)
+        if last is not None and participants == last.participants:
+            participants = last.participants
         d, v = stage_value(self.instance, self.stakes, participants)
 
         winner: Optional[PlayerId] = None
         if isinstance(stage, FixedWinner) and stage.winner not in participants:
             # The designated winner sat the round out; nothing is paid.
             winner = stage.winner
-            rewards = {pid: Fraction(0) for pid in self.stakes}
+            rewards = dict.fromkeys(self.stakes, ZERO)
         elif self.mode == "sampled":
             dist = winner_distribution(stage, self.instance, self.stakes, participants)
             winner = point_mass_winner(dist)
@@ -118,13 +142,15 @@ class Runner:
                 u = Fraction(self._rng.random())
                 winner = draw_winner(dist, self.stakes, u)
             paid = budget_allocation(stage, self.instance, participants, winner)
-            rewards = {pid: paid.get(pid, Fraction(0)) for pid in self.stakes}
+            rewards = {pid: paid.get(pid) or ZERO for pid in self.stakes}
         else:
             rewards = expected_rewards(stage, self.instance, self.stakes, participants)
             dist = winner_distribution(stage, self.instance, self.stakes, participants)
             winner = point_mass_winner(dist)
 
-        self.stakes = {pid: self.stakes[pid] + rewards[pid] for pid in self.stakes}
+        self.stakes = {
+            pid: s + rewards[pid] if rewards[pid] else s for pid, s in self.stakes.items()
+        }
         record = RoundRecord(
             round=self.round,
             stakes_before=before,
@@ -132,8 +158,8 @@ class Runner:
             d=d,
             v=v,
             winner=winner,
-            rewards=tuple(sorted(rewards.items())),
-            stakes_after=tuple(sorted(self.stakes.items())),
+            rewards=_shared(rewards, last and last.rewards),
+            stakes_after=_shared(self.stakes, before),
         )
         self.trace.records.append(record)
         return record

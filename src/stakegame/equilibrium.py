@@ -20,13 +20,106 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .core import Instance, PlayerId, StakeProfile, rank, suffix_set
+from .core import ZERO, Instance, PlayerId, StakeProfile, rank, scalar
 from .measures import tau_decentralization_index, token_value
-from .policies import Policy, expected_budget, expected_rewards
+from .policies import (
+    FixedWinner,
+    MuEll,
+    Policy,
+    expected_budget,
+    expected_rewards,
+    member_budget,
+)
 
 PAR = "par"
+
+
+class RankedProfile:
+    """One stake profile's ranking, with every ranking suffix evaluated in O(n).
+
+    Suffix ``r`` (1-based) is the participation set of the players at rank
+    ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
+    level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
+    stake ``total``, tau-index ``d``, token value ``v`` and top-type player
+    ``top`` (ties to the smallest id; ``None`` for the empty set).  Entry 0
+    of each list is unused.
+
+    The solvers rest on one identity: the top-ranked player of suffix r is
+    the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
+    her participate-vs-abstain comparison are read from adjacent entries.
+
+    With prefix sums P over the ranking, the d-prefix of suffix r ends at the
+    first e with P[e] > tau * P[n] + (1 - tau) * P[r - 1].  That bound only
+    falls as the suffix grows upward, so the end never moves right and one
+    pointer serves every suffix.  All arithmetic is exact.
+    """
+
+    __slots__ = ("instance", "stakes", "ranking", "total", "d", "v", "top")
+
+    def __init__(self, stakes: StakeProfile, instance: Instance):
+        tau = instance.tau_threshold
+        if not 0 < tau < 1:
+            raise ValueError(f"tau must lie in (0, 1), got {tau}")
+        ranking = rank(stakes)
+        n = len(ranking)
+        prefix = [ZERO]
+        for pid in ranking:
+            s = stakes[pid]
+            prefix.append(prefix[-1] + (s if isinstance(s, Fraction) else scalar(s)))
+        smallest = prefix[n] - prefix[n - 1]
+        if smallest < 0:
+            raise ValueError("negative stake")
+        if smallest == 0:
+            # the last suffix holds only the smallest stake
+            raise ValueError("all stakes are zero; fraction of total is undefined")
+
+        types = instance.types()
+        vf = instance.value_function
+        level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
+        total: List[Fraction] = [ZERO] * (n + 2)
+        d = [1] * (n + 2)
+        v = [level_value[1]] * (n + 2)
+        top: List[Optional[PlayerId]] = [None] * (n + 2)
+        end = n
+        best: Optional[PlayerId] = None
+        for r in range(n, 0, -1):
+            above = prefix[r - 1]
+            total[r] = prefix[n] - above
+            bar = tau * total[r] + above
+            while end > r and prefix[end - 1] > bar:
+                end -= 1
+            d[r] = level = end - r + 1
+            if level not in level_value:
+                level_value[level] = token_value(level, vf)
+            v[r] = level_value[level]
+            pid = ranking[r - 1]
+            if best is None or types[pid] > types[best] or (
+                types[pid] == types[best] and pid < best
+            ):
+                best = pid
+            top[r] = best
+
+        self.instance = instance
+        self.stakes = stakes
+        self.ranking = ranking
+        self.total = total
+        self.d = d
+        self.v = v
+        self.top = top
+
+    def suffix(self, r: int) -> frozenset:
+        """The participant set of suffix r (r = n + 1 gives the empty set)."""
+        return frozenset(self.ranking[r - 1 :])
+
+    def worth(self, policy: Policy, r: int) -> Fraction:
+        """Stake plus expected reward of suffix r's leader, priced at v[r]; no cost."""
+        i = self.ranking[r - 1]
+        reward = member_budget(
+            policy, self.instance, self.stakes, i, self.ranking[r - 1 :], self.top[r]
+        )
+        return (self.stakes[i] + reward) * self.v[r]
 
 
 def stage_value(instance: Instance, stakes: StakeProfile, participants: frozenset):
@@ -95,7 +188,44 @@ class RecoveryWinnerLabel:
     rank: int
 
 
-Label = Union[RecoveryWinnerLabel, str]
+Label = RecoveryWinnerLabel | str  # not typing.Union: see core.ValueFunction
+
+
+def _labels(
+    profile: RankedProfile,
+    policy: Policy,
+    tie_participate: bool,
+    _stats: Optional[dict] = None,
+) -> Dict[int, Label]:
+    """Recovery-winner labels keyed by rank; exactly the harmful ranks get one.
+
+    The candidate for a harmful rank r is the first later rank that is
+    non-harmful or labeled ``PAR``.  Scanning upward from the last rank, that
+    is the candidate seen most recently, so the pass is O(n).
+    """
+    stakes = profile.stakes
+    v = profile.v
+    labels: Dict[int, Label] = {}
+    candidate: Optional[int] = None
+    for r in range(len(profile.ranking), 0, -1):
+        pid = profile.ranking[r - 1]
+        worth = profile.worth(policy, r)
+        participate = worth - profile.instance.player(pid).cost
+        abstain = stakes[pid] * v[r + 1]
+        if _stats is not None:
+            _stats["harmful_evals"] = _stats.get("harmful_evals", 0) + 1
+        if participate > abstain or (tie_participate and participate == abstain):
+            candidate = r
+            continue
+        label: Label = PAR
+        if candidate is not None and worth < v[candidate] * stakes[pid]:
+            label = RecoveryWinnerLabel(candidate)
+        else:
+            # Abstaining does not pay, or (possible for rank n under the
+            # strict tie rule) no candidate lies below: participate anyway.
+            candidate = r
+        labels[r] = label
+    return labels
 
 
 def recovery_winner_labels(
@@ -111,43 +241,11 @@ def recovery_winner_labels(
     first later rank r that is itself non-harmful (or labeled ``PAR``) as her
     recovery winner, provided abstaining in favor of the suffix at r beats
     participating; otherwise she is labeled ``PAR`` and participates anyway.
-    Runs in O(n^2) with exactly one harmfulness evaluation per rank.
+    Runs in O(n) with exactly one harmfulness evaluation per rank.
     """
-    ranking = rank(stakes)
-    n = len(ranking)
-    harmful_at: Dict[int, bool] = {}
-    value_at: Dict[int, Fraction] = {}
-    labels: Dict[PlayerId, Label] = {}
-    label_by_rank: Dict[int, Label] = {}
-
-    for r in range(n, 0, -1):
-        pid = ranking[r - 1]
-        suffix = suffix_set(ranking, r)
-        verdict = is_harmful(pid, suffix, stakes, instance, policy, tie_participate)
-        if _stats is not None:
-            _stats["harmful_evals"] = _stats.get("harmful_evals", 0) + 1
-        harmful_at[r] = verdict.harmful
-        _, value_at[r] = stage_value(instance, stakes, suffix)
-        if not verdict.harmful:
-            continue
-        for r2 in range(r + 1, n + 1):
-            if not harmful_at[r2] or label_by_rank.get(r2) == PAR:
-                participate_worth = value_at[r] * (
-                    stakes[pid] + expected_budget(policy, instance, stakes, pid, suffix)
-                )
-                abstain_worth = value_at[r2] * stakes[pid]
-                label: Label = (
-                    RecoveryWinnerLabel(r2) if participate_worth < abstain_worth else PAR
-                )
-                labels[pid] = label
-                label_by_rank[r] = label
-                break
-        else:
-            # No candidate below (possible for rank n under the strict tie
-            # rule): the player participates regardless.
-            labels[pid] = PAR
-            label_by_rank[r] = PAR
-    return labels
+    profile = RankedProfile(stakes, instance)
+    labels = _labels(profile, policy, tie_participate, _stats)
+    return {profile.ranking[r - 1]: label for r, label in labels.items()}
 
 
 def myopic_equilibrium(
@@ -163,13 +261,12 @@ def myopic_equilibrium(
     first rank that is either non-harmful there or harmful without a recovery
     winner.
     """
-    ranking = rank(stakes)
-    labels = recovery_winner_labels(stakes, instance, policy, tie_participate, _stats)
-    for r in range(1, len(ranking) + 1):
-        pid = ranking[r - 1]
-        label = labels.get(pid)
+    profile = RankedProfile(stakes, instance)
+    labels = _labels(profile, policy, tie_participate, _stats)
+    for r in range(1, len(profile.ranking) + 1):
+        label = labels.get(r)
         if label is None or label == PAR:
-            return suffix_set(ranking, r)
+            return profile.suffix(r)
     raise AssertionError("unreachable: the last rank is never harmful")
 
 
@@ -217,7 +314,7 @@ class LookaheadSolver:
     future profiles until the player re-enters, then price her stake at that
     round's token value.  Stake expectations advance by the policy's expected
     rewards.  The plan search is bounded by the horizon cap and fails loudly
-    when the cap is hit; completed solves are memoized per stake profile.
+    when the cap is hit.
     """
 
     def __init__(
@@ -233,10 +330,6 @@ class LookaheadSolver:
         self.policy = policy
         self.horizon_cap = horizon_cap
         self.tie_participate = tie_participate
-        self._cache: Dict[Tuple[Tuple[PlayerId, Fraction], ...], frozenset] = {}
-
-    def _key(self, stakes: StakeProfile) -> Tuple[Tuple[PlayerId, Fraction], ...]:
-        return tuple(sorted(stakes.items()))
 
     def solve(self, stakes: StakeProfile) -> frozenset:
         """Equilibrium participant set at the given profile: a ranking suffix.
@@ -244,20 +337,16 @@ class LookaheadSolver:
         Scanning from the smallest stake upward, the last rank found
         non-harmful in its own suffix wins; the smallest stake is non-harmful
         in all but contrived fixed-winner setups, so a suffix always exists.
+        Every rank's recovery plan is walked, so a plan that overruns the cap
+        fails loudly even where a higher rank decides the outcome.
         """
-        key = self._key(stakes)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        ranking = rank(stakes)
-        n = len(ranking)
+        profile = RankedProfile(stakes, self.instance)
+        n = len(profile.ranking)
         chosen = n
         for r in range(n, 0, -1):
-            if not self._harmful(ranking[r - 1], ranking, r, stakes):
+            if not self._harmful(profile, r):
                 chosen = r
-        result = suffix_set(ranking, chosen)
-        self._cache[key] = result
-        return result
+        return profile.suffix(chosen)
 
     def solve_with_plans(
         self, stakes: StakeProfile
@@ -276,16 +365,11 @@ class LookaheadSolver:
         """Value of abstaining when the round's other participants are given."""
         return self._recovery(i, without_i, stakes).terminal_value
 
-    def _harmful(
-        self,
-        i: PlayerId,
-        ranking: Tuple[PlayerId, ...],
-        r: int,
-        stakes: StakeProfile,
-    ) -> bool:
-        suffix = suffix_set(ranking, r)
-        participate = stage_utility(self.instance, stakes, self.policy, i, suffix)
-        abstain = self._recovery(i, suffix - {i}, stakes).terminal_value
+    def _harmful(self, profile: RankedProfile, r: int) -> bool:
+        """Whether suffix r is harmful for its leader, who would leave suffix r + 1."""
+        i = profile.ranking[r - 1]
+        participate = profile.worth(self.policy, r) - self.instance.player(i).cost
+        abstain = self._recovery(i, profile.suffix(r + 1), profile.stakes).terminal_value
         if self.tie_participate:
             return participate < abstain
         return participate <= abstain
@@ -306,7 +390,7 @@ class LookaheadSolver:
         steps: List[Tuple[int, frozenset, Tuple[Tuple[PlayerId, Fraction], ...]]] = []
         for offset in range(1, self.horizon_cap + 1):
             rewards = expected_rewards(self.policy, self.instance, current, participants)
-            current = {pid: current[pid] + rewards[pid] for pid in current}
+            current = {pid: s + rewards[pid] if rewards[pid] else s for pid, s in current.items()}
             future = myopic_equilibrium(
                 current, self.instance, self.policy, self.tie_participate
             )
@@ -351,44 +435,31 @@ class Threshold:
         return dict(self.per_player)[pid]
 
 
-def threshold(
-    instance: Instance,
-    policy: Policy,
-    horizon: int,
-    behavior: str = "myopic",
-) -> Threshold:
-    """Run the policy for ``horizon`` rounds and collect harmful-round values.
+def threshold(trace) -> Threshold:
+    """Collect harmful-round values over the rounds a trace recorded.
 
-    For each round, each player is tested for harmfulness in her own suffix
-    of that round's ranking (myopically); the value recorded is the token
-    value of the full stake profile at that round.  Players never harmful get
-    the plus-infinity sentinel.
+    Each recorded round, each player is tested (myopically) for harmfulness
+    in her own suffix of that round's ranking; the value recorded is the
+    token value of the full stake profile at that round.  The trajectory is
+    the trace's own, whatever behavior and mode produced it.  Simulating
+    rounds are judged under their resolved fixed winner and skipped when it
+    is unknown.  Players never harmful get the plus-infinity sentinel.
     """
-    from . import engine  # local import: engine depends on this module
-
+    instance = trace.instance
     mins: Dict[PlayerId, Optional[Fraction]] = {pid: None for pid in instance.stakes()}
-    if horizon > 0:
-        trace = engine.run(instance, policy, behavior=behavior, rounds=horizon)
-        from .policies import FixedWinner, MuEll
-
-        for record in trace.records:
-            profile = dict(record.stakes_before)
-            ranking = rank(profile)
-            stage = policy
-            if isinstance(policy, MuEll):
-                if record.winner is None:
-                    continue
-                stage = FixedWinner(record.winner)
-            d_full = tau_decentralization_index(profile.values(), instance.tau_threshold)
-            v_full = token_value(d_full, instance.value_function)
-            for r, pid in enumerate(ranking, start=1):
-                verdict = is_harmful(
-                    pid, suffix_set(ranking, r), profile, instance, stage
-                )
-                if verdict.harmful:
-                    best = mins[pid]
-                    if best is None or v_full < best:
-                        mins[pid] = v_full
+    for record in trace.records:
+        stage = trace.policy
+        if isinstance(stage, MuEll):
+            if record.winner is None:
+                continue
+            stage = FixedWinner(record.winner)
+        profile = RankedProfile(dict(record.stakes_before), instance)
+        v_full = profile.v[1]
+        for r in _labels(profile, stage, tie_participate=True):
+            pid = profile.ranking[r - 1]
+            best = mins[pid]
+            if best is None or v_full < best:
+                mins[pid] = v_full
     return Threshold(per_player=tuple(sorted(mins.items())))
 
 

@@ -29,7 +29,9 @@ def tau_decentralization_index(stakes: Iterable[ScalarLike], tau: ScalarLike) ->
     tau = scalar(tau)
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    values = sorted((scalar(s) for s in stakes), reverse=True)
+    values = sorted(
+        (s if isinstance(s, Fraction) else scalar(s) for s in stakes), reverse=True
+    )
     if not values:
         raise ValueError("empty stake multiset")
     if any(s < 0 for s in values):

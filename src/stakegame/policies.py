@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Union
+from typing import Collection, Dict, Iterable, Optional
 
-from .core import ZERO, Instance, PlayerId, StakeProfile, rank
+from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class FixedWinner:
     winner: PlayerId
 
 
-Policy = Union[MuAlpha, MuStar, MuAll, MuEll, FixedWinner]
+Policy = MuAlpha | MuStar | MuAll | MuEll | FixedWinner  # not typing.Union: see core.ValueFunction
 
 
 def top_type_participant(instance: Instance, participants: Iterable[PlayerId]) -> PlayerId:
@@ -70,6 +70,18 @@ def top_type_participant(instance: Instance, participants: Iterable[PlayerId]) -
     if best is None:
         raise ValueError("empty participant set")
     return best
+
+
+def type_favoring_share(epsilon: Fraction, size: int, is_top: bool) -> Fraction:
+    """Winning probability under the type-favoring rule in a set of ``size``.
+
+    The top-type participant wins with probability ``1 - epsilon`` and the
+    others split ``epsilon`` evenly; a lone participant, or epsilon 0, makes
+    the top a certain winner.
+    """
+    if size == 1 or epsilon == 0:
+        return ONE if is_top else ZERO
+    return 1 - epsilon if is_top else epsilon / (size - 1)
 
 
 def winner_distribution(
@@ -93,13 +105,11 @@ def winner_distribution(
     if isinstance(policy, (MuStar, MuAll)):
         epsilon = policy.epsilon if isinstance(policy, MuStar) else ZERO
         top = top_type_participant(instance, participants)
-        others = [pid for pid in participants if pid != top]
-        if not others or epsilon == 0:
-            dist = {pid: ZERO for pid in participants}
-            dist[top] = Fraction(1)
-            return dist
-        dist = {pid: epsilon / len(others) for pid in others}
-        dist[top] = 1 - epsilon
+        size = len(participants)
+        dist = {
+            pid: type_favoring_share(epsilon, size, False) for pid in participants if pid != top
+        }
+        dist[top] = type_favoring_share(epsilon, size, True)
         return dist
     if isinstance(policy, FixedWinner):
         if policy.winner not in participants:
@@ -137,10 +147,31 @@ def expected_budget(
     """Expected reward B_i(Q) of player i when the participant set is Q."""
     if i not in participants:
         return ZERO
+    return member_budget(policy, instance, stakes, i, participants)
+
+
+def member_budget(
+    policy: Policy,
+    instance: Instance,
+    stakes: StakeProfile,
+    i: PlayerId,
+    participants: Collection[PlayerId],
+    top: Optional[PlayerId] = None,
+) -> Fraction:
+    """Expected reward B_i(Q) of a member i of Q.
+
+    ``top`` is Q's top-type participant when the caller already knows it
+    (the solvers read it from their suffix kernel); it spares the
+    type-favoring policies a scan of Q.
+    """
     if isinstance(policy, MuAll):
         return instance.budget / len(participants)
     if isinstance(policy, FixedWinner):
         return instance.budget if i == policy.winner else ZERO
+    if isinstance(policy, MuStar):
+        if top is None:
+            top = top_type_participant(instance, participants)
+        return instance.budget * type_favoring_share(policy.epsilon, len(participants), i == top)
     dist = winner_distribution(policy, instance, stakes, participants)
     return instance.budget * dist[i]
 
@@ -151,12 +182,24 @@ def expected_rewards(
     stakes: StakeProfile,
     participants: frozenset,
 ) -> Dict[PlayerId, Fraction]:
-    """Expected reward for every player (non-participants receive 0)."""
-    rewards: Dict[PlayerId, Fraction] = {}
-    if isinstance(policy, FixedWinner) and policy.winner not in participants:
-        return {pid: ZERO for pid in stakes}
-    for pid in stakes:
-        rewards[pid] = expected_budget(policy, instance, stakes, pid, participants)
+    """Expected reward for every player (non-participants receive 0).
+
+    The winner distribution is built once for all players.  An empty
+    participant set, or a fixed winner who sits out, pays nobody.
+    """
+    rewards = dict.fromkeys(stakes, ZERO)
+    if not participants or (
+        isinstance(policy, FixedWinner) and policy.winner not in participants
+    ):
+        return rewards
+    if isinstance(policy, MuAll):
+        share = instance.budget / len(participants)
+        for pid in participants:
+            rewards[pid] = share
+        return rewards
+    for pid, p in winner_distribution(policy, instance, stakes, participants).items():
+        if p:
+            rewards[pid] = instance.budget * p
     return rewards
 
 
@@ -212,11 +255,6 @@ class MuEllShadow:
     def next_winner(self) -> PlayerId:
         """Advance the shadow one round and return that round's winner."""
         return self._advance()
-
-
-def mu_ell_winner(shadow: MuEllShadow) -> PlayerId:
-    """Winner of the simulating policy at the real run's current round."""
-    return shadow.next_winner()
 
 
 def stage_policy(policy: Policy, shadow: Optional[MuEllShadow]) -> Policy:

@@ -224,7 +224,7 @@ def test_criterion_07_invariance_and_sampling():
 
 def test_criterion_08_recurring_minima_and_recovery(lookahead_trace_1000):
     trace = lookahead_trace_1000
-    theta = threshold(example_instance(), MuStar(), horizon=50, behavior="lookahead").theta
+    theta = threshold(run(example_instance(), MuStar(), behavior="lookahead", rounds=50)).theta
     min_d = min(r.d for r in trace.records)
     min_rounds = [r.round for r in trace.records if r.d == min_d]
     ok = theta is not None and len(min_rounds) >= 100
@@ -243,7 +243,7 @@ def test_criterion_09_good_recovery(lookahead_trace_1000):
 
 def test_criterion_10_simulating_policy_keeps_value():
     inst = example_instance()
-    theta = threshold(inst, MuStar(), horizon=50, behavior="lookahead").theta
+    theta = threshold(run(inst, MuStar(), behavior="lookahead", rounds=50)).theta
     trace = run(inst, MuEll(), behavior="myopic", rounds=1000)
     ok = theta is not None
     ok = ok and all(r.v >= theta for r in trace.records)

@@ -39,6 +39,28 @@ class TestRun:
         assert summary["theta"] is None
         assert summary["rounds_below_theta"] == []
 
+    def test_theta_follows_the_recorded_lookahead_trajectory(self, capsys, tmp_path):
+        # the myopic re-run of this scenario never harms anyone (theta null),
+        # but on the planned trajectory player 1 is harmed at value 1
+        scenario = {
+            "players": [
+                {"id": 1, "type": "3", "stake": "5"},
+                {"id": 2, "type": "3", "stake": "3"},
+                {"id": 3, "type": "2", "stake": "4"},
+            ],
+            "policy": {"kind": "mu_star"},
+            "tau_threshold": "1/2",
+            "budget": "1",
+            "rounds": 10,
+            "behavior": "lookahead",
+        }
+        path = tmp_path / "planned.json"
+        path.write_text(json.dumps(scenario))
+        code, out = run_cli(capsys, "run", str(path), "--theta")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["theta"] == "1"
+
     def test_scenario_file(self, capsys, tmp_path):
         scenario = {
             "players": [

@@ -1,0 +1,79 @@
+"""Seeded trajectories pinned byte for byte as CSV files under ``tests/data``.
+
+They cover the paths the worked-example tables do not: sampled mode under
+``MuAlpha`` and under ``MuStar`` with epsilon > 0 (fractional stakes, tied
+stakes, tau other than 1/2), and one 16-player lookahead trajectory shaped
+like the ``lookahead_n16`` benchmark workload.  A change to the solvers or
+the engine that is meant to be exact must leave every file unchanged.
+
+Regenerate the files only when trajectories are meant to change::
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+"""
+
+import csv
+import io
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from stakegame import MuAlpha, MuStar, run, trace_rows
+
+from conftest import make_instance
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def sampled_mu_alpha():
+    inst = make_instance(
+        [3, 7, 2, 5, 5, 1, 4],
+        [Fraction(5, 2), 3, Fraction(5, 2), Fraction(7, 3), 1, 4, Fraction(1, 2)],
+    )
+    return run(inst, MuAlpha(Fraction(3, 8)), rounds=80, mode="sampled", seed=11)
+
+
+def sampled_mu_star_epsilon():
+    inst = make_instance(
+        [4, 2, 6, 3, 1],
+        [Fraction(7, 2), 2, 2, Fraction(3, 2), 3],
+        tau=Fraction(2, 5),
+    )
+    return run(
+        inst, MuStar(Fraction(1, 10)), behavior="lookahead", rounds=40,
+        mode="sampled", seed=5,
+    )
+
+
+def lookahead_n16():
+    rng = random.Random(20240)
+    types = [rng.randint(1, 32) for _ in range(16)]
+    stakes = [rng.randint(1, 4) for _ in range(16)]
+    return run(make_instance(types, stakes), MuStar(), behavior="lookahead", rounds=16)
+
+
+GOLDEN = {
+    "sampled_mu_alpha.csv": sampled_mu_alpha,
+    "sampled_mu_star_epsilon.csv": sampled_mu_star_epsilon,
+    "lookahead_n16.csv": lookahead_n16,
+}
+
+
+def csv_text(trace) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(trace_rows(trace))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN))
+def test_trace_matches_golden_csv(filename):
+    want = (DATA / filename).read_bytes().decode()
+    assert csv_text(GOLDEN[filename]()) == want
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for filename, make in GOLDEN.items():
+        (DATA / filename).write_bytes(csv_text(make()).encode())
+        print(f"wrote {DATA / filename}")
