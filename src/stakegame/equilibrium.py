@@ -151,6 +151,18 @@ def stage_utility(
     set realizes without them.
     """
     _, v = stage_value(instance, stakes, participants)
+    return _priced_utility(instance, stakes, policy, i, participants, v)
+
+
+def _priced_utility(
+    instance: Instance,
+    stakes: StakeProfile,
+    policy: Policy,
+    i: PlayerId,
+    participants: frozenset,
+    v: Fraction,
+) -> Fraction:
+    """:func:`stage_utility` with the set's token value ``v`` already known."""
     if i in participants:
         reward = expected_budget(policy, instance, stakes, i, participants)
         return (stakes[i] + reward) * v - instance.player(i).cost
@@ -478,6 +490,12 @@ def brute_force_equilibrium(
     indifferent outsider joins).  For lookahead behavior, abstention on both
     sides is priced by the recovery-plan value.  Exponential; limited to 12
     players.  May evaluate the empty participation set (d = 1 convention).
+
+    Each distinct subset's token value is computed once per call, with
+    :func:`stage_value` over that subset's stakes, and reused by every member
+    and outsider check that meets the subset.  The suffix kernel
+    (:class:`RankedProfile`) is not used: the oracle is the independent
+    reference the kernel-based solvers are checked against.
     """
     ids = sorted(stakes)
     if len(ids) > 12:
@@ -489,10 +507,17 @@ def brute_force_equilibrium(
         if behavior == "lookahead"
         else None
     )
+    values: Dict[frozenset, Fraction] = {}
+
+    def utility(i: PlayerId, subset: frozenset) -> Fraction:
+        v = values.get(subset)
+        if v is None:
+            v = values[subset] = stage_value(instance, stakes, subset)[1]
+        return _priced_utility(instance, stakes, policy, i, subset, v)
 
     def abstain_value(i: PlayerId, others: frozenset) -> Fraction:
         if solver is None:
-            return stage_utility(instance, stakes, policy, i, others)
+            return utility(i, others)
         return solver.abstention_value(i, others, stakes)
 
     equilibria: List[frozenset] = []
@@ -501,7 +526,7 @@ def brute_force_equilibrium(
             subset = frozenset(combo)
             ok = True
             for i in subset:
-                up = stage_utility(instance, stakes, policy, i, subset)
+                up = utility(i, subset)
                 ua = abstain_value(i, subset - {i})
                 if (up < ua) if tie_participate else (up <= ua):
                     ok = False
@@ -512,7 +537,7 @@ def brute_force_equilibrium(
                 if i in subset:
                     continue
                 joined = subset | {i}
-                up = stage_utility(instance, stakes, policy, i, joined)
+                up = utility(i, joined)
                 ua = abstain_value(i, subset)
                 stays_out = (up < ua) if tie_participate else (up <= ua)
                 if not stays_out:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional
+from typing import Any, Collection, Dict, Optional
 
 from .core import (
     AffineValue,
@@ -55,7 +55,40 @@ def _require(mapping: Dict[str, Any], allowed: set, context: str) -> None:
         raise ScenarioError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
-def _policy_from_dict(spec: Dict[str, Any]) -> Policy:
+# What int() and scalar() raise on malformed input ("a", "1/0", null, ...).
+_CONVERSION_ERRORS = (ValueError, TypeError, ZeroDivisionError, OverflowError)
+
+
+def _number(value: Any, context: str) -> Fraction:
+    try:
+        return scalar(value)
+    except _CONVERSION_ERRORS:
+        raise ScenarioError(f"{context}: not a number: {value!r}") from None
+
+
+def _integer(value: Any, context: str) -> int:
+    try:
+        return int(value)
+    except _CONVERSION_ERRORS:
+        raise ScenarioError(f"{context}: not an integer: {value!r}") from None
+
+
+def _unit_interval(value: Any, context: str) -> Fraction:
+    x = _number(value, context)
+    if not 0 <= x <= 1:
+        raise ScenarioError(f"{context}: must lie in [0, 1], got {x}")
+    return x
+
+
+def _horizon_cap(value: Any, context: str) -> int:
+    cap = _integer(value, context)
+    if cap < 1:
+        raise ScenarioError(f"{context}: must be >= 1, got {cap}")
+    return cap
+
+
+def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
+    """Parse and validate a policy; ``ids`` are the scenario's player ids."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError("policy: expected an object with a 'kind' field")
     kind = spec["kind"]
@@ -63,19 +96,25 @@ def _policy_from_dict(spec: Dict[str, Any]) -> Policy:
         _require(spec, {"kind", "alpha"}, "policy mu_alpha")
         if "alpha" not in spec:
             raise ScenarioError("policy mu_alpha: missing 'alpha'")
-        return MuAlpha(alpha=scalar(spec["alpha"]))
+        return MuAlpha(alpha=_unit_interval(spec["alpha"], "policy mu_alpha: alpha"))
     if kind == "mu_star":
         _require(spec, {"kind", "epsilon"}, "policy mu_star")
-        return MuStar(epsilon=scalar(spec.get("epsilon", 0)))
+        return MuStar(epsilon=_unit_interval(spec.get("epsilon", 0), "policy mu_star: epsilon"))
     if kind == "mu_all":
         _require(spec, {"kind"}, "policy mu_all")
         return MuAll()
     if kind == "mu_ell":
         _require(spec, {"kind", "horizon_cap"}, "policy mu_ell")
-        return MuEll(horizon_cap=int(spec.get("horizon_cap", 50)))
+        return MuEll(horizon_cap=_horizon_cap(spec.get("horizon_cap", 50),
+                                              "policy mu_ell: horizon_cap"))
     if kind == "fixed_winner":
         _require(spec, {"kind", "winner"}, "policy fixed_winner")
-        return FixedWinner(winner=int(spec["winner"]))
+        if "winner" not in spec:
+            raise ScenarioError("policy fixed_winner: missing 'winner'")
+        winner = _integer(spec["winner"], "policy fixed_winner: winner")
+        if winner not in ids:
+            raise ScenarioError(f"policy fixed_winner: winner {winner} is not a player id")
+        return FixedWinner(winner=winner)
     raise ScenarioError(f"policy: unknown kind {kind!r}")
 
 
@@ -105,13 +144,23 @@ def _value_from_dict(spec: Dict[str, Any]) -> ValueFunction:
         return IdentityValue()
     if kind == "affine":
         _require(spec, {"kind", "slope", "intercept"}, "value_function affine")
-        return AffineValue(slope=scalar(spec["slope"]), intercept=scalar(spec["intercept"]))
+        for key in ("slope", "intercept"):
+            if key not in spec:
+                raise ScenarioError(f"value_function affine: missing {key!r}")
+        return AffineValue(
+            slope=_number(spec["slope"], "value_function affine: slope"),
+            intercept=_number(spec["intercept"], "value_function affine: intercept"),
+        )
     if kind == "table":
         _require(spec, {"kind", "values"}, "value_function table")
         values = spec.get("values")
         if not isinstance(values, dict):
             raise ScenarioError("value_function table: 'values' must map level -> value")
-        return TableValue.from_mapping({int(k): scalar(v) for k, v in values.items()})
+        return TableValue.from_mapping({
+            _integer(k, "value_function table: level"):
+                _number(v, f"value_function table: value of level {k}")
+            for k, v in values.items()
+        })
     raise ScenarioError(f"value_function: unknown kind {kind!r}")
 
 
@@ -166,9 +215,14 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         for key in ("id", "type", "stake"):
             if key not in entry:
                 raise ScenarioError(f"players[{idx}]: missing {key!r}")
-        pid = int(entry["id"])
-        players.append(Player(id=pid, type_=scalar(entry["type"]), cost=scalar(entry.get("cost", 0))))
-        stakes[pid] = scalar(entry["stake"])
+        context = f"players[{idx}]"
+        pid = _integer(entry["id"], f"{context}: id")
+        players.append(Player(
+            id=pid,
+            type_=_number(entry["type"], f"{context}: type"),
+            cost=_number(entry.get("cost", 0), f"{context}: cost"),
+        ))
+        stakes[pid] = _number(entry["stake"], f"{context}: stake")
 
     behavior = data.get("behavior", "myopic")
     if behavior not in ("myopic", "lookahead"):
@@ -180,8 +234,8 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
     if mode == "sampled" and seed is None:
         raise ScenarioError("mode 'sampled' requires a seed")
     if seed is not None:
-        seed = int(seed)
-    rounds = int(data["rounds"])
+        seed = _integer(seed, "seed")
+    rounds = _integer(data["rounds"], "rounds")
     if rounds < 1:
         raise ScenarioError(f"rounds: must be >= 1, got {rounds}")
 
@@ -189,8 +243,8 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
     instance = Instance.build(
         players=players,
         initial_stakes=stakes,
-        budget=scalar(data["budget"]),
-        tau_threshold=scalar(data["tau_threshold"]),
+        budget=_number(data["budget"], "budget"),
+        tau_threshold=_number(data["tau_threshold"], "tau_threshold"),
         value_function=_value_from_dict(vf_spec),
         horizon=rounds,
     )
@@ -201,12 +255,12 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
     return Scenario(
         name=str(data.get("name", name)),
         instance=instance,
-        policy=_policy_from_dict(data["policy"]),
+        policy=_policy_from_dict(data["policy"], stakes),
         behavior=behavior,
         rounds=rounds,
         mode=mode,
         seed=seed,
-        horizon_cap=int(data.get("horizon_cap", 50)),
+        horizon_cap=_horizon_cap(data.get("horizon_cap", 50), "horizon_cap"),
     )
 
 

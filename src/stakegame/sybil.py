@@ -19,7 +19,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Instance, Player, PlayerId, ScalarLike, StakeProfile, scalar
-from .equilibrium import is_harmful, myopic_equilibrium, stage_utility
+from .equilibrium import (
+    _priced_utility,
+    is_harmful,
+    myopic_equilibrium,
+    stage_utility,
+    stage_value,
+)
 from .policies import MuEll, MuStar, Policy
 
 
@@ -291,6 +297,30 @@ def sybil_proofness_condition(
     return report
 
 
+def _original_utility(
+    owner: PlayerId, stakes: StakeProfile, instance: Instance, stage: Policy
+) -> Fraction:
+    """The owner's stage utility at the unsplit profile's myopic equilibrium."""
+    eq = myopic_equilibrium(stakes, instance, stage)
+    return stage_utility(instance, stakes, stage, owner, eq)
+
+
+def _parts_utility(
+    split: SybilSplit, stakes: StakeProfile, instance: Instance, stage: Policy
+) -> Fraction:
+    """The parts' total stage utility at the split profile's myopic equilibrium.
+
+    Every part is priced at the one token value of that equilibrium.
+    """
+    new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
+    split_eq = myopic_equilibrium(new_stakes, new_instance, stage)
+    _, v = stage_value(new_instance, new_stakes, split_eq)
+    return sum(
+        _priced_utility(new_instance, new_stakes, stage, pid, split_eq, v)
+        for pid in part_ids
+    )
+
+
 def sybil_gain(
     split: SybilSplit,
     stakes: StakeProfile,
@@ -304,15 +334,8 @@ def sybil_gain(
     exactly zero.
     """
     stage = _stage(policy)
-    original_eq = myopic_equilibrium(stakes, instance, stage)
-    original = stage_utility(instance, stakes, stage, split.owner, original_eq)
-    new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
-    split_eq = myopic_equilibrium(new_stakes, new_instance, stage)
-    total = sum(
-        stage_utility(new_instance, new_stakes, stage, pid, split_eq)
-        for pid in part_ids
-    )
-    return total - original
+    original = _original_utility(split.owner, stakes, instance, stage)
+    return _parts_utility(split, stakes, instance, stage) - original
 
 
 def max_sybil_gain(
@@ -323,15 +346,20 @@ def max_sybil_gain(
     granularity: ScalarLike,
     max_parts: int,
 ) -> Tuple[Fraction, SybilSplit]:
-    """Best gain over every grid split (stake may be discarded here)."""
+    """Best gain over every grid split (stake may be discarded here).
+
+    Equal to the first split reaching the maximum of :func:`sybil_gain` over
+    the grid; the owner's unsplit utility is computed once for the search.
+    """
+    splits = enumerate_splits(owner, stakes, instance.types(), granularity, max_parts)
+    if not splits:
+        raise ValueError("no splits on the grid")
+    stage = _stage(policy)
+    original = _original_utility(owner, stakes, instance, stage)
     best_gain: Optional[Fraction] = None
     best_split: Optional[SybilSplit] = None
-    for split in enumerate_splits(
-        owner, stakes, instance.types(), granularity, max_parts
-    ):
-        gain = sybil_gain(split, stakes, instance, policy)
+    for split in splits:
+        gain = _parts_utility(split, stakes, instance, stage) - original
         if best_gain is None or gain > best_gain:
             best_gain, best_split = gain, split
-    if best_split is None:
-        raise ValueError("no splits on the grid")
     return best_gain, best_split

@@ -204,30 +204,38 @@ def sampled_win_frequencies(
     Stakes are updated by the realized unit reward, not the expectation, so
     this is the stochastic process the expected dynamics approximate.  The
     frequencies converge to the round-1 probabilities.
+
+    Each round draws u in [0, 1) and walks the players in id order: the
+    winner is the first whose partial weight sum S has u < S / W, W being
+    the total weight.  Since W > 0, that is u * W < S, so the walk compares
+    with running weights and never divides.  A win adds 1 to the winner's
+    stake, so her weight and W both grow by 1 - alpha; W never falls, and
+    checking it once up front covers every round.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
+    types = state.type_dict()
+    stakes = sorted(state.stakes)
+    order = [pid for pid, _ in stakes]
+    alpha = state.alpha
+    weights = [alpha * types[pid] + (1 - alpha) * s for pid, s in stakes]
+    total = state.total_weight
+    if total <= 0:
+        raise ValueError("total virtual stake must be positive")
+    growth = 1 - alpha
     rng = random.Random(seed)
-    stakes = state.stake_dict()
-    wins = {pid: 0 for pid in stakes}
-    order = sorted(stakes)
-    current = state
+    wins = [0] * len(order)
+    last = len(order) - 1
     for _ in range(rounds):
-        probs = selection_probabilities(current)
-        u = Fraction(rng.random())
+        scaled_u = Fraction(rng.random()) * total
         running = Fraction(0)
-        winner = order[-1]
-        for pid in order:
-            running += probs[pid]
-            if u < running:
-                winner = pid
+        winner = last
+        for k, weight in enumerate(weights):
+            running += weight
+            if scaled_u < running:
+                winner = k
                 break
         wins[winner] += 1
-        stakes = current.stake_dict()
-        stakes[winner] += 1
-        current = VirtualStakeState(
-            alpha=state.alpha,
-            types=state.types,
-            stakes=tuple(sorted(stakes.items())),
-        )
-    return {pid: Fraction(wins[pid], rounds) for pid in wins}
+        weights[winner] += growth
+        total += growth
+    return {pid: Fraction(count, rounds) for pid, count in zip(order, wins)}

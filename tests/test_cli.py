@@ -1,7 +1,12 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakegame.cli import main
 
@@ -83,6 +88,129 @@ class TestRun:
         path.write_text('{"players": []}')
         code, _ = run_cli(capsys, "run", str(path))
         assert code == 2
+
+
+TWO_PLAYERS = {
+    "players": [
+        {"id": 1, "type": "2", "stake": "5"},
+        {"id": 2, "type": "1", "stake": "3"},
+    ],
+    "policy": {"kind": "mu_star"},
+    "tau_threshold": "1/2",
+    "budget": "1",
+    "rounds": 3,
+}
+
+
+def set_player_field(key, value):
+    def mutate(scenario):
+        scenario["players"][0][key] = value
+    return mutate
+
+
+def set_fields(**fields):
+    return lambda scenario: scenario.update(fields)
+
+
+MALFORMED = {
+    "player id": set_player_field("id", "a"),
+    "stake": set_player_field("stake", "foo"),
+    "alpha zero denominator": set_fields(policy={"kind": "mu_alpha", "alpha": "1/0"}),
+    "alpha above 1": set_fields(policy={"kind": "mu_alpha", "alpha": 3}),
+    "horizon cap 0": set_fields(horizon_cap=0, behavior="lookahead"),
+    "mu_ell horizon cap 0": set_fields(policy={"kind": "mu_ell", "horizon_cap": 0}),
+    "fixed winner not a player": set_fields(policy={"kind": "fixed_winner", "winner": 9}),
+    "fixed winner missing": set_fields(policy={"kind": "fixed_winner"}),
+    "epsilon above 1": set_fields(policy={"kind": "mu_star", "epsilon": "2"}),
+    "negative epsilon": set_fields(policy={"kind": "mu_star", "epsilon": "-1/2"}),
+    "affine value without slope": set_fields(
+        value_function={"kind": "affine", "intercept": "1"}),
+    "table level": set_fields(value_function={"kind": "table", "values": {"x": "1"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_exits_2(capsys, tmp_path, case):
+    scenario = copy.deepcopy(TWO_PLAYERS)
+    MALFORMED[case](scenario)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error:")
+    assert "Traceback" not in captured.err
+
+
+# Field values that are malformed, out of range, or valid, mixed.
+ODD_VALUES = st.sampled_from(
+    [0, 1, 2, 3, 9, -1, "1/2", "3/2", "-1/2", "1/0", "0.25", "a", "", None, True,
+     0.5, [], {}]
+)
+ODD_POLICIES = st.one_of(
+    st.builds(lambda v: {"kind": "mu_alpha", "alpha": v}, ODD_VALUES),
+    st.builds(lambda v: {"kind": "mu_star", "epsilon": v}, ODD_VALUES),
+    st.builds(lambda v: {"kind": "mu_ell", "horizon_cap": v}, ODD_VALUES),
+    st.builds(lambda v: {"kind": "fixed_winner", "winner": v}, ODD_VALUES),
+    st.just({"kind": "mu_all"}),
+    st.builds(lambda v: {"kind": v}, ODD_VALUES),
+    ODD_VALUES,
+)
+ODD_VALUE_FUNCTIONS = st.one_of(
+    st.builds(lambda a, b: {"kind": "affine", "slope": a, "intercept": b},
+              ODD_VALUES, ODD_VALUES),
+    st.builds(lambda a, b: {"kind": "table", "values": {"1": a, "2": b}},
+              ODD_VALUES, ODD_VALUES),
+    st.just({"kind": "identity"}),
+    ODD_VALUES,
+)
+TOP_FIELDS = st.sampled_from(
+    ["tau_threshold", "budget", "rounds", "seed", "horizon_cap", "name", "nonsense"]
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    scenario = copy.deepcopy(TWO_PLAYERS)
+    scenario["behavior"] = draw(st.sampled_from(["myopic", "lookahead", "planning"]))
+    scenario["mode"] = draw(st.sampled_from(["expected", "sampled", 3]))
+    scenario["seed"] = 5
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["player", "top", "policy", "value"]))
+        if target == "player":
+            entry = scenario["players"][draw(st.integers(0, 1))]
+            entry[draw(st.sampled_from(["id", "type", "stake", "cost"]))] = draw(ODD_VALUES)
+        elif target == "top":
+            value = draw(ODD_VALUES)
+            scenario[draw(TOP_FIELDS)] = min(value, 3) if isinstance(value, int) else value
+        elif target == "policy":
+            scenario["policy"] = draw(ODD_POLICIES)
+        else:
+            scenario["value_function"] = draw(ODD_VALUE_FUNCTIONS)
+    if draw(st.booleans()):
+        del scenario[draw(st.sampled_from(sorted(scenario)))]
+    return scenario
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=mutated_scenarios())
+def test_mutated_scenarios_keep_the_exit_code_contract(fuzz_dir, scenario):
+    path = fuzz_dir / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue())
+    elif code == 2:
+        assert err.getvalue().startswith("scenario error:")
 
 
 class TestVerify:

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakegame import (
+    AffineValue,
     FixedWinner,
     LookaheadHorizonError,
     LookaheadSolver,
     MuAll,
+    MuAlpha,
     MuStar,
     brute_force_equilibrium,
     is_harmful,
@@ -206,6 +211,85 @@ class TestBruteForce:
         inst = make_instance([1] * 13, [1] * 13)
         with pytest.raises(ValueError):
             brute_force_equilibrium(inst.stakes(), inst, MuStar())
+
+
+def reference_equilibria(stakes, inst, policy, behavior, tie_participate, horizon_cap):
+    """The oracle's definition, one stage_utility call per check."""
+    ids = sorted(stakes)
+    solver = (
+        LookaheadSolver(inst, policy, horizon_cap, tie_participate)
+        if behavior == "lookahead"
+        else None
+    )
+
+    def abstain(i, others):
+        if solver is None:
+            return stage_utility(inst, stakes, policy, i, others)
+        return solver.abstention_value(i, others, stakes)
+
+    def prefers_in(i, with_i, without_i):
+        up = stage_utility(inst, stakes, policy, i, with_i)
+        ua = abstain(i, without_i)
+        return up >= ua if tie_participate else up > ua
+
+    return [
+        subset
+        for size in range(len(ids) + 1)
+        for subset in map(frozenset, combinations(ids, size))
+        if all(prefers_in(i, subset, subset - {i}) for i in subset)
+        and not any(prefers_in(i, subset | {i}, subset) for i in ids if i not in subset)
+    ]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LookaheadHorizonError as exc:
+        return ("horizon", exc.player, exc.cap)
+
+
+ORACLE_POLICY_KINDS = {
+    "mu_star": st.builds(MuStar, st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3)])),
+    "mu_all": st.just(MuAll()),
+    "mu_alpha": st.builds(MuAlpha, st.sampled_from([Fraction(0), Fraction(3, 8), Fraction(1)])),
+    "fixed_winner": st.builds(FixedWinner, st.integers(1, 4)),
+}
+
+
+@st.composite
+def oracle_cases(draw, kind):
+    n = draw(st.integers(1, 4))
+    costs = st.sampled_from([0, 0, Fraction(1, 2), 1, 10])
+    inst = make_instance(
+        draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(7, 2)]),
+                      min_size=n, max_size=n)),
+        budget=draw(st.sampled_from([1, Fraction(1, 2), 3])),
+        tau=draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])),
+        vf=draw(st.sampled_from([None, AffineValue(Fraction(1, 2), Fraction(1))])),
+        costs=draw(st.lists(costs, min_size=n, max_size=n)),
+    )
+    return inst, draw(ORACLE_POLICY_KINDS[kind])
+
+
+@pytest.mark.parametrize("tie_participate", [True, False])
+@pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
+@pytest.mark.parametrize("kind", sorted(ORACLE_POLICY_KINDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_its_per_call_definition(kind, behavior, tie_participate, data):
+    inst, policy = data.draw(oracle_cases(kind))
+    stakes = inst.stakes()
+    args = (stakes, inst, policy, behavior, tie_participate, 8)
+    assert outcome(brute_force_equilibrium, *args) == outcome(reference_equilibria, *args)
+
+
+@pytest.mark.parametrize("tie_participate", [True, False])
+def test_oracle_empty_set_when_costs_exceed_every_gain(tie_participate):
+    inst = make_instance([3, 2, 1], [2, 1, 1], costs=[10, 10, 10])
+    args = (inst.stakes(), inst, MuStar(), "myopic", tie_participate, 50)
+    assert brute_force_equilibrium(*args) == [frozenset()]
+    assert reference_equilibria(*args) == [frozenset()]
 
 
 def test_random_oracle_agreement_mu_all():

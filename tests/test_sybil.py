@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakegame import (
     MuAll,
+    MuAlpha,
     MuEll,
     MuStar,
     enumerate_splits,
@@ -14,6 +17,7 @@ from stakegame import (
     sybil_gain,
     sybil_proofness_condition,
 )
+from stakegame.cli import _sybil_fixture
 
 from conftest import make_instance
 
@@ -157,3 +161,44 @@ class TestGain:
         a = sybil_gain(split, inst.stakes(), inst, MuEll())
         b = sybil_gain(split, inst.stakes(), inst, MuStar())
         assert a == b
+
+
+def reference_max_gain(owner, stakes, inst, policy, granularity, max_parts):
+    """The search's definition: the first split reaching the max of sybil_gain."""
+    best = None
+    for split in enumerate_splits(owner, stakes, inst.types(), granularity, max_parts):
+        gain = sybil_gain(split, stakes, inst, policy)
+        if best is None or gain > best[0]:
+            best = (gain, split)
+    return best
+
+
+@pytest.mark.parametrize("owner, policy", [(1, MuEll()), (2, MuEll()), (3, MuEll()),
+                                           (1, MuAll())])
+def test_max_gain_matches_its_definition_on_the_verify_fixture(owner, policy):
+    inst = _sybil_fixture()
+    args = (owner, inst.stakes(), inst, policy, Fraction(1, 4), 3)
+    assert max_sybil_gain(*args) == reference_max_gain(*args)
+
+
+HALVES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+TYPES = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)])
+SPLIT_POLICIES = st.one_of(
+    st.builds(MuStar, st.sampled_from([Fraction(0), Fraction(1, 5)])),
+    st.just(MuAll()),
+    st.just(MuEll()),
+    st.builds(MuAlpha, st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(TYPES, min_size=n, max_size=n),
+    st.lists(HALVES, min_size=n, max_size=n),
+    st.integers(1, n),
+)), SPLIT_POLICIES, st.integers(1, 3))
+def test_max_gain_matches_its_definition_on_random_instances(case, policy, max_parts):
+    types, stakes, owner = case
+    inst = make_instance(types, stakes)
+    args = (owner, inst.stakes(), inst, policy, Fraction(1, 2), max_parts)
+    assert max_sybil_gain(*args) == reference_max_gain(*args)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakegame import (
     VirtualStakeState,
@@ -136,3 +138,82 @@ class TestSampled:
         s = state(0, {1: 1}, {1: 1})
         with pytest.raises(ValueError):
             sampled_win_frequencies(s, 0, seed=1)
+
+
+def per_round_frequencies(state_, rounds, seed):
+    """The sampler as a per-round loop: rebuild the state, divide by the total."""
+    rng = random.Random(seed)
+    stakes = state_.stake_dict()
+    wins = {pid: 0 for pid in stakes}
+    order = sorted(stakes)
+    current = state_
+    for _ in range(rounds):
+        probs = selection_probabilities(current)
+        u = Fraction(rng.random())
+        running = Fraction(0)
+        winner = order[-1]
+        for pid in order:
+            running += probs[pid]
+            if u < running:
+                winner = pid
+                break
+        wins[winner] += 1
+        stakes = current.stake_dict()
+        stakes[winner] += 1
+        current = VirtualStakeState(
+            alpha=state_.alpha, types=state_.types, stakes=tuple(sorted(stakes.items()))
+        )
+    return {pid: Fraction(wins[pid], rounds) for pid in wins}
+
+
+F = Fraction
+# (alpha, types, stakes, seed) -> frequencies over 120 rounds, recorded with
+# the per-round sampler above.
+PINNED_SAMPLES = [
+    ((F(0), {1: 2, 2: 1}, {1: F(3, 2), 2: F(5, 4)}, 11),
+     {1: F(103, 120), 2: F(17, 120)}),
+    ((F(3, 8), {1: 4, 2: 1, 3: 2}, {1: F(1, 3), 2: F(7, 2), 3: F(2)}, 12),
+     {1: F(7, 20), 2: F(31, 60), 3: F(2, 15)}),
+    ((F(1), {1: 1, 2: 3, 3: 2, 4: 5}, {1: F(9, 4), 2: F(1, 2), 3: F(5, 3), 4: F(1)}, 13),
+     {1: F(1, 15), 2: F(13, 40), 3: F(11, 60), 4: F(17, 40)}),
+    ((F(3, 8), {1: 2, 2: 2, 3: 7, 4: 1, 5: 3},
+      {1: F(5, 2), 2: F(1, 7), 3: F(3), 4: F(11, 3), 5: F(2, 5)}, 14),
+     {1: F(7, 40), 2: F(7, 60), 3: F(11, 30), 4: F(4, 15), 5: F(3, 40)}),
+    ((F(0), {1: 1, 2: 1, 3: 1, 4: 1, 5: 1},
+      {1: F(1, 5), 2: F(2, 5), 3: F(3, 5), 4: F(4, 5), 5: F(6, 5)}, 15),
+     {1: F(13, 60), 2: F(13, 120), 3: F(1, 12), 4: F(11, 120), 5: F(1, 2)}),
+    ((F(1), {1: 3, 2: 1}, {1: F(1, 9), 2: F(8, 9)}, 16),
+     {1: F(19, 24), 2: F(5, 24)}),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED_SAMPLES)
+def test_sampled_frequencies_pinned(case, expected):
+    alpha, types, stakes, seed = case
+    assert sampled_win_frequencies(state(alpha, types, stakes), 120, seed) == expected
+
+
+@st.composite
+def sampler_states(draw):
+    n = draw(st.integers(1, 5))
+    ids = range(1, n + 1)
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=8)
+    stake = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+    return state(
+        draw(st.one_of(st.sampled_from([F(0), F(3, 8), F(1)]), unit)),
+        {pid: draw(st.integers(1, 9)) for pid in ids},
+        {pid: draw(stake) for pid in ids},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampler_states(), st.integers(1, 60), st.integers(0, 2**32))
+def test_sampler_matches_the_per_round_loop(state_, rounds, seed):
+    assert sampled_win_frequencies(state_, rounds, seed) == per_round_frequencies(
+        state_, rounds, seed
+    )
+
+
+def test_sampler_rejects_a_zero_total_weight():
+    with pytest.raises(ValueError, match="positive"):
+        sampled_win_frequencies(state(0, {1: 1, 2: 1}, {1: 0, 2: 0}), 3, seed=1)
