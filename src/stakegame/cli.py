@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .core import IdentityValue, Instance, Player, format_scalar, scalar
+from .core import IdentityValue, Instance, Player
 from .engine import run, trace_rows, write_trace
 from .equilibrium import (
     LookaheadHorizonError,
@@ -30,6 +30,10 @@ from .scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
     ScenarioError,
+    _at_least_one,
+    _number,
+    _open_unit_interval,
+    _unit_interval,
     builtin_scenario,
     load_scenario,
 )
@@ -86,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "scenario": scenario.name,
         "rounds": trace.rounds,
         "final_stakes": {
-            str(pid): format_scalar(s) for pid, s in sorted(trace.final_stakes().items())
+            str(pid): str(s) for pid, s in sorted(trace.final_stakes().items())
         },
         "min_d": min(rec.d for rec in trace.records),
         "max_d": max(rec.d for rec in trace.records),
@@ -94,7 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.theta:
         th = threshold(trace)
         theta = th.theta
-        summary["theta"] = None if theta is None else format_scalar(theta)
+        summary["theta"] = None if theta is None else str(theta)
         summary["rounds_below_theta"] = [] if theta is None else [
             rec.round for rec in trace.records if rec.v < theta
         ]
@@ -121,12 +125,15 @@ def _verify_paper_tables() -> Dict[str, object]:
 
 
 def _verify_axioms(args: argparse.Namespace) -> Dict[str, object]:
-    grid = [scalar(x) for x in args.grid.split(",")]
-    taus = [scalar(x) for x in args.tau.split(",")]
+    grid = [_number(x, "verify axioms --grid") for x in args.grid.split(",")]
+    taus = [_open_unit_interval(x, "verify axioms --tau") for x in args.tau.split(",")]
     violations = []
     checked = 0
     for tau in taus:
-        report = check_decentralization_axioms(tau_index_measure(tau), args.n_max, grid)
+        try:
+            report = check_decentralization_axioms(tau_index_measure(tau), args.n_max, grid)
+        except ValueError as exc:  # the checker's own argument checks
+            raise ScenarioError(f"verify axioms: {exc}") from None
         checked += report.checked
         violations.extend(f"tau={tau}: {v}" for v in report.violations)
     return {"suite": "axioms", "checked": checked, "violations": violations,
@@ -240,14 +247,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _sweep_values(raw: str) -> List[Fraction]:
-    values = [scalar(v) for v in raw.split(",") if v.strip()]
+# How each sweep parameter's values are read: with the scenario file's checks.
+_SWEEP_VALUE = {
+    "alpha": _unit_interval,
+    "epsilon": _unit_interval,
+    "rounds": _at_least_one,
+    "M": _number,
+}
+
+
+def _sweep_values(parameter: str, raw: str) -> List[Fraction | int]:
+    parse = _SWEEP_VALUE[parameter]
+    values = [parse(v, f"sweep {parameter}") for v in raw.split(",") if v.strip()]
     if not values:
         raise ScenarioError("sweep: empty value list")
     return values
 
 
-def _scenario_for_value(scenario: Scenario, parameter: str, value: Fraction) -> Scenario:
+def _scenario_for_value(
+    scenario: Scenario, parameter: str, value: Fraction | int
+) -> Scenario:
     from dataclasses import replace
 
     if parameter == "alpha":
@@ -259,14 +278,17 @@ def _scenario_for_value(scenario: Scenario, parameter: str, value: Fraction) -> 
             raise ScenarioError("sweep epsilon: scenario policy must be mu_star")
         return replace(scenario, policy=MuStar(epsilon=value))
     if parameter == "rounds":
-        return replace(scenario, rounds=int(value))
+        return replace(scenario, rounds=value)
     if parameter == "M":
         if not isinstance(scenario.policy, MuAlpha):
             raise ScenarioError("sweep M: scenario policy must be mu_alpha")
         from .virtualstake import incumbent_gap_state
 
         types = {p.id: p.type_ for p in scenario.instance.players}
-        state = incumbent_gap_state(scenario.policy.alpha, types, value)
+        try:
+            state = incumbent_gap_state(scenario.policy.alpha, types, value)
+        except ValueError as exc:  # M <= 0, alpha = 1 or a single player
+            raise ScenarioError(f"sweep M: {exc}") from None
         instance = Instance.build(
             players=scenario.instance.players,
             initial_stakes=state.stake_dict(),
@@ -281,20 +303,21 @@ def _scenario_for_value(scenario: Scenario, parameter: str, value: Fraction) -> 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _get_scenario(args.scenario)
-    values = _sweep_values(args.values)
+    values = _sweep_values(args.parameter, args.values)
+    # every value is checked before the first run writes anything
+    variants = [_scenario_for_value(scenario, args.parameter, value) for value in values]
     os.makedirs(args.output_dir, exist_ok=True)
     summary_rows = []
     ids = sorted(scenario.instance.stakes())
-    for value in values:
-        variant = _scenario_for_value(scenario, args.parameter, value)
+    for value, variant in zip(values, variants):
         trace = _run_scenario(variant)
-        tag = format_scalar(value).replace("/", "_")
+        tag = str(value).replace("/", "_")
         write_trace(trace, os.path.join(args.output_dir, f"trace_{args.parameter}_{tag}.csv"))
         final = trace.final_stakes()
         total = sum(final.values())
         summary_rows.append(
-            [format_scalar(value)]
-            + [format_scalar(final[pid] / total) for pid in ids]
+            [str(value)]
+            + [str(final[pid] / total) for pid in ids]
             + [str(min(rec.d for rec in trace.records))]
         )
     summary_path = os.path.join(args.output_dir, "summary.csv")

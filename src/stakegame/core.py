@@ -261,8 +261,3 @@ def validate_instance(instance: Instance) -> ValidationReport:
             f"value/budget alignment only weak for values {v1} < {v2} at stake {needed}"
         )
     return report
-
-
-def format_scalar(x: Fraction) -> str:
-    """Render a Fraction as ``p/q`` (or a bare integer when q == 1)."""
-    return str(x)

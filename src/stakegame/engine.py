@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import ZERO, Instance, PlayerId, RoundRecord, format_scalar
+from .core import ZERO, Instance, PlayerId, RoundRecord
 from .equilibrium import LookaheadSolver, myopic_equilibrium, stage_value
 from .policies import (
     FixedWinner,
@@ -254,14 +254,14 @@ def trace_rows(trace: Trace) -> List[List[str]]:
         rewards = dict(rec.rewards)
         rows.append(
             [str(rec.round)]
-            + [format_scalar(before[pid]) for pid in ids]
+            + [str(before[pid]) for pid in ids]
             + [
                 ",".join(str(pid) for pid in sorted(rec.participants)),
                 str(rec.d),
-                format_scalar(rec.v),
+                str(rec.v),
                 "" if rec.winner is None else str(rec.winner),
             ]
-            + [format_scalar(rewards[pid]) for pid in ids]
+            + [str(rewards[pid]) for pid in ids]
         )
     return rows
 

@@ -351,37 +351,52 @@ class LookaheadSolver:
         in all but contrived fixed-winner setups, so a suffix always exists.
         Every rank's recovery plan is walked, so a plan that overruns the cap
         fails loudly even where a higher rank decides the outcome.
+
+        The walks share their steps: within this call, each expected stake
+        profile a walk reaches is solved once (and priced once, if some
+        owner re-enters there), however many ranks' walks pass through it.
+        Nothing is kept between calls.
         """
-        profile = RankedProfile(stakes, self.instance)
-        n = len(profile.ranking)
-        chosen = n
-        for r in range(n, 0, -1):
-            if not self._harmful(profile, r):
-                chosen = r
-        return profile.suffix(chosen)
+        return self._solve(stakes, {})
 
     def solve_with_plans(
         self, stakes: StakeProfile
     ) -> Tuple[frozenset, Dict[PlayerId, RecoveryPlan]]:
-        """Equilibrium set plus the recovery plan of every excluded player."""
-        participants = self.solve(stakes)
+        """Equilibrium set plus the recovery plan of every excluded player.
+
+        The plans share walk steps with the solve, as in :meth:`solve`.
+        """
+        walked: Dict[tuple, list] = {}
+        participants = self._solve(stakes, walked)
         plans: Dict[PlayerId, RecoveryPlan] = {}
         for pid in stakes:
             if pid not in participants:
-                plans[pid] = self._recovery(pid, participants, stakes)
+                plans[pid] = self._recovery(pid, participants, stakes, walked)
         return participants, plans
 
     def abstention_value(
         self, i: PlayerId, without_i: frozenset, stakes: StakeProfile
     ) -> Fraction:
         """Value of abstaining when the round's other participants are given."""
-        return self._recovery(i, without_i, stakes).terminal_value
+        return self._recovery(i, without_i, stakes, {}).terminal_value
 
-    def _harmful(self, profile: RankedProfile, r: int) -> bool:
+    def _solve(self, stakes: StakeProfile, walked: Dict[tuple, list]) -> frozenset:
+        """:meth:`solve`, with the walks' steps shared through ``walked``."""
+        profile = RankedProfile(stakes, self.instance)
+        n = len(profile.ranking)
+        chosen = n
+        for r in range(n, 0, -1):
+            if not self._harmful(profile, r, walked):
+                chosen = r
+        return profile.suffix(chosen)
+
+    def _harmful(self, profile: RankedProfile, r: int, walked: Dict[tuple, list]) -> bool:
         """Whether suffix r is harmful for its leader, who would leave suffix r + 1."""
         i = profile.ranking[r - 1]
         participate = profile.worth(self.policy, r) - self.instance.player(i).cost
-        abstain = self._recovery(i, profile.suffix(r + 1), profile.stakes).terminal_value
+        abstain = self._recovery(
+            i, profile.suffix(r + 1), profile.stakes, walked
+        ).terminal_value
         if self.tie_participate:
             return participate < abstain
         return participate <= abstain
@@ -391,11 +406,17 @@ class LookaheadSolver:
         i: PlayerId,
         participants_now: frozenset,
         stakes: StakeProfile,
+        walked: Dict[tuple, list],
     ) -> RecoveryPlan:
         """Follow future myopic equilibria until i re-enters.
 
         The first advance uses the hypothesized current-round set; later ones
-        use each future round's own equilibrium.
+        use each future round's own equilibrium.  The walk advances offset by
+        offset for its owner.  ``walked`` holds the steps of one solve call,
+        keyed by expected stake profile: the profile's myopic equilibrium and,
+        once some owner has re-entered there, its token value.  Both depend on
+        the profile alone, so a profile that several walks reach is solved
+        and priced once, and every plan is the one a walk of its own finds.
         """
         current = dict(stakes)
         participants = participants_now
@@ -403,14 +424,20 @@ class LookaheadSolver:
         for offset in range(1, self.horizon_cap + 1):
             rewards = expected_rewards(self.policy, self.instance, current, participants)
             current = {pid: s + rewards[pid] if rewards[pid] else s for pid, s in current.items()}
-            future = myopic_equilibrium(
-                current, self.instance, self.policy, self.tie_participate
-            )
-            steps.append((offset, future, tuple(sorted(current.items()))))
+            key = tuple(sorted(current.items()))
+            # one lookup per step: hashing the key hashes every stake
+            step = walked.setdefault(key, [None, None])
+            if step[0] is None:
+                step[0] = myopic_equilibrium(
+                    current, self.instance, self.policy, self.tie_participate
+                )
+            future = step[0]
+            steps.append((offset, future, key))
             if i in future:
-                _, v = stage_value(self.instance, current, future)
+                if step[1] is None:
+                    step[1] = stage_value(self.instance, current, future)[1]
                 return RecoveryPlan(
-                    owner=i, steps=tuple(steps), terminal_value=current[i] * v
+                    owner=i, steps=tuple(steps), terminal_value=current[i] * step[1]
                 )
             participants = future
         raise LookaheadHorizonError(i, stakes, self.horizon_cap)

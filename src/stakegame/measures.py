@@ -132,7 +132,8 @@ def check_decentralization_axioms(
                         f"d{multiset} = {d} >= d(minus max) = {without_top} "
                         f"but d(minus {multiset[idx]}) = {d_reduced}"
                     )
-    minimum = min(d for _, d in all_values)
+    # default: no multiset could be evaluated (e.g. an all-zero grid)
+    minimum = min((d for _, d in all_values), default=None)
     for multiset, d in singleton_values:
         if d > minimum:
             report.singleton_violations.append(

@@ -26,7 +26,6 @@ from .core import (
     Player,
     TableValue,
     ValueFunction,
-    format_scalar,
     scalar,
     validate_instance,
 )
@@ -68,9 +67,13 @@ def _number(value: Any, context: str) -> Fraction:
 
 def _integer(value: Any, context: str) -> int:
     try:
-        return int(value)
+        n = int(value)
     except _CONVERSION_ERRORS:
-        raise ScenarioError(f"{context}: not an integer: {value!r}") from None
+        n = None
+    # int() truncates numbers (2.5 -> 2); only integral ones are integers here
+    if n is None or (not isinstance(value, str) and n != value):
+        raise ScenarioError(f"{context}: not an integer: {value!r}")
+    return n
 
 
 def _unit_interval(value: Any, context: str) -> Fraction:
@@ -80,11 +83,19 @@ def _unit_interval(value: Any, context: str) -> Fraction:
     return x
 
 
-def _horizon_cap(value: Any, context: str) -> int:
-    cap = _integer(value, context)
-    if cap < 1:
-        raise ScenarioError(f"{context}: must be >= 1, got {cap}")
-    return cap
+def _open_unit_interval(value: Any, context: str) -> Fraction:
+    x = _number(value, context)
+    if not 0 < x < 1:
+        raise ScenarioError(f"{context}: must lie in (0, 1), got {x}")
+    return x
+
+
+def _at_least_one(value: Any, context: str) -> int:
+    """An integer >= 1: a round count or a horizon cap."""
+    n = _integer(value, context)
+    if n < 1:
+        raise ScenarioError(f"{context}: must be >= 1, got {n}")
+    return n
 
 
 def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
@@ -105,8 +116,8 @@ def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
         return MuAll()
     if kind == "mu_ell":
         _require(spec, {"kind", "horizon_cap"}, "policy mu_ell")
-        return MuEll(horizon_cap=_horizon_cap(spec.get("horizon_cap", 50),
-                                              "policy mu_ell: horizon_cap"))
+        return MuEll(horizon_cap=_at_least_one(spec.get("horizon_cap", 50),
+                                               "policy mu_ell: horizon_cap"))
     if kind == "fixed_winner":
         _require(spec, {"kind", "winner"}, "policy fixed_winner")
         if "winner" not in spec:
@@ -120,11 +131,11 @@ def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
 
 def _policy_to_dict(policy: Policy) -> Dict[str, Any]:
     if isinstance(policy, MuAlpha):
-        return {"kind": "mu_alpha", "alpha": format_scalar(policy.alpha)}
+        return {"kind": "mu_alpha", "alpha": str(policy.alpha)}
     if isinstance(policy, MuStar):
         out: Dict[str, Any] = {"kind": "mu_star"}
         if policy.epsilon:
-            out["epsilon"] = format_scalar(policy.epsilon)
+            out["epsilon"] = str(policy.epsilon)
         return out
     if isinstance(policy, MuAll):
         return {"kind": "mu_all"}
@@ -170,13 +181,13 @@ def _value_to_dict(vf: ValueFunction) -> Dict[str, Any]:
     if isinstance(vf, AffineValue):
         return {
             "kind": "affine",
-            "slope": format_scalar(vf.slope),
-            "intercept": format_scalar(vf.intercept),
+            "slope": str(vf.slope),
+            "intercept": str(vf.intercept),
         }
     if isinstance(vf, TableValue):
         return {
             "kind": "table",
-            "values": {str(level): format_scalar(v) for level, v in vf.table},
+            "values": {str(level): str(v) for level, v in vf.table},
         }
     raise ScenarioError(f"unknown value function {vf!r}")
 
@@ -235,9 +246,7 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         raise ScenarioError("mode 'sampled' requires a seed")
     if seed is not None:
         seed = _integer(seed, "seed")
-    rounds = _integer(data["rounds"], "rounds")
-    if rounds < 1:
-        raise ScenarioError(f"rounds: must be >= 1, got {rounds}")
+    rounds = _at_least_one(data["rounds"], "rounds")
 
     vf_spec = data.get("value_function", {"kind": "identity"})
     instance = Instance.build(
@@ -260,7 +269,7 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         rounds=rounds,
         mode=mode,
         seed=seed,
-        horizon_cap=_horizon_cap(data.get("horizon_cap", 50), "horizon_cap"),
+        horizon_cap=_at_least_one(data.get("horizon_cap", 50), "horizon_cap"),
     )
 
 
@@ -272,17 +281,17 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
         "players": [
             {
                 "id": p.id,
-                "type": format_scalar(p.type_),
-                "stake": format_scalar(stakes[p.id]),
-                "cost": format_scalar(p.cost),
+                "type": str(p.type_),
+                "stake": str(stakes[p.id]),
+                "cost": str(p.cost),
             }
             for p in instance.players
         ],
         "policy": _policy_to_dict(scenario.policy),
         "behavior": scenario.behavior,
-        "tau_threshold": format_scalar(instance.tau_threshold),
+        "tau_threshold": str(instance.tau_threshold),
         "value_function": _value_to_dict(instance.value_function),
-        "budget": format_scalar(instance.budget),
+        "budget": str(instance.budget),
         "rounds": scenario.rounds,
         "mode": scenario.mode,
         "horizon_cap": scenario.horizon_cap,

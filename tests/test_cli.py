@@ -126,6 +126,7 @@ MALFORMED = {
     "affine value without slope": set_fields(
         value_function={"kind": "affine", "intercept": "1"}),
     "table level": set_fields(value_function={"kind": "table", "values": {"x": "1"}}),
+    "fractional rounds": set_fields(rounds=2.5),
 }
 
 
@@ -321,6 +322,49 @@ class TestSweep:
             rows = list(csv.reader(fh))[1:]
         shares = [Fraction(r[1]) for r in rows]
         assert shares[0] > shares[1] > shares[2]
+
+
+MU_ALPHA = dict(TWO_PLAYERS, policy={"kind": "mu_alpha", "alpha": "1/2"})
+
+# Option values the CLI reads with the scenario file's checks: argv, and the
+# scenario file a sweep runs (None for verify).
+MALFORMED_OPTIONS = {
+    "sweep alpha not a number": (["sweep", "--parameter", "alpha", "--values", "foo"], MU_ALPHA),
+    "sweep alpha zero denominator": (
+        ["sweep", "--parameter", "alpha", "--values", "1/0"], MU_ALPHA),
+    "sweep alpha above 1": (["sweep", "--parameter", "alpha", "--values", "0,3"], MU_ALPHA),
+    "sweep epsilon above 1": (["sweep", "--parameter", "epsilon", "--values", "2"], TWO_PLAYERS),
+    "sweep epsilon negative": (
+        ["sweep", "--parameter", "epsilon", "--values=-1/2"], TWO_PLAYERS),
+    "sweep rounds 0": (["sweep", "--parameter", "rounds", "--values", "0"], TWO_PLAYERS),
+    "sweep rounds not an integer": (
+        ["sweep", "--parameter", "rounds", "--values", "5/2"], TWO_PLAYERS),
+    "sweep M 0": (["sweep", "--parameter", "M", "--values", "0"], MU_ALPHA),
+    "verify grid not a number": (["verify", "axioms", "--grid", "foo"], None),
+    "verify grid zero denominator": (["verify", "axioms", "--grid", "1/0"], None),
+    "verify tau not a number": (["verify", "axioms", "--tau", "foo"], None),
+    "verify tau above 1": (["verify", "axioms", "--tau", "1/2,2"], None),
+    "verify n-max 1": (["verify", "axioms", "--n-max", "1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPTIONS))
+def test_malformed_option_exits_2(capsys, tmp_path, case):
+    argv, scenario = MALFORMED_OPTIONS[case]
+    if scenario is not None:
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(scenario))
+        out_dir = tmp_path / "sweep"
+        argv = argv[:1] + [str(path)] + argv[1:] + ["--output-dir", str(out_dir)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    if scenario is not None:
+        assert not out_dir.exists()
 
 
 def test_usage_error_exit_2(capsys):

@@ -98,6 +98,12 @@ class TestAxioms:
         with pytest.raises(ValueError):
             check_decentralization_axioms(tau_index_measure("1/2"), 1, [1])
 
+    def test_grid_with_nothing_to_evaluate(self):
+        # every multiset of an all-zero grid is undefined for the tau-index
+        report = check_decentralization_axioms(tau_index_measure("1/2"), 3, [0])
+        assert report.ok
+        assert report.checked == 0
+
 
 class TestAlignment:
     def test_example_boundary(self, three_player_instance):
