@@ -141,18 +141,20 @@ def _verify_axioms(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _verify_invariance(args: argparse.Namespace) -> Dict[str, object]:
+    triples = _at_least_one(args.triples, "verify invariance --triples")
+    steps = _at_least_one(args.steps, "verify invariance --steps")
     rng = random.Random(args.seed)
     failures = []
-    for trial in range(args.triples):
+    for trial in range(triples):
         n = rng.randint(2, 5)
         alpha = Fraction(rng.randint(0, 8), 8)
         types = {i + 1: Fraction(rng.randint(1, 9)) for i in range(n)}
         stakes = {i + 1: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for i in range(n)}
         state = VirtualStakeState.build(alpha, types, stakes)
-        report = check_invariance(state, args.steps)
+        report = check_invariance(state, steps)
         if not report.ok:
             failures.append({"trial": trial, "alpha": str(alpha)})
-    return {"suite": "invariance", "triples": args.triples, "steps": args.steps,
+    return {"suite": "invariance", "triples": triples, "steps": steps,
             "failures": failures, "ok": not failures}
 
 
@@ -206,9 +208,10 @@ def _verify_sybil(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _verify_oracle(args: argparse.Namespace) -> Dict[str, object]:
+    instances = _at_least_one(args.instances, "verify oracle --instances")
     rng = random.Random(args.seed)
     mismatches = []
-    for trial in range(args.instances):
+    for trial in range(instances):
         n = rng.randint(2, 5)
         players = [Player(id=i + 1, type_=Fraction(rng.randint(1, 6))) for i in range(n)]
         # stakes >= 3 keep the value drop per index level above one round's
@@ -228,7 +231,7 @@ def _verify_oracle(args: argparse.Namespace) -> Dict[str, object]:
                 "solver": sorted(eq),
                 "oracle": [sorted(s) for s in oracle],
             })
-    return {"suite": "oracle", "instances": args.instances,
+    return {"suite": "oracle", "instances": instances,
             "mismatches": mismatches, "ok": not mismatches}
 
 
@@ -350,9 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=4)
     p_verify.add_argument("--grid", default="1,2,3,4")
     p_verify.add_argument("--tau", default="1/3,1/2,2/3")
-    p_verify.add_argument("--triples", type=int, default=100)
-    p_verify.add_argument("--steps", type=int, default=100)
-    p_verify.add_argument("--instances", type=int, default=200)
+    # counts are read with the scenario file's checks, so a bad one exits 2
+    p_verify.add_argument("--triples", default=100)
+    p_verify.add_argument("--steps", default=100)
+    p_verify.add_argument("--instances", default=200)
     p_verify.add_argument("--seed", type=int, default=7)
     p_verify.set_defaults(func=cmd_verify)
 

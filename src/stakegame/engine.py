@@ -21,20 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import ZERO, Instance, PlayerId, RoundRecord
+from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
 from .equilibrium import LookaheadSolver, myopic_equilibrium, stage_value
-from .policies import (
-    FixedWinner,
-    MuEll,
-    MuEllShadow,
-    Policy,
-    budget_allocation,
-    draw_winner,
-    expected_rewards,
-    point_mass_winner,
-    stage_policy,
-    winner_distribution,
-)
+from .policies import FixedWinner, MuEll, MuEllShadow, Policy, draw_winner, point_mass_winner
 
 
 PairTuple = Tuple[Tuple[PlayerId, Fraction], ...]
@@ -101,11 +90,6 @@ class Runner:
         self.horizon_cap = horizon_cap
         self._rng = random.Random(seed) if mode == "sampled" else None
         self._shadow = MuEllShadow(instance, horizon_cap) if isinstance(policy, MuEll) else None
-        # MuEll's stage policy (a fixed winner) changes every round, so it
-        # gets a fresh solver per step.
-        self._solver: Optional[LookaheadSolver] = None
-        if behavior == "lookahead" and self._shadow is None:
-            self._solver = LookaheadSolver(instance, policy, horizon_cap)
         self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
         self.round = 0
         self.trace = Trace(instance, policy, behavior, mode, seed)
@@ -113,14 +97,13 @@ class Runner:
     def _participants(self, stage: Policy) -> frozenset:
         if self.behavior == "myopic":
             return myopic_equilibrium(self.stakes, self.instance, stage)
-        solver = self._solver
-        if solver is None:
-            solver = LookaheadSolver(self.instance, stage, self.horizon_cap)
-        return solver.solve(self.stakes)
+        # a solver keeps nothing between solves, and MuEll's stage changes
+        # every round, so each step gets its own
+        return LookaheadSolver(self.instance, stage, self.horizon_cap).solve(self.stakes)
 
     def step(self) -> RoundRecord:
         self.round += 1
-        stage = stage_policy(self.policy, self._shadow)
+        stage = self.policy if self._shadow is None else FixedWinner(self._shadow.next_winner())
         last = self.trace.records[-1] if self.trace.records else None
         before = _shared(
             self.stakes, last.stakes_after if last else self.instance.initial_stakes
@@ -130,23 +113,15 @@ class Runner:
             participants = last.participants
         d, v = stage_value(self.instance, self.stakes, participants)
 
-        winner: Optional[PlayerId] = None
-        if isinstance(stage, FixedWinner) and stage.winner not in participants:
-            # The designated winner sat the round out; nothing is paid.
-            winner = stage.winner
-            rewards = dict.fromkeys(self.stakes, ZERO)
-        elif self.mode == "sampled":
-            dist = winner_distribution(stage, self.instance, self.stakes, participants)
-            winner = point_mass_winner(dist)
-            if winner is None:
-                u = Fraction(self._rng.random())
-                winner = draw_winner(dist, self.stakes, u)
-            paid = budget_allocation(stage, self.instance, participants, winner)
-            rewards = {pid: paid.get(pid) or ZERO for pid in self.stakes}
-        else:
-            rewards = expected_rewards(stage, self.instance, self.stakes, participants)
-            dist = winner_distribution(stage, self.instance, self.stakes, participants)
-            winner = point_mass_winner(dist)
+        # A fixed winner who sits the round out is still the certain winner
+        # the record names; the payout pays nobody.
+        dist = stage.distribution(self.instance, self.stakes, participants)
+        winner = point_mass_winner(dist)
+        if winner is None and self.mode == "sampled":
+            winner = draw_winner(dist, self.stakes, Fraction(self._rng.random()))
+            dist = {winner: ONE}
+        rewards = dict.fromkeys(self.stakes, ZERO)
+        rewards.update(stage.payout(self.instance, participants, dist))
 
         self.stakes = {
             pid: s + rewards[pid] if rewards[pid] else s for pid, s in self.stakes.items()

@@ -24,14 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import ZERO, Instance, PlayerId, StakeProfile, rank, scalar
 from .measures import tau_decentralization_index, token_value
-from .policies import (
-    FixedWinner,
-    MuEll,
-    Policy,
-    expected_budget,
-    expected_rewards,
-    member_budget,
-)
+from .policies import FixedWinner, MuEll, Policy, expected_budget, expected_rewards
 
 PAR = "par"
 
@@ -116,8 +109,8 @@ class RankedProfile:
     def worth(self, policy: Policy, r: int) -> Fraction:
         """Stake plus expected reward of suffix r's leader, priced at v[r]; no cost."""
         i = self.ranking[r - 1]
-        reward = member_budget(
-            policy, self.instance, self.stakes, i, self.ranking[r - 1 :], self.top[r]
+        reward = policy.member_budget(
+            self.instance, self.stakes, i, self.ranking[r - 1 :], self.top[r]
         )
         return (self.stakes[i] + reward) * self.v[r]
 
@@ -203,12 +196,7 @@ class RecoveryWinnerLabel:
 Label = RecoveryWinnerLabel | str  # not typing.Union: see core.ValueFunction
 
 
-def _labels(
-    profile: RankedProfile,
-    policy: Policy,
-    tie_participate: bool,
-    _stats: Optional[dict] = None,
-) -> Dict[int, Label]:
+def _labels(profile: RankedProfile, policy: Policy, tie_participate: bool) -> Dict[int, Label]:
     """Recovery-winner labels keyed by rank; exactly the harmful ranks get one.
 
     The candidate for a harmful rank r is the first later rank that is
@@ -224,8 +212,6 @@ def _labels(
         worth = profile.worth(policy, r)
         participate = worth - profile.instance.player(pid).cost
         abstain = stakes[pid] * v[r + 1]
-        if _stats is not None:
-            _stats["harmful_evals"] = _stats.get("harmful_evals", 0) + 1
         if participate > abstain or (tie_participate and participate == abstain):
             candidate = r
             continue
@@ -245,7 +231,6 @@ def recovery_winner_labels(
     instance: Instance,
     policy: Policy,
     tie_participate: bool = True,
-    _stats: Optional[dict] = None,
 ) -> Dict[PlayerId, Label]:
     """Label every player for whom her suffix is harmful.
 
@@ -256,7 +241,7 @@ def recovery_winner_labels(
     Runs in O(n) with exactly one harmfulness evaluation per rank.
     """
     profile = RankedProfile(stakes, instance)
-    labels = _labels(profile, policy, tie_participate, _stats)
+    labels = _labels(profile, policy, tie_participate)
     return {profile.ranking[r - 1]: label for r, label in labels.items()}
 
 
@@ -265,7 +250,6 @@ def myopic_equilibrium(
     instance: Instance,
     policy: Policy,
     tie_participate: bool = True,
-    _stats: Optional[dict] = None,
 ) -> frozenset:
     """The unique stage equilibrium for myopic players: a suffix of the ranking.
 
@@ -274,7 +258,7 @@ def myopic_equilibrium(
     winner.
     """
     profile = RankedProfile(stakes, instance)
-    labels = _labels(profile, policy, tie_participate, _stats)
+    labels = _labels(profile, policy, tie_participate)
     for r in range(1, len(profile.ranking) + 1):
         label = labels.get(r)
         if label is None or label == PAR:

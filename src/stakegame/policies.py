@@ -1,4 +1,4 @@
-"""The four monetary policies: winner distributions and budget allocations.
+"""The five monetary policies, each holding its own stage rule.
 
 * ``MuAlpha(alpha)``   -- winner proportional to the virtual stake
   ``alpha * type + (1 - alpha) * stake``; winner takes the whole budget.
@@ -8,53 +8,166 @@
   the default 0 makes the policy deterministic.
 * ``MuAll``            -- highest type wins, but every participant receives
   an equal share of the budget.
-* ``MuEll(horizon_cap)`` -- simulates foresighted play: the winner at round
+* ``MuEll``            -- simulates foresighted play: the winner at round
   t is whoever a standalone type-favoring run with lookahead players would
-  crown at round t+1.  Resolved per round through a shadow trajectory; for
-  single-round computations the resolved form is ``FixedWinner``.
+  crown at round t+1.  Resolved per round through a shadow trajectory to
+  its stage form ``FixedWinner(winner)``.
 
-``expected_budget`` is the expectation B_i(Q) of player i's reward for a
-hypothetical participant set Q; the equilibrium logic is built on it.
+A stage policy's ``distribution`` is the winner's exact distribution over a
+participant set (players who cannot win may be left out), ``member_budget``
+a member's expected reward B_i(Q), on which the equilibrium logic is built,
+and ``payout`` the rewards paid when the winner is drawn from a distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Dict, Iterable, Optional
+from typing import Any, Collection, Dict, Iterable, Optional
 
 from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank
 
 
+Distribution = Dict[PlayerId, Fraction]
+
+
+class _WinnerTakesAll:
+    """The whole budget goes to the winner; a member's budget follows from that."""
+
+    def payout(
+        self, instance: Instance, participants: Collection[PlayerId], dist: Distribution
+    ) -> Dict[PlayerId, Fraction]:
+        """Budget times winning probability for each participant; zeros left out."""
+        return {pid: instance.budget * p for pid, p in dist.items() if p and pid in participants}
+
+    def member_budget(
+        self,
+        instance: Instance,
+        stakes: StakeProfile,
+        i: PlayerId,
+        participants: Collection[PlayerId],
+        top: Optional[PlayerId] = None,
+    ) -> Fraction:
+        """Expected reward of a member i of the participant set.
+
+        ``top`` is the set's top-type participant when the caller knows it
+        (the solvers read it from their suffix kernel); MuStar skips a scan.
+        """
+        return instance.budget * self.distribution(instance, stakes, participants).get(i, ZERO)
+
+
 @dataclass(frozen=True)
-class MuAlpha:
+class MuAlpha(_WinnerTakesAll):
     alpha: Fraction
 
+    def distribution(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Distribution:
+        weights = {
+            pid: self.alpha * instance.player(pid).type_ + (1 - self.alpha) * stakes[pid]
+            for pid in participants
+        }
+        total = sum(weights.values())
+        if total <= 0:
+            raise ValueError("virtual stakes sum to zero; distribution undefined")
+        return {pid: w / total for pid, w in weights.items()}
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "mu_alpha", "alpha": str(self.alpha)}
+
 
 @dataclass(frozen=True)
-class MuStar:
+class MuStar(_WinnerTakesAll):
     epsilon: Fraction = ZERO
+
+    def distribution(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Distribution:
+        top = top_type_participant(instance, participants)
+        size = len(participants)
+        dist = {
+            pid: type_favoring_share(self.epsilon, size, False) for pid in participants if pid != top
+        }
+        dist[top] = type_favoring_share(self.epsilon, size, True)
+        return dist
+
+    def member_budget(
+        self,
+        instance: Instance,
+        stakes: StakeProfile,
+        i: PlayerId,
+        participants: Collection[PlayerId],
+        top: Optional[PlayerId] = None,
+    ) -> Fraction:
+        if top is None:
+            top = top_type_participant(instance, participants)
+        return instance.budget * type_favoring_share(self.epsilon, len(participants), i == top)
+
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"kind": "mu_star"}
+        if self.epsilon:
+            out["epsilon"] = str(self.epsilon)
+        return out
 
 
 @dataclass(frozen=True)
 class MuAll:
-    pass
+    def distribution(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Distribution:
+        return {top_type_participant(instance, participants): ONE}
+
+    def member_budget(
+        self,
+        instance: Instance,
+        stakes: StakeProfile,
+        i: PlayerId,
+        participants: Collection[PlayerId],
+        top: Optional[PlayerId] = None,
+    ) -> Fraction:
+        return instance.budget / len(participants)
+
+    def payout(
+        self, instance: Instance, participants: Collection[PlayerId], dist: Distribution
+    ) -> Dict[PlayerId, Fraction]:
+        """An equal share for every participant, whoever wins."""
+        return dict.fromkeys(participants, instance.budget / len(participants))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "mu_all"}
 
 
 @dataclass(frozen=True)
 class MuEll:
-    horizon_cap: int = 50
+    """No stage rule of its own: each round resolves it to a FixedWinner."""
+
+    def _unresolved(self, *args: Any) -> Any:
+        raise TypeError("MuEll needs its shadow trajectory; resolve it to FixedWinner first")
+
+    distribution = member_budget = payout = _unresolved
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "mu_ell"}
 
 
 @dataclass(frozen=True)
-class FixedWinner:
+class FixedWinner(_WinnerTakesAll):
     """Single-round stage view of MuEll once the shadow winner is known.
 
-    The winner does not depend on who participates; a non-participating
-    winner simply leaves the round's budget unallocated.
+    The winner does not depend on who participates, so the distribution is
+    a point mass on the winner even when the winner sits out; a
+    non-participating winner simply leaves the round's budget unallocated.
     """
 
     winner: PlayerId
+
+    def distribution(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Distribution:
+        return {self.winner: ONE}
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "fixed_winner", "winner": self.winner}
 
 
 Policy = MuAlpha | MuStar | MuAll | MuEll | FixedWinner  # not typing.Union: see core.ValueFunction
@@ -89,52 +202,15 @@ def winner_distribution(
     instance: Instance,
     stakes: StakeProfile,
     participants: frozenset,
-) -> Dict[PlayerId, Fraction]:
+) -> Distribution:
     """Exact probability distribution of the winner over the participants."""
     if not participants:
         raise ValueError("empty participant set")
-    if isinstance(policy, MuAlpha):
-        weights = {
-            pid: policy.alpha * instance.player(pid).type_ + (1 - policy.alpha) * stakes[pid]
-            for pid in participants
-        }
-        total = sum(weights.values())
-        if total <= 0:
-            raise ValueError("virtual stakes sum to zero; distribution undefined")
-        return {pid: w / total for pid, w in weights.items()}
-    if isinstance(policy, (MuStar, MuAll)):
-        epsilon = policy.epsilon if isinstance(policy, MuStar) else ZERO
-        top = top_type_participant(instance, participants)
-        size = len(participants)
-        dist = {
-            pid: type_favoring_share(epsilon, size, False) for pid in participants if pid != top
-        }
-        dist[top] = type_favoring_share(epsilon, size, True)
-        return dist
-    if isinstance(policy, FixedWinner):
-        if policy.winner not in participants:
-            raise ValueError(f"fixed winner {policy.winner} is not participating")
-        return {pid: Fraction(1) if pid == policy.winner else ZERO for pid in participants}
-    if isinstance(policy, MuEll):
-        raise TypeError("MuEll needs its shadow trajectory; resolve it to FixedWinner first")
-    raise TypeError(f"unknown policy {policy!r}")
-
-
-def budget_allocation(
-    policy: Policy,
-    instance: Instance,
-    participants: frozenset,
-    winner: PlayerId,
-) -> Dict[PlayerId, Fraction]:
-    """Realized rewards given the drawn winner.  Totals exactly the budget."""
-    if winner not in participants:
-        raise ValueError(f"winner {winner} is not participating")
-    if isinstance(policy, MuAll):
-        share = instance.budget / len(participants)
-        return {pid: share for pid in participants}
-    rewards = {pid: ZERO for pid in participants}
-    rewards[winner] = instance.budget
-    return rewards
+    dist = policy.distribution(instance, stakes, participants)
+    absent = dist.keys() - participants
+    if absent:
+        raise ValueError(f"winner {min(absent)} is not participating")
+    return dist
 
 
 def expected_budget(
@@ -147,33 +223,7 @@ def expected_budget(
     """Expected reward B_i(Q) of player i when the participant set is Q."""
     if i not in participants:
         return ZERO
-    return member_budget(policy, instance, stakes, i, participants)
-
-
-def member_budget(
-    policy: Policy,
-    instance: Instance,
-    stakes: StakeProfile,
-    i: PlayerId,
-    participants: Collection[PlayerId],
-    top: Optional[PlayerId] = None,
-) -> Fraction:
-    """Expected reward B_i(Q) of a member i of Q.
-
-    ``top`` is Q's top-type participant when the caller already knows it
-    (the solvers read it from their suffix kernel); it spares the
-    type-favoring policies a scan of Q.
-    """
-    if isinstance(policy, MuAll):
-        return instance.budget / len(participants)
-    if isinstance(policy, FixedWinner):
-        return instance.budget if i == policy.winner else ZERO
-    if isinstance(policy, MuStar):
-        if top is None:
-            top = top_type_participant(instance, participants)
-        return instance.budget * type_favoring_share(policy.epsilon, len(participants), i == top)
-    dist = winner_distribution(policy, instance, stakes, participants)
-    return instance.budget * dist[i]
+    return policy.member_budget(instance, stakes, i, participants)
 
 
 def expected_rewards(
@@ -188,22 +238,13 @@ def expected_rewards(
     participant set, or a fixed winner who sits out, pays nobody.
     """
     rewards = dict.fromkeys(stakes, ZERO)
-    if not participants or (
-        isinstance(policy, FixedWinner) and policy.winner not in participants
-    ):
-        return rewards
-    if isinstance(policy, MuAll):
-        share = instance.budget / len(participants)
-        for pid in participants:
-            rewards[pid] = share
-        return rewards
-    for pid, p in winner_distribution(policy, instance, stakes, participants).items():
-        if p:
-            rewards[pid] = instance.budget * p
+    if participants:
+        dist = policy.distribution(instance, stakes, participants)
+        rewards.update(policy.payout(instance, participants, dist))
     return rewards
 
 
-def point_mass_winner(dist: Dict[PlayerId, Fraction]) -> Optional[PlayerId]:
+def point_mass_winner(dist: Distribution) -> Optional[PlayerId]:
     """The certain winner of a distribution, or None if it is genuinely mixed."""
     for pid, p in dist.items():
         if p == 1:
@@ -212,7 +253,7 @@ def point_mass_winner(dist: Dict[PlayerId, Fraction]) -> Optional[PlayerId]:
 
 
 def draw_winner(
-    dist: Dict[PlayerId, Fraction],
+    dist: Distribution,
     stakes: StakeProfile,
     u: Fraction,
 ) -> PlayerId:
@@ -239,28 +280,13 @@ class MuEllShadow:
         from .equilibrium import LookaheadSolver  # deferred: avoids a module cycle
 
         self._instance = instance
-        self._policy = MuStar()
-        self._solver = LookaheadSolver(instance, self._policy, horizon_cap)
+        self._solver = LookaheadSolver(instance, MuStar(), horizon_cap)
         self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
-        self.round = 0
-        self._advance()
-
-    def _advance(self) -> PlayerId:
-        participants = self._solver.solve(self.stakes)
-        winner = top_type_participant(self._instance, participants)
-        self.stakes[winner] += self._instance.budget
-        self.round += 1
-        return winner
+        self.next_winner()
 
     def next_winner(self) -> PlayerId:
         """Advance the shadow one round and return that round's winner."""
-        return self._advance()
-
-
-def stage_policy(policy: Policy, shadow: Optional[MuEllShadow]) -> Policy:
-    """Resolve MuEll to its per-round FixedWinner form; other policies pass through."""
-    if isinstance(policy, MuEll):
-        if shadow is None:
-            raise ValueError("MuEll requires a shadow trajectory")
-        return FixedWinner(shadow.next_winner())
-    return policy
+        participants = self._solver.solve(self.stakes)
+        winner = top_type_participant(self._instance, participants)
+        self.stakes[winner] += self._instance.budget
+        return winner

@@ -115,9 +115,8 @@ def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
         _require(spec, {"kind"}, "policy mu_all")
         return MuAll()
     if kind == "mu_ell":
-        _require(spec, {"kind", "horizon_cap"}, "policy mu_ell")
-        return MuEll(horizon_cap=_at_least_one(spec.get("horizon_cap", 50),
-                                               "policy mu_ell: horizon_cap"))
+        _require(spec, {"kind"}, "policy mu_ell")
+        return MuEll()
     if kind == "fixed_winner":
         _require(spec, {"kind", "winner"}, "policy fixed_winner")
         if "winner" not in spec:
@@ -127,23 +126,6 @@ def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
             raise ScenarioError(f"policy fixed_winner: winner {winner} is not a player id")
         return FixedWinner(winner=winner)
     raise ScenarioError(f"policy: unknown kind {kind!r}")
-
-
-def _policy_to_dict(policy: Policy) -> Dict[str, Any]:
-    if isinstance(policy, MuAlpha):
-        return {"kind": "mu_alpha", "alpha": str(policy.alpha)}
-    if isinstance(policy, MuStar):
-        out: Dict[str, Any] = {"kind": "mu_star"}
-        if policy.epsilon:
-            out["epsilon"] = str(policy.epsilon)
-        return out
-    if isinstance(policy, MuAll):
-        return {"kind": "mu_all"}
-    if isinstance(policy, MuEll):
-        return {"kind": "mu_ell", "horizon_cap": policy.horizon_cap}
-    if isinstance(policy, FixedWinner):
-        return {"kind": "fixed_winner", "winner": policy.winner}
-    raise ScenarioError(f"unknown policy {policy!r}")
 
 
 def _value_from_dict(spec: Dict[str, Any]) -> ValueFunction:
@@ -287,7 +269,7 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
             }
             for p in instance.players
         ],
-        "policy": _policy_to_dict(scenario.policy),
+        "policy": scenario.policy.to_dict(),
         "behavior": scenario.behavior,
         "tau_threshold": str(instance.tau_threshold),
         "value_function": _value_to_dict(instance.value_function),

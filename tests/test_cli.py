@@ -119,6 +119,8 @@ MALFORMED = {
     "alpha above 1": set_fields(policy={"kind": "mu_alpha", "alpha": 3}),
     "horizon cap 0": set_fields(horizon_cap=0, behavior="lookahead"),
     "mu_ell horizon cap 0": set_fields(policy={"kind": "mu_ell", "horizon_cap": 0}),
+    # the shadow run is bounded by the top-level horizon_cap; mu_ell has no cap
+    "mu_ell horizon cap": set_fields(policy={"kind": "mu_ell", "horizon_cap": 5}),
     "fixed winner not a player": set_fields(policy={"kind": "fixed_winner", "winner": 9}),
     "fixed winner missing": set_fields(policy={"kind": "fixed_winner"}),
     "epsilon above 1": set_fields(policy={"kind": "mu_star", "epsilon": "2"}),
@@ -345,6 +347,10 @@ MALFORMED_OPTIONS = {
     "verify tau not a number": (["verify", "axioms", "--tau", "foo"], None),
     "verify tau above 1": (["verify", "axioms", "--tau", "1/2,2"], None),
     "verify n-max 1": (["verify", "axioms", "--n-max", "1"], None),
+    "verify triples negative": (["verify", "invariance", "--triples", "-1"], None),
+    "verify steps negative": (["verify", "invariance", "--steps", "-1"], None),
+    "verify steps 0": (["verify", "invariance", "--steps", "0"], None),
+    "verify instances negative": (["verify", "oracle", "--instances", "-1"], None),
 }
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stakegame import (
+    FixedWinner,
     MuAlpha,
     MuEll,
     MuStar,
@@ -77,6 +78,16 @@ class TestRunner:
         rec = trace.records[0]
         if rec.winner not in rec.participants:
             assert all(v == 0 for _, v in rec.rewards)
+
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    def test_absent_fixed_winner_is_recorded_and_pays_nobody(self, mode):
+        # player 1's stake dominates, so the designated winner sits out
+        inst = make_instance([3, 5, 3], [8, 1, 1])
+        rec = Runner(inst, FixedWinner(1), mode=mode, seed=0).step()
+        assert rec.participants == frozenset({2, 3})
+        assert rec.winner == 1
+        assert all(v == 0 for _, v in rec.rewards)
+        assert dict(rec.stakes_after) == inst.stakes()
 
 
 class TestMonitors:

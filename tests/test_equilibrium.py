@@ -24,7 +24,13 @@ from stakegame import (
     suffix_set,
     threshold,
 )
-from stakegame.equilibrium import PAR, RecoveryWinnerLabel, stage_utility, stage_value
+from stakegame.equilibrium import (
+    PAR,
+    RankedProfile,
+    RecoveryWinnerLabel,
+    stage_utility,
+    stage_value,
+)
 
 from conftest import make_instance
 
@@ -112,11 +118,19 @@ class TestMyopicEquilibrium:
         )
         assert labels == {1: PAR, 2: PAR}
 
-    def test_labeling_cost_is_linear_in_harmfulness_checks(self):
+    def test_labeling_cost_is_linear_in_harmfulness_checks(self, monkeypatch):
+        # each rank's harmfulness check prices its suffix once, with worth()
         inst = make_instance([5, 4, 3, 2, 1], [6, 5, 4, 3, 3])
-        stats = {}
-        myopic_equilibrium(inst.stakes(), inst, MuStar(), _stats=stats)
-        assert stats["harmful_evals"] == inst.n
+        ranks = []
+        original = RankedProfile.worth
+
+        def counting(profile, policy, r):
+            ranks.append(r)
+            return original(profile, policy, r)
+
+        monkeypatch.setattr(RankedProfile, "worth", counting)
+        myopic_equilibrium(inst.stakes(), inst, MuStar())
+        assert sorted(ranks) == list(range(1, inst.n + 1))
 
 
 class TestLookahead:

@@ -31,7 +31,7 @@ from stakegame import (
     token_value,
 )
 from stakegame.equilibrium import RankedProfile, stage_value
-from stakegame.policies import member_budget, top_type_participant
+from stakegame.policies import top_type_participant
 
 from conftest import make_instance
 
@@ -112,8 +112,8 @@ def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
     profile = RankedProfile(stakes, inst)
     for r, leader in enumerate(profile.ranking, start=1):
         suffix = profile.suffix(r)
-        hinted = member_budget(
-            policy, inst, stakes, leader, profile.ranking[r - 1 :], profile.top[r]
+        hinted = policy.member_budget(
+            inst, stakes, leader, profile.ranking[r - 1 :], profile.top[r]
         )
         assert hinted == expected_budget(policy, inst, stakes, leader, suffix)
 

@@ -4,13 +4,16 @@ import pytest
 
 from stakegame import (
     FixedWinner,
+    LookaheadSolver,
     MuAll,
     MuAlpha,
     MuEll,
     MuStar,
-    budget_allocation,
+    brute_force_equilibrium,
     expected_budget,
     expected_rewards,
+    is_harmful,
+    myopic_equilibrium,
     winner_distribution,
 )
 from stakegame.policies import MuEllShadow, draw_winner, point_mass_winner, top_type_participant
@@ -34,6 +37,18 @@ class TestTopType:
     def test_empty_raises(self, inst):
         with pytest.raises(ValueError):
             top_type_participant(inst, set())
+
+
+# Every entry point that needs a stage rule rejects an unresolved MuEll alike.
+UNRESOLVED_MU_ELL = {
+    "winner_distribution": lambda inst, stakes, q: winner_distribution(MuEll(), inst, stakes, q),
+    "expected_budget": lambda inst, stakes, q: expected_budget(MuEll(), inst, stakes, 1, q),
+    "expected_rewards": lambda inst, stakes, q: expected_rewards(MuEll(), inst, stakes, q),
+    "myopic_equilibrium": lambda inst, stakes, q: myopic_equilibrium(stakes, inst, MuEll()),
+    "LookaheadSolver.solve": lambda inst, stakes, q: LookaheadSolver(inst, MuEll()).solve(stakes),
+    "is_harmful": lambda inst, stakes, q: is_harmful(1, q, stakes, inst, MuEll()),
+    "brute_force_equilibrium": lambda inst, stakes, q: brute_force_equilibrium(stakes, inst, MuEll()),
+}
 
 
 class TestWinnerDistribution:
@@ -65,22 +80,32 @@ class TestWinnerDistribution:
         )
         assert dist == {1: Fraction(3, 4), 2: Fraction(1, 4)}
 
+    def test_mu_all_top_type_wins(self):
+        # the equal split does not hide who the recorded winner is
+        inst = make_instance([1, 3, 2], [1, 1, 1])
+        dist = winner_distribution(MuAll(), inst, inst.stakes(), frozenset({1, 2, 3}))
+        assert point_mass_winner(dist) == 2
+
     def test_fixed_winner_requires_participation(self, inst):
         with pytest.raises(ValueError):
             winner_distribution(FixedWinner(1), inst, inst.stakes(), frozenset({2, 3}))
 
-    def test_mu_ell_needs_resolution(self, inst):
-        with pytest.raises(TypeError):
-            winner_distribution(MuEll(), inst, inst.stakes(), frozenset({1, 2, 3}))
+    @pytest.mark.parametrize("call", sorted(UNRESOLVED_MU_ELL))
+    def test_mu_ell_needs_resolution(self, inst, call):
+        with pytest.raises(TypeError, match="shadow trajectory"):
+            UNRESOLVED_MU_ELL[call](inst, inst.stakes(), frozenset({1, 2, 3}))
 
 
 class TestBudget:
     def test_winner_takes_all(self, inst):
-        rewards = budget_allocation(MuStar(), inst, frozenset({1, 2, 3}), 1)
-        assert rewards == {1: Fraction(1), 2: Fraction(0), 3: Fraction(0)}
+        everyone = frozenset({1, 2, 3})
+        dist = winner_distribution(MuStar(), inst, inst.stakes(), everyone)
+        assert MuStar().payout(inst, everyone, dist) == {1: Fraction(1)}
 
     def test_all_pay_equal_shares(self, inst):
-        rewards = budget_allocation(MuAll(), inst, frozenset({1, 2, 3}), 1)
+        everyone = frozenset({1, 2, 3})
+        dist = winner_distribution(MuAll(), inst, inst.stakes(), everyone)
+        rewards = MuAll().payout(inst, everyone, dist)
         assert rewards == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
         assert sum(rewards.values()) == inst.budget
 

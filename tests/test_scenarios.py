@@ -1,9 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from stakegame import (
+    FixedWinner,
+    MuAll,
     MuAlpha,
+    MuEll,
     MuStar,
     ScenarioError,
     builtin_scenario,
@@ -102,6 +106,20 @@ class TestRoundTrip:
         assert scenario_to_dict(loaded) == scenario_to_dict(sc)
         assert loaded.instance == sc.instance
         assert loaded.policy == sc.policy
+
+    @pytest.mark.parametrize("policy", [
+        MuAlpha(alpha=Fraction(3, 8)),
+        MuStar(),
+        MuStar(epsilon=Fraction(1, 10)),
+        MuAll(),
+        MuEll(),
+        FixedWinner(winner=2),
+    ], ids=repr)
+    def test_every_policy_round_trips(self, policy):
+        sc = replace(parse_scenario(minimal_scenario_dict()), policy=policy)
+        loaded = parse_scenario(scenario_to_dict(sc))
+        assert loaded == sc
+        assert loaded.policy == policy
 
     def test_bad_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
