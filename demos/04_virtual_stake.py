@@ -15,7 +15,6 @@ from stakegame import (
     VirtualStakeState,
     check_invariance,
     incumbent_gap_state,
-    longrun_share,
     sampled_win_frequencies,
     selection_probabilities,
 )
@@ -39,7 +38,7 @@ def main():
     print("\nincumbent with worst capability (1) versus best capability (3), alpha = 1/2:")
     print(f"{'stake bonus M':>13}  {'best-type share':>16}  {'incumbent share':>16}")
     for m in (10, 100, 1000, 10000):
-        shares = longrun_share(incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, m))
+        shares = selection_probabilities(incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, m))
         print(f"{m:>13}  {str(shares[1]):>16}  {str(shares[2]):>16}")
     print("the incumbent wins more often at every M; only M -> infinity closes the gap")
 

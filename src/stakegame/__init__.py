@@ -14,11 +14,8 @@ from .core import (
     Player,
     RoundRecord,
     TableValue,
-    ValidationReport,
     rank,
     scalar,
-    suffix_set,
-    validate_instance,
 )
 from .engine import (
     PropertyReport,
@@ -36,7 +33,6 @@ from .equilibrium import (
     Threshold,
     brute_force_equilibrium,
     is_harmful,
-    lookahead_equilibrium,
     myopic_equilibrium,
     recovery_winner_labels,
     threshold,
@@ -44,12 +40,14 @@ from .equilibrium import (
 from .measures import (
     AlignmentReport,
     AxiomReport,
+    ValidationReport,
     check_alignment,
     check_decentralization_axioms,
     max_attainable_index,
     tau_decentralization_index,
     tau_index_measure,
     token_value,
+    validate_instance,
 )
 from .policies import (
     FixedWinner,
@@ -88,83 +86,9 @@ from .virtualstake import (
     check_invariance,
     expected_step,
     incumbent_gap_state,
-    longrun_share,
     sampled_win_frequencies,
     selection_probabilities,
     theorem6_counterexample,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineValue",
-    "AlignmentReport",
-    "AxiomReport",
-    "BUILTIN_SCENARIOS",
-    "FixedWinner",
-    "IdentityValue",
-    "Instance",
-    "InvarianceReport",
-    "LookaheadHorizonError",
-    "LookaheadSolver",
-    "MuAll",
-    "MuAlpha",
-    "MuEll",
-    "MuStar",
-    "Player",
-    "PropertyReport",
-    "RecoveryPlan",
-    "RoundRecord",
-    "Runner",
-    "Scenario",
-    "ScenarioError",
-    "SybilConditionReport",
-    "SybilSplit",
-    "TableValue",
-    "Threshold",
-    "Trace",
-    "ValidationReport",
-    "VirtualStakeState",
-    "brute_force_equilibrium",
-    "builtin_scenario",
-    "check_alignment",
-    "check_decentralization_axioms",
-    "check_invariance",
-    "enumerate_splits",
-    "expected_budget",
-    "expected_rewards",
-    "expected_step",
-    "incumbent_gap_state",
-    "is_harmful",
-    "is_recovery_sybils",
-    "load_scenario",
-    "longrun_share",
-    "lookahead_equilibrium",
-    "make_split",
-    "max_attainable_index",
-    "max_sybil_gain",
-    "monitor_properties",
-    "myopic_equilibrium",
-    "parse_scenario",
-    "preferred_recovery_sybils",
-    "rank",
-    "recovery_winner_labels",
-    "run",
-    "sampled_win_frequencies",
-    "save_scenario",
-    "scalar",
-    "scenario_to_dict",
-    "selection_probabilities",
-    "suffix_set",
-    "sybil_gain",
-    "sybil_proofness_condition",
-    "tau_decentralization_index",
-    "tau_index_measure",
-    "theorem6_counterexample",
-    "threshold",
-    "token_value",
-    "trace_rows",
-    "validate_instance",
-    "winner_distribution",
-    "write_trace",
-]

@@ -13,7 +13,9 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from typing import Dict, List, Optional
 
 from .core import IdentityValue, Instance, Player
@@ -38,7 +40,7 @@ from .scenarios import (
     load_scenario,
 )
 from .sybil import max_sybil_gain, sybil_proofness_condition
-from .virtualstake import VirtualStakeState, check_invariance
+from .virtualstake import VirtualStakeState, check_invariance, incumbent_gap_state
 
 GOLDEN_FILES = {
     "example1-myopic": "table_myopic.csv",
@@ -48,8 +50,6 @@ GOLDEN_FILES = {
 
 
 def _load_golden(filename: str) -> List[List[str]]:
-    from importlib import resources
-
     ref = resources.files("stakegame").joinpath("data").joinpath(filename)
     with ref.open() as fh:
         return [row for row in csv.reader(fh)]
@@ -270,8 +270,6 @@ def _sweep_values(parameter: str, raw: str) -> List[Fraction | int]:
 def _scenario_for_value(
     scenario: Scenario, parameter: str, value: Fraction | int
 ) -> Scenario:
-    from dataclasses import replace
-
     if parameter == "alpha":
         if not isinstance(scenario.policy, MuAlpha):
             raise ScenarioError("sweep alpha: scenario policy must be mu_alpha")
@@ -285,8 +283,6 @@ def _scenario_for_value(
     if parameter == "M":
         if not isinstance(scenario.policy, MuAlpha):
             raise ScenarioError("sweep M: scenario policy must be mu_alpha")
-        from .virtualstake import incumbent_gap_state
-
         types = {p.id: p.type_ for p in scenario.instance.players}
         try:
             state = incumbent_gap_state(scenario.policy.alpha, types, value)
@@ -298,7 +294,6 @@ def _scenario_for_value(
             budget=scenario.instance.budget,
             tau_threshold=scenario.instance.tau_threshold,
             value_function=scenario.instance.value_function,
-            horizon=scenario.rounds,
         )
         return replace(scenario, instance=instance)
     raise ScenarioError(f"sweep: unknown parameter {parameter!r}")

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-Scalar = Fraction
 ScalarLike = Union[int, str, float, Fraction]
 
 ZERO = Fraction(0)
@@ -60,13 +59,6 @@ def rank(stakes: StakeProfile) -> Tuple[PlayerId, ...]:
         raise ValueError("cannot rank an empty stake profile")
     # A stable descending sort keeps the ascending-id order among equal stakes.
     return tuple(sorted(sorted(stakes), key=stakes.__getitem__, reverse=True))
-
-
-def suffix_set(ranking: Sequence[PlayerId], start_rank: int) -> frozenset:
-    """The participation set of everyone at ``start_rank`` or below (1-based)."""
-    if not 1 <= start_rank <= len(ranking):
-        raise ValueError(f"start rank {start_rank} out of range 1..{len(ranking)}")
-    return frozenset(ranking[start_rank - 1 :])
 
 
 @dataclass(frozen=True)
@@ -124,7 +116,6 @@ class Instance:
     budget: Fraction
     tau_threshold: Fraction
     value_function: ValueFunction
-    horizon: Optional[int] = None
     # id -> Player (first occurrence wins) and id -> type, built once.
     _by_id: Dict[PlayerId, Player] = field(init=False, repr=False, compare=False)
     _types: Dict[PlayerId, Fraction] = field(init=False, repr=False, compare=False)
@@ -143,7 +134,6 @@ class Instance:
         budget: ScalarLike,
         tau_threshold: ScalarLike,
         value_function: ValueFunction,
-        horizon: Optional[int] = None,
     ) -> "Instance":
         stakes = tuple(sorted((pid, scalar(s)) for pid, s in initial_stakes.items()))
         return Instance(
@@ -152,7 +142,6 @@ class Instance:
             budget=scalar(budget),
             tau_threshold=scalar(tau_threshold),
             value_function=value_function,
-            horizon=horizon,
         )
 
     @property
@@ -189,75 +178,3 @@ class RoundRecord:
     winner: Optional[PlayerId]
     rewards: Tuple[Tuple[PlayerId, Fraction], ...]
     stakes_after: Tuple[Tuple[PlayerId, Fraction], ...]
-
-
-@dataclass
-class ValidationReport:
-    errors: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_instance(instance: Instance) -> ValidationReport:
-    """Check an instance against the model's structural requirements.
-
-    Errors: types below 1, non-positive initial stakes, negative costs,
-    non-positive budget, a non-monotone value function, or a value table
-    that does not cover every reachable decentralization level.  Warnings:
-    value/budget alignment violations and boundary equalities at the
-    smallest initial stake (the framework's guarantees assume alignment).
-    """
-    from . import measures  # local import to avoid a module cycle
-
-    report = ValidationReport()
-    ids = [p.id for p in instance.players]
-    if not ids:
-        report.errors.append("instance has no players")
-        return report
-    if len(set(ids)) != len(ids):
-        report.errors.append("player ids are not unique")
-    stake_map = instance.stakes()
-    for p in instance.players:
-        if p.type_ < 1:
-            report.errors.append(f"player {p.id}: type {p.type_} is below 1")
-        if p.cost < 0:
-            report.errors.append(f"player {p.id}: negative cost {p.cost}")
-        if p.id not in stake_map:
-            report.errors.append(f"player {p.id}: no initial stake")
-        elif stake_map[p.id] <= 0:
-            report.errors.append(f"player {p.id}: initial stake {stake_map[p.id]} is not positive")
-    if instance.budget <= 0:
-        report.errors.append(f"budget {instance.budget} is not positive")
-    if not 0 < instance.tau_threshold < 1:
-        report.errors.append(f"tau threshold {instance.tau_threshold} is not in (0, 1)")
-
-    vf = instance.value_function
-    if isinstance(vf, AffineValue) and vf.slope < 0:
-        report.errors.append("affine value function has negative slope")
-    elif isinstance(vf, TableValue):
-        levels = [level for level, _ in vf.table]
-        for d in range(1, instance.n + 1):
-            if d not in levels:
-                report.errors.append(f"value table misses decentralization level {d}")
-        values = [value for _, value in vf.table]
-        if any(a > b for a, b in zip(values, values[1:])):
-            report.errors.append("value table is not non-decreasing")
-
-    if report.errors:
-        return report
-
-    positive = [s for s in stake_map.values() if s > 0]
-    bound = min(positive) if positive else ONE
-    alignment = measures.check_alignment(instance, bound)
-    for v1, v2, needed in alignment.violations:
-        report.warnings.append(
-            f"value/budget misaligned for values {v1} < {v2}: requires stake > {needed}"
-        )
-    for v1, v2, needed in alignment.boundary:
-        report.warnings.append(
-            f"value/budget alignment only weak for values {v1} < {v2} at stake {needed}"
-        )
-    return report

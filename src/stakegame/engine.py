@@ -23,7 +23,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
 from .equilibrium import LookaheadSolver, myopic_equilibrium, stage_value
-from .policies import FixedWinner, MuEll, MuEllShadow, Policy, draw_winner, point_mass_winner
+from .measures import tau_decentralization_index
+from .policies import (
+    FixedWinner,
+    MuEll,
+    MuStar,
+    Policy,
+    draw_winner,
+    point_mass_winner,
+    top_type_participant,
+)
 
 
 PairTuple = Tuple[Tuple[PlayerId, Fraction], ...]
@@ -62,6 +71,29 @@ def _shared(
     if fresh == previous:
         return previous
     return tuple(old if old == new else new for old, new in zip(previous, fresh))
+
+
+class MuEllShadow:
+    """Shadow type-favoring trajectory with lookahead players, one round ahead.
+
+    Initialized from the instance's initial stakes and advanced to round 1 at
+    construction; each :meth:`next_winner` call plays one further shadow round
+    and returns its winner, which is the real run's winner for the previous
+    round number.  Calls must be serialized per run.
+    """
+
+    def __init__(self, instance: Instance, horizon_cap: int = 50):
+        self._instance = instance
+        self._solver = LookaheadSolver(instance, MuStar(), horizon_cap)
+        self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
+        self.next_winner()
+
+    def next_winner(self) -> PlayerId:
+        """Advance the shadow one round and return that round's winner."""
+        participants = self._solver.solve(self.stakes)
+        winner = top_type_participant(self._instance, participants)
+        self.stakes[winner] += self._instance.budget
+        return winner
 
 
 class Runner:
@@ -149,16 +181,13 @@ def run(
     instance: Instance,
     policy: Policy,
     behavior: str = "myopic",
-    rounds: Optional[int] = None,
+    *,
+    rounds: int,
     mode: str = "expected",
     seed: Optional[int] = None,
     horizon_cap: int = 50,
 ) -> Trace:
-    """Simulate ``rounds`` rounds (default: the instance's horizon)."""
-    if rounds is None:
-        rounds = instance.horizon
-    if rounds is None:
-        raise ValueError("no round count: pass rounds= or set the instance horizon")
+    """Simulate ``rounds`` rounds."""
     runner = Runner(instance, policy, behavior, mode, seed, horizon_cap)
     return runner.run(rounds)
 
@@ -190,8 +219,6 @@ class PropertyReport:
 
 def monitor_properties(trace: Trace) -> PropertyReport:
     """Check recovery monotonicity and budget conservation on a trace."""
-    from .measures import tau_decentralization_index
-
     tau = trace.instance.tau_threshold
     report = PropertyReport()
     excluded: set = set()

@@ -427,18 +427,6 @@ class LookaheadSolver:
         raise LookaheadHorizonError(i, stakes, self.horizon_cap)
 
 
-def lookahead_equilibrium(
-    stakes: StakeProfile,
-    instance: Instance,
-    policy: Policy,
-    horizon_cap: int = 50,
-    tie_participate: bool = True,
-) -> Tuple[frozenset, Dict[PlayerId, RecoveryPlan]]:
-    """One-shot convenience wrapper around :class:`LookaheadSolver`."""
-    solver = LookaheadSolver(instance, policy, horizon_cap, tie_participate)
-    return solver.solve_with_plans(stakes)
-
-
 @dataclass(frozen=True)
 class Threshold:
     """Per-player minimum system value over rounds harmful to that player.

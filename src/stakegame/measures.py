@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Instance, ScalarLike, ValueFunction, scalar
+from .core import ONE, AffineValue, Instance, ScalarLike, TableValue, ValueFunction, scalar
 
 # A measure maps a stake multiset (tuple of Fractions) to a positive integer.
 Measure = Callable[[Tuple[Fraction, ...]], int]
@@ -191,4 +191,74 @@ def check_alignment(instance: Instance, stake_lower_bound: ScalarLike) -> Alignm
                 report.boundary.append((v1, v2, required))
             else:
                 report.violations.append((v1, v2, required))
+    return report
+
+
+@dataclass
+class ValidationReport:
+    errors: List[str] = field(default_factory=list)
+    warnings: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+
+def validate_instance(instance: Instance) -> ValidationReport:
+    """Check an instance against the model's structural requirements.
+
+    Errors: types below 1, non-positive initial stakes, negative costs,
+    non-positive budget, a non-monotone value function, or a value table
+    that does not cover every reachable decentralization level.  Warnings:
+    value/budget alignment violations and boundary equalities at the
+    smallest initial stake (the framework's guarantees assume alignment).
+    """
+    report = ValidationReport()
+    ids = [p.id for p in instance.players]
+    if not ids:
+        report.errors.append("instance has no players")
+        return report
+    if len(set(ids)) != len(ids):
+        report.errors.append("player ids are not unique")
+    stake_map = instance.stakes()
+    for p in instance.players:
+        if p.type_ < 1:
+            report.errors.append(f"player {p.id}: type {p.type_} is below 1")
+        if p.cost < 0:
+            report.errors.append(f"player {p.id}: negative cost {p.cost}")
+        if p.id not in stake_map:
+            report.errors.append(f"player {p.id}: no initial stake")
+        elif stake_map[p.id] <= 0:
+            report.errors.append(f"player {p.id}: initial stake {stake_map[p.id]} is not positive")
+    if instance.budget <= 0:
+        report.errors.append(f"budget {instance.budget} is not positive")
+    if not 0 < instance.tau_threshold < 1:
+        report.errors.append(f"tau threshold {instance.tau_threshold} is not in (0, 1)")
+
+    vf = instance.value_function
+    if isinstance(vf, AffineValue) and vf.slope < 0:
+        report.errors.append("affine value function has negative slope")
+    elif isinstance(vf, TableValue):
+        levels = [level for level, _ in vf.table]
+        for d in range(1, instance.n + 1):
+            if d not in levels:
+                report.errors.append(f"value table misses decentralization level {d}")
+        values = [value for _, value in vf.table]
+        if any(a > b for a, b in zip(values, values[1:])):
+            report.errors.append("value table is not non-decreasing")
+
+    if report.errors:
+        return report
+
+    positive = [s for s in stake_map.values() if s > 0]
+    bound = min(positive) if positive else ONE
+    alignment = check_alignment(instance, bound)
+    for v1, v2, needed in alignment.violations:
+        report.warnings.append(
+            f"value/budget misaligned for values {v1} < {v2}: requires stake > {needed}"
+        )
+    for v1, v2, needed in alignment.boundary:
+        report.warnings.append(
+            f"value/budget alignment only weak for values {v1} < {v2} at stake {needed}"
+        )
     return report

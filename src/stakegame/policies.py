@@ -265,28 +265,3 @@ def draw_winner(
         if u < running:
             return pid
     return ordered[-1]  # guards against u == 1 style edge cases
-
-
-class MuEllShadow:
-    """Shadow type-favoring trajectory with lookahead players, one round ahead.
-
-    Initialized from the instance's initial stakes and advanced to round 1 at
-    construction; each :meth:`next_winner` call plays one further shadow round
-    and returns its winner, which is the real run's winner for the previous
-    round number.  Calls must be serialized per run.
-    """
-
-    def __init__(self, instance: Instance, horizon_cap: int = 50):
-        from .equilibrium import LookaheadSolver  # deferred: avoids a module cycle
-
-        self._instance = instance
-        self._solver = LookaheadSolver(instance, MuStar(), horizon_cap)
-        self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
-        self.next_winner()
-
-    def next_winner(self) -> PlayerId:
-        """Advance the shadow one round and return that round's winner."""
-        participants = self._solver.solve(self.stakes)
-        winner = top_type_participant(self._instance, participants)
-        self.stakes[winner] += self._instance.budget
-        return winner

@@ -27,8 +27,8 @@ from .core import (
     TableValue,
     ValueFunction,
     scalar,
-    validate_instance,
 )
+from .measures import validate_instance
 from .policies import FixedWinner, MuAll, MuAlpha, MuEll, MuStar, Policy
 
 
@@ -237,7 +237,6 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         budget=_number(data["budget"], "budget"),
         tau_threshold=_number(data["tau_threshold"], "tau_threshold"),
         value_function=_value_from_dict(vf_spec),
-        horizon=rounds,
     )
     report = validate_instance(instance)
     if not report.ok:
@@ -306,14 +305,13 @@ def _base_players():
     ]
 
 
-def _base_instance(rounds: int) -> Instance:
+def _base_instance() -> Instance:
     return Instance.build(
         players=_base_players(),
         initial_stakes={1: 1, 2: 1, 3: 1},
         budget=1,
         tau_threshold=Fraction(1, 2),
         value_function=IdentityValue(),
-        horizon=rounds,
     )
 
 
@@ -321,7 +319,7 @@ def builtin_scenario(name: str) -> Scenario:
     if name == "example1-myopic":
         return Scenario(
             name=name,
-            instance=_base_instance(5),
+            instance=_base_instance(),
             policy=MuStar(),
             behavior="myopic",
             rounds=5,
@@ -332,7 +330,7 @@ def builtin_scenario(name: str) -> Scenario:
     if name == "example2-lookahead":
         return Scenario(
             name=name,
-            instance=_base_instance(10),
+            instance=_base_instance(),
             policy=MuStar(),
             behavior="lookahead",
             rounds=10,
@@ -343,7 +341,7 @@ def builtin_scenario(name: str) -> Scenario:
     if name == "example3-muell":
         return Scenario(
             name=name,
-            instance=_base_instance(10),
+            instance=_base_instance(),
             policy=MuEll(),
             behavior="myopic",
             rounds=10,

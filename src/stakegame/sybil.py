@@ -41,13 +41,9 @@ class SybilSplit:
     parts: Tuple[Tuple[Fraction, Fraction], ...]
 
     @property
-    def max_type(self) -> Fraction:
-        return self.parts[0][1]
-
-    @property
     def top_part(self) -> Tuple[Fraction, Fraction]:
         """The part with the largest type; ties go to the larger stake."""
-        return max(self.parts, key=lambda part: (part[1], part[0]))
+        return self.parts[0]
 
 
 def _sorted_parts(
@@ -185,9 +181,8 @@ def is_recovery_sybils(
 ) -> bool:
     """Whether the split profile stops being harmful for the top-type part."""
     new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
-    top_index = split.parts.index(split.top_part)
-    top_id = part_ids[top_index]
-    return not profile_harmful_for(top_id, new_stakes, new_instance, policy)
+    # parts are in descending (type, stake) order, so the first is the top part
+    return not profile_harmful_for(part_ids[0], new_stakes, new_instance, policy)
 
 
 def preferred_recovery_sybils(

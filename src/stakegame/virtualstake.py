@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .core import Instance, Player, PlayerId, ScalarLike, scalar
+from .core import IdentityValue, Instance, Player, PlayerId, ScalarLike, scalar
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,11 @@ def selection_probabilities(state: VirtualStakeState) -> Dict[PlayerId, Fraction
 
 def expected_step(state: VirtualStakeState) -> VirtualStakeState:
     """One round of expected dynamics: every stake grows by its own probability."""
-    probs = selection_probabilities(state)
+    return _advance(state, selection_probabilities(state))
+
+
+def _advance(state: VirtualStakeState, probs: Dict[PlayerId, Fraction]) -> VirtualStakeState:
+    """:func:`expected_step` with the state's selection probabilities known."""
     stakes = state.stake_dict()
     return VirtualStakeState(
         alpha=state.alpha,
@@ -116,11 +120,13 @@ def check_invariance(state: VirtualStakeState, steps: int) -> InvarianceReport:
     if steps < 1:
         raise ValueError("need at least one step")
     report = InvarianceReport(steps=steps)
-    reference = selection_probabilities(state)
+    reference = probs = selection_probabilities(state)
     current = state
     for step in range(1, steps + 1):
-        nxt = expected_step(current)
-        if selection_probabilities(nxt) != reference:
+        nxt = _advance(current, probs)
+        # the vector checked here is the one the next step advances by
+        probs = selection_probabilities(nxt)
+        if probs != reference:
             report.probability_breaks.append(step)
         if nxt.total_stakes != current.total_stakes + 1:
             report.stake_recurrence_breaks.append(step)
@@ -128,15 +134,6 @@ def check_invariance(state: VirtualStakeState, steps: int) -> InvarianceReport:
             report.weight_recurrence_breaks.append(step)
         current = nxt
     return report
-
-
-def longrun_share(state: VirtualStakeState) -> Dict[PlayerId, Fraction]:
-    """Per-round limiting stake increment of each player.
-
-    By invariance this is just the round-1 probability vector: the stake a
-    player accumulates over t rounds tends to sigma_i + t * w_i.
-    """
-    return selection_probabilities(state)
 
 
 def incumbent_gap_state(
@@ -178,8 +175,6 @@ def theorem6_counterexample(
     value_function=None,
 ) -> Tuple[Instance, VirtualStakeState]:
     """A full game instance on the gap construction, plus its dynamics state."""
-    from .core import IdentityValue
-
     state = incumbent_gap_state(alpha, types, M)
     players = tuple(
         Player(id=pid, type_=t) for pid, t in sorted(state.type_dict().items())

@@ -27,7 +27,6 @@ from stakegame import (
     check_invariance,
     incumbent_gap_state,
     is_harmful,
-    longrun_share,
     max_sybil_gain,
     monitor_properties,
     myopic_equilibrium,
@@ -35,7 +34,6 @@ from stakegame import (
     run,
     sampled_win_frequencies,
     selection_probabilities,
-    suffix_set,
     sybil_proofness_condition,
     tau_index_measure,
     threshold,
@@ -190,7 +188,7 @@ def test_criterion_06_smallest_ranks_never_harmful():
         policy = MuStar() if rng.random() < 0.5 else MuAll()
         ranking = rank(stakes)
         for r in (n, n - 1):
-            verdict = is_harmful(ranking[r - 1], suffix_set(ranking, r),
+            verdict = is_harmful(ranking[r - 1], frozenset(ranking[r - 1 :]),
                                  stakes, instance, policy)
             if verdict.harmful:
                 ok = False
@@ -280,7 +278,7 @@ def test_criterion_12_interpolation_counterexample():
     ok = True
     for m in (10, 100, 1000):
         state = incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, m)
-        shares = longrun_share(state)
+        shares = selection_probabilities(state)
         ok = ok and shares[1] < shares[2]
         if prev_top is not None:
             ok = ok and shares[1] < prev_top

@@ -261,7 +261,7 @@ class TestSweep:
     def test_alpha_sweep_matches_longrun_share(self, capsys, tmp_path):
         from fractions import Fraction
 
-        from stakegame import VirtualStakeState, longrun_share
+        from stakegame import VirtualStakeState, selection_probabilities
 
         scenario = {
             "players": [
@@ -286,7 +286,7 @@ class TestSweep:
             rows = {r[0]: r for r in list(csv.reader(fh))[1:]}
         # after t rounds the share tends to w; check the alpha = 1/2 row
         state = VirtualStakeState.build(Fraction(1, 2), {1: 2, 2: 1}, {1: 1, 2: 1})
-        w = longrun_share(state)
+        w = selection_probabilities(state)
         share_1 = Fraction(rows["1/2"][1])
         assert abs(share_1 - w[1]) < Fraction(1, 100)
 

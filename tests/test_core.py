@@ -10,9 +10,9 @@ from stakegame import (
     TableValue,
     rank,
     scalar,
-    suffix_set,
     validate_instance,
 )
+from stakegame.equilibrium import RankedProfile
 
 from conftest import make_instance
 
@@ -54,15 +54,11 @@ class TestRank:
             rank({})
 
     def test_suffix_set(self):
-        ranking = (2, 3, 1)
-        assert suffix_set(ranking, 1) == frozenset({1, 2, 3})
-        assert suffix_set(ranking, 3) == frozenset({1})
-
-    def test_suffix_bounds(self):
-        with pytest.raises(ValueError):
-            suffix_set((1, 2), 3)
-        with pytest.raises(ValueError):
-            suffix_set((1, 2), 0)
+        profile = RankedProfile({1: 1, 2: 5, 3: 3}, make_instance([1, 1, 1], [1, 5, 3]))
+        assert profile.ranking == (2, 3, 1)
+        assert profile.suffix(1) == frozenset({1, 2, 3})
+        assert profile.suffix(3) == frozenset({1})
+        assert profile.suffix(4) == frozenset()
 
 
 class TestValueFunctions:

@@ -19,15 +19,8 @@ from conftest import make_instance
 
 
 class TestRunner:
-    def test_rounds_default_to_horizon(self, three_player_instance):
-        from dataclasses import replace
-
-        inst = replace(three_player_instance, horizon=4)
-        trace = run(inst, MuStar())
-        assert trace.rounds == 4
-
     def test_missing_round_count(self, three_player_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run(three_player_instance, MuStar())
 
     def test_step_by_step_matches_run(self, three_player_instance):

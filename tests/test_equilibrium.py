@@ -16,12 +16,9 @@ from stakegame import (
     MuStar,
     brute_force_equilibrium,
     is_harmful,
-    lookahead_equilibrium,
     myopic_equilibrium,
-    rank,
     recovery_winner_labels,
     run,
-    suffix_set,
     threshold,
 )
 from stakegame.equilibrium import (
@@ -53,12 +50,12 @@ class TestHarmfulness:
         # player 2 earns no reward and leaves the index unchanged either way
         inst = make_instance([3, 2], [2, 1])
         stakes = inst.stakes()
-        ranking = rank(stakes)
-        v = is_harmful(2, suffix_set(ranking, 1), stakes, inst, MuStar())
+        everyone = frozenset(stakes)
+        v = is_harmful(2, everyone, stakes, inst, MuStar())
         assert v.utility_participate == v.utility_abstain
         assert not v.harmful
         strict = is_harmful(
-            2, suffix_set(ranking, 1), stakes, inst, MuStar(), tie_participate=False
+            2, everyone, stakes, inst, MuStar(), tie_participate=False
         )
         assert strict.harmful
 
@@ -137,7 +134,7 @@ class TestLookahead:
     def test_planning_exit_round_five(self):
         # the two larger players sit out so the smallest can catch up
         inst = make_instance([3, 2, 1], [4, 2, 1])
-        participants, plans = lookahead_equilibrium(inst.stakes(), inst, MuStar())
+        participants, plans = LookaheadSolver(inst, MuStar()).solve_with_plans(inst.stakes())
         assert participants == frozenset({3})
         assert set(plans) == {1, 2}
         assert plans[2].length == 1
@@ -146,7 +143,7 @@ class TestLookahead:
 
     def test_matches_myopic_when_balanced(self, three_player_instance):
         inst = three_player_instance
-        participants, plans = lookahead_equilibrium(inst.stakes(), inst, MuStar())
+        participants, plans = LookaheadSolver(inst, MuStar()).solve_with_plans(inst.stakes())
         assert participants == frozenset({1, 2, 3})
         assert plans == {}
 
@@ -164,9 +161,8 @@ class TestLookahead:
 
         vf = TableValue.from_mapping({1: 1, 2: 100, 3: 1000})
         inst = make_instance([3, 2, 1], [10, 1, 1], vf=vf)
-        participants, plans = lookahead_equilibrium(
-            inst.stakes(), inst, MuAll(), horizon_cap=20
-        )
+        solver = LookaheadSolver(inst, MuAll(), horizon_cap=20)
+        participants, plans = solver.solve_with_plans(inst.stakes())
         assert participants == frozenset({2, 3})
         assert plans[1].length > 1
 
@@ -211,7 +207,7 @@ class TestBruteForce:
     def test_lookahead_agreement(self):
         inst = make_instance([3, 2, 1], [4, 2, 1])
         stakes = inst.stakes()
-        eq, _ = lookahead_equilibrium(stakes, inst, MuStar())
+        eq, _ = LookaheadSolver(inst, MuStar()).solve_with_plans(stakes)
         oracle = brute_force_equilibrium(stakes, inst, MuStar(), behavior="lookahead")
         assert eq in oracle
 

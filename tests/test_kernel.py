@@ -26,7 +26,6 @@ from stakegame import (
     expected_rewards,
     myopic_equilibrium,
     rank,
-    suffix_set,
     tau_decentralization_index,
     token_value,
 )
@@ -83,7 +82,7 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
     n = len(ranking)
     assert profile.ranking == ranking
     for r in range(1, n + 1):
-        suffix = suffix_set(ranking, r)
+        suffix = frozenset(ranking[r - 1 :])
         values = [stakes[pid] for pid in suffix]
         assert profile.suffix(r) == suffix
         assert profile.total[r] == sum(values)

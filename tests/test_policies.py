@@ -16,7 +16,8 @@ from stakegame import (
     myopic_equilibrium,
     winner_distribution,
 )
-from stakegame.policies import MuEllShadow, draw_winner, point_mass_winner, top_type_participant
+from stakegame.engine import MuEllShadow
+from stakegame.policies import draw_winner, point_mass_winner, top_type_participant
 
 from conftest import make_instance
 

@@ -70,6 +70,19 @@ class TestEnumeration:
                 1, {1: Fraction(6)}, {1: Fraction(6)}, Fraction(1, 8), 5, limit=100
             )
 
+    def test_top_part_is_the_largest_type_then_stake(self):
+        # top_part reads parts[0]: both constructors keep the canonical order
+        splits = [
+            make_split(1, parts)
+            for parts in ([(1, 1), (2, 2), (1, 2)], [(3, 1), (1, 1)], [(1, 3), (2, 1)])
+        ]
+        for full_stake in (False, True):
+            splits += enumerate_splits(
+                1, {1: Fraction(3)}, {1: Fraction(4)}, Fraction(1, 2), 3, full_stake=full_stake
+            )
+        for split in splits:
+            assert split.top_part == max(split.parts, key=lambda part: (part[1], part[0]))
+
     def test_make_split_validates(self):
         with pytest.raises(ValueError):
             make_split(1, [])

@@ -11,7 +11,6 @@ from stakegame import (
     check_invariance,
     expected_step,
     incumbent_gap_state,
-    longrun_share,
     sampled_win_frequencies,
     selection_probabilities,
     theorem6_counterexample,
@@ -91,24 +90,18 @@ class TestInvariance:
             check_invariance(s, 0)
 
 
-class TestLongrun:
-    def test_equals_round_one_probabilities(self):
-        s = state(Fraction(1, 2), {1: 2, 2: 1}, {1: 1, 2: 1})
-        assert longrun_share(s) == selection_probabilities(s)
-
-
 class TestGapConstruction:
     def test_worked_values(self):
         s = incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, 100)
         assert s.stake_dict() == {1: Fraction(1), 2: Fraction(102)}
-        shares = longrun_share(s)
+        shares = selection_probabilities(s)
         assert shares[2] > shares[1]
 
     def test_top_share_decreases_in_m(self):
         previous = None
         for m in (10, 100, 1000):
             s = incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, m)
-            top = longrun_share(s)[1]
+            top = selection_probabilities(s)[1]
             if previous is not None:
                 assert top < previous
             previous = top
