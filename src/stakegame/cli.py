@@ -75,15 +75,7 @@ def _run_scenario(scenario: Scenario):
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _get_scenario(args.scenario)
-    try:
-        trace = _run_scenario(scenario)
-    except LookaheadHorizonError as exc:
-        print(
-            f"solver failed: player {exc.player} has no recovery plan within "
-            f"{exc.cap} rounds",
-            file=sys.stderr,
-        )
-        return 1
+    trace = _run_scenario(scenario)
     if args.output:
         write_trace(trace, args.output)
     summary: Dict[str, object] = {
@@ -373,6 +365,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except LookaheadHorizonError as exc:
+        print(
+            f"solver failed: player {exc.player} has no recovery plan within "
+            f"{exc.cap} rounds",
+            file=sys.stderr,
+        )
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
-from .equilibrium import LookaheadSolver, myopic_equilibrium, stage_value
+from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, myopic_equilibrium, stage_value
 from .measures import tau_decentralization_index
 from .policies import (
     FixedWinner,
@@ -82,7 +82,7 @@ class MuEllShadow:
     round number.  Calls must be serialized per run.
     """
 
-    def __init__(self, instance: Instance, horizon_cap: int = 50):
+    def __init__(self, instance: Instance, horizon_cap: int = DEFAULT_HORIZON_CAP):
         self._instance = instance
         self._solver = LookaheadSolver(instance, MuStar(), horizon_cap)
         self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
@@ -106,7 +106,7 @@ class Runner:
         behavior: str = "myopic",
         mode: str = "expected",
         seed: Optional[int] = None,
-        horizon_cap: int = 50,
+        horizon_cap: int = DEFAULT_HORIZON_CAP,
     ):
         if behavior not in ("myopic", "lookahead"):
             raise ValueError(f"unknown behavior {behavior!r}")
@@ -185,7 +185,7 @@ def run(
     rounds: int,
     mode: str = "expected",
     seed: Optional[int] = None,
-    horizon_cap: int = 50,
+    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> Trace:
     """Simulate ``rounds`` rounds."""
     runner = Runner(instance, policy, behavior, mode, seed, horizon_cap)

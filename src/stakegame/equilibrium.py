@@ -9,10 +9,9 @@ Implements, with exact arithmetic throughout:
 * per-player participation thresholds along a realized trajectory;
 * a brute-force oracle that enumerates arbitrary participant subsets.
 
-Ties in the participate-vs-abstain comparison are broken in favor of
-participation by default (uniqueness of the suffix equilibrium depends on
-it); pass ``tie_participate=False`` for the strict variant that demands a
-positive gain to participate.
+There is one tie rule: a player indifferent between participating and
+abstaining participates.  The uniqueness of the suffix equilibrium depends
+on it.
 """
 
 from __future__ import annotations
@@ -27,6 +26,10 @@ from .measures import tau_decentralization_index, token_value
 from .policies import FixedWinner, MuEll, Policy, expected_budget, expected_rewards
 
 PAR = "par"
+
+# Default bound on a recovery plan's length, shared by every entry point
+# that takes a horizon cap.
+DEFAULT_HORIZON_CAP = 50
 
 
 class RankedProfile:
@@ -177,15 +180,13 @@ def is_harmful(
     stakes: StakeProfile,
     instance: Instance,
     policy: Policy,
-    tie_participate: bool = True,
 ) -> HarmfulnessVerdict:
     """Whether the profile is harmful for i in the given set (i must belong)."""
     if i not in participants:
         raise ValueError(f"player {i} is not in the participation set")
     up = stage_utility(instance, stakes, policy, i, participants)
     ua = stage_utility(instance, stakes, policy, i, participants - {i})
-    harmful = up < ua if tie_participate else up <= ua
-    return HarmfulnessVerdict(i, participants, up, ua, harmful)
+    return HarmfulnessVerdict(i, participants, up, ua, up < ua)
 
 
 @dataclass(frozen=True)
@@ -196,12 +197,14 @@ class RecoveryWinnerLabel:
 Label = RecoveryWinnerLabel | str  # not typing.Union: see core.ValueFunction
 
 
-def _labels(profile: RankedProfile, policy: Policy, tie_participate: bool) -> Dict[int, Label]:
-    """Recovery-winner labels keyed by rank; exactly the harmful ranks get one.
+def _labels(profile: RankedProfile, policy: Policy) -> Tuple[Dict[int, Label], int]:
+    """Recovery-winner labels keyed by rank, and the myopic equilibrium's rank.
 
-    The candidate for a harmful rank r is the first later rank that is
-    non-harmful or labeled ``PAR``.  Scanning upward from the last rank, that
-    is the candidate seen most recently, so the pass is O(n).
+    Exactly the harmful ranks get a label.  The candidate for a harmful rank
+    r is the first later rank that is non-harmful or labeled ``PAR``.
+    Scanning upward from the last rank, that is the candidate seen most
+    recently, so the pass is O(n).  The last candidate seen is the top rank
+    that is non-harmful or labeled ``PAR``: the myopic equilibrium's rank.
     """
     stakes = profile.stakes
     v = profile.v
@@ -212,25 +215,25 @@ def _labels(profile: RankedProfile, policy: Policy, tie_participate: bool) -> Di
         worth = profile.worth(policy, r)
         participate = worth - profile.instance.player(pid).cost
         abstain = stakes[pid] * v[r + 1]
-        if participate > abstain or (tie_participate and participate == abstain):
+        if participate >= abstain:
             candidate = r
             continue
         label: Label = PAR
         if candidate is not None and worth < v[candidate] * stakes[pid]:
             label = RecoveryWinnerLabel(candidate)
         else:
-            # Abstaining does not pay, or (possible for rank n under the
-            # strict tie rule) no candidate lies below: participate anyway.
+            # Abstaining does not pay, or no candidate lies below (only rank
+            # n, when a positive cost exceeds its priced reward): participate
+            # anyway.
             candidate = r
         labels[r] = label
-    return labels
+    return labels, candidate
 
 
 def recovery_winner_labels(
     stakes: StakeProfile,
     instance: Instance,
     policy: Policy,
-    tie_participate: bool = True,
 ) -> Dict[PlayerId, Label]:
     """Label every player for whom her suffix is harmful.
 
@@ -241,7 +244,7 @@ def recovery_winner_labels(
     Runs in O(n) with exactly one harmfulness evaluation per rank.
     """
     profile = RankedProfile(stakes, instance)
-    labels = _labels(profile, policy, tie_participate)
+    labels, _ = _labels(profile, policy)
     return {profile.ranking[r - 1]: label for r, label in labels.items()}
 
 
@@ -249,7 +252,6 @@ def myopic_equilibrium(
     stakes: StakeProfile,
     instance: Instance,
     policy: Policy,
-    tie_participate: bool = True,
 ) -> frozenset:
     """The unique stage equilibrium for myopic players: a suffix of the ranking.
 
@@ -258,12 +260,7 @@ def myopic_equilibrium(
     winner.
     """
     profile = RankedProfile(stakes, instance)
-    labels = _labels(profile, policy, tie_participate)
-    for r in range(1, len(profile.ranking) + 1):
-        label = labels.get(r)
-        if label is None or label == PAR:
-            return profile.suffix(r)
-    raise AssertionError("unreachable: the last rank is never harmful")
+    return profile.suffix(_labels(profile, policy)[1])
 
 
 @dataclass(frozen=True)
@@ -317,15 +314,13 @@ class LookaheadSolver:
         self,
         instance: Instance,
         policy: Policy,
-        horizon_cap: int = 50,
-        tie_participate: bool = True,
+        horizon_cap: int = DEFAULT_HORIZON_CAP,
     ):
         if horizon_cap < 1:
             raise ValueError("horizon cap must be at least 1")
         self.instance = instance
         self.policy = policy
         self.horizon_cap = horizon_cap
-        self.tie_participate = tie_participate
 
     def solve(self, stakes: StakeProfile) -> frozenset:
         """Equilibrium participant set at the given profile: a ranking suffix.
@@ -381,9 +376,7 @@ class LookaheadSolver:
         abstain = self._recovery(
             i, profile.suffix(r + 1), profile.stakes, walked
         ).terminal_value
-        if self.tie_participate:
-            return participate < abstain
-        return participate <= abstain
+        return participate < abstain
 
     def _recovery(
         self,
@@ -412,9 +405,7 @@ class LookaheadSolver:
             # one lookup per step: hashing the key hashes every stake
             step = walked.setdefault(key, [None, None])
             if step[0] is None:
-                step[0] = myopic_equilibrium(
-                    current, self.instance, self.policy, self.tie_participate
-                )
+                step[0] = myopic_equilibrium(current, self.instance, self.policy)
             future = step[0]
             steps.append((offset, future, key))
             if i in future:
@@ -466,7 +457,7 @@ def threshold(trace) -> Threshold:
             stage = FixedWinner(record.winner)
         profile = RankedProfile(dict(record.stakes_before), instance)
         v_full = profile.v[1]
-        for r in _labels(profile, stage, tie_participate=True):
+        for r in _labels(profile, stage)[0]:
             pid = profile.ranking[r - 1]
             best = mins[pid]
             if best is None or v_full < best:
@@ -479,8 +470,7 @@ def brute_force_equilibrium(
     instance: Instance,
     policy: Policy,
     behavior: str = "myopic",
-    tie_participate: bool = True,
-    horizon_cap: int = 50,
+    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> List[frozenset]:
     """Enumerate all participant subsets and return every stage equilibrium.
 
@@ -501,11 +491,7 @@ def brute_force_equilibrium(
         raise ValueError(f"brute force limited to 12 players, got {len(ids)}")
     if behavior not in ("myopic", "lookahead"):
         raise ValueError(f"unknown behavior {behavior!r}")
-    solver = (
-        LookaheadSolver(instance, policy, horizon_cap, tie_participate)
-        if behavior == "lookahead"
-        else None
-    )
+    solver = LookaheadSolver(instance, policy, horizon_cap) if behavior == "lookahead" else None
     values: Dict[frozenset, Fraction] = {}
 
     def utility(i: PlayerId, subset: frozenset) -> Fraction:
@@ -525,9 +511,7 @@ def brute_force_equilibrium(
             subset = frozenset(combo)
             ok = True
             for i in subset:
-                up = utility(i, subset)
-                ua = abstain_value(i, subset - {i})
-                if (up < ua) if tie_participate else (up <= ua):
+                if utility(i, subset) < abstain_value(i, subset - {i}):
                     ok = False
                     break
             if not ok:
@@ -535,11 +519,7 @@ def brute_force_equilibrium(
             for i in ids:
                 if i in subset:
                     continue
-                joined = subset | {i}
-                up = utility(i, joined)
-                ua = abstain_value(i, subset)
-                stays_out = (up < ua) if tie_participate else (up <= ua)
-                if not stays_out:
+                if utility(i, subset | {i}) >= abstain_value(i, subset):
                     ok = False
                     break
             if ok:

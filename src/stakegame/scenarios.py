@@ -28,6 +28,7 @@ from .core import (
     ValueFunction,
     scalar,
 )
+from .equilibrium import DEFAULT_HORIZON_CAP
 from .measures import validate_instance
 from .policies import FixedWinner, MuAll, MuAlpha, MuEll, MuStar, Policy
 
@@ -70,8 +71,9 @@ def _integer(value: Any, context: str) -> int:
         n = int(value)
     except _CONVERSION_ERRORS:
         n = None
-    # int() truncates numbers (2.5 -> 2); only integral ones are integers here
-    if n is None or (not isinstance(value, str) and n != value):
+    # int() truncates numbers (2.5 -> 2) and takes booleans (true -> 1);
+    # only integral numbers are integers here
+    if n is None or isinstance(value, bool) or (not isinstance(value, str) and n != value):
         raise ScenarioError(f"{context}: not an integer: {value!r}")
     return n
 
@@ -250,7 +252,7 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         rounds=rounds,
         mode=mode,
         seed=seed,
-        horizon_cap=_at_least_one(data.get("horizon_cap", 50), "horizon_cap"),
+        horizon_cap=_at_least_one(data.get("horizon_cap", DEFAULT_HORIZON_CAP), "horizon_cap"),
     )
 
 
@@ -325,7 +327,7 @@ def builtin_scenario(name: str) -> Scenario:
             rounds=5,
             mode="expected",
             seed=None,
-            horizon_cap=50,
+            horizon_cap=DEFAULT_HORIZON_CAP,
         )
     if name == "example2-lookahead":
         return Scenario(
@@ -336,7 +338,7 @@ def builtin_scenario(name: str) -> Scenario:
             rounds=10,
             mode="expected",
             seed=None,
-            horizon_cap=50,
+            horizon_cap=DEFAULT_HORIZON_CAP,
         )
     if name == "example3-muell":
         return Scenario(
@@ -347,7 +349,7 @@ def builtin_scenario(name: str) -> Scenario:
             rounds=10,
             mode="expected",
             seed=None,
-            horizon_cap=50,
+            horizon_cap=DEFAULT_HORIZON_CAP,
         )
     raise ScenarioError(
         f"unknown builtin scenario {name!r}; "

@@ -129,6 +129,12 @@ MALFORMED = {
         value_function={"kind": "affine", "intercept": "1"}),
     "table level": set_fields(value_function={"kind": "table", "values": {"x": "1"}}),
     "fractional rounds": set_fields(rounds=2.5),
+    # JSON booleans are not integers, though Python's int() takes them
+    "boolean rounds": set_fields(rounds=True),
+    "boolean horizon cap": set_fields(horizon_cap=True, behavior="lookahead"),
+    "boolean seed": set_fields(seed=False),
+    "boolean player id": set_player_field("id", True),
+    "boolean fixed winner": set_fields(policy={"kind": "fixed_winner", "winner": True}),
 }
 
 
@@ -324,6 +330,42 @@ class TestSweep:
             rows = list(csv.reader(fh))[1:]
         shares = [Fraction(r[1]) for r in rows]
         assert shares[0] > shares[1] > shares[2]
+
+
+# A recovery plan that overruns the cap: the heavy player waits for the
+# others to grow past a steep value table.
+HORIZON_OVERRUN = {
+    "players": [
+        {"id": 1, "type": "3", "stake": "10"},
+        {"id": 2, "type": "2", "stake": "1"},
+        {"id": 3, "type": "1", "stake": "1"},
+    ],
+    "policy": {"kind": "mu_all"},
+    "tau_threshold": "1/2",
+    "budget": "1",
+    "rounds": 2,
+    "behavior": "lookahead",
+    "value_function": {"kind": "table", "values": {"1": "1", "2": "100", "3": "1000"}},
+    "horizon_cap": 3,
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--parameter", "rounds", "--values", "1,2"],
+], ids=lambda command: command[0])
+def test_horizon_overrun_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(HORIZON_OVERRUN))
+    argv = command[:1] + [str(path)] + command[1:]
+    if command[0] == "sweep":
+        argv += ["--output-dir", str(tmp_path / "sweep")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    # one line, no traceback
+    assert captured.err == "solver failed: player 1 has no recovery plan within 3 rounds\n"
 
 
 MU_ALPHA = dict(TWO_PLAYERS, policy={"kind": "mu_alpha", "alpha": "1/2"})

@@ -22,7 +22,6 @@ from stakegame import (
     threshold,
 )
 from stakegame.equilibrium import (
-    PAR,
     RankedProfile,
     RecoveryWinnerLabel,
     stage_utility,
@@ -54,10 +53,6 @@ class TestHarmfulness:
         v = is_harmful(2, everyone, stakes, inst, MuStar())
         assert v.utility_participate == v.utility_abstain
         assert not v.harmful
-        strict = is_harmful(
-            2, everyone, stakes, inst, MuStar(), tie_participate=False
-        )
-        assert strict.harmful
 
     def test_must_be_member(self, three_player_instance):
         inst = three_player_instance
@@ -96,24 +91,11 @@ class TestMyopicEquilibrium:
         labels = recovery_winner_labels(inst.stakes(), inst, MuStar())
         assert labels == {1: RecoveryWinnerLabel(rank=2)}
 
-    def test_par_label_under_strict_ties(self):
-        # under the strict tie rule the rewardless top player is tie-harmful,
-        # and abstaining offers no better index, so it is told to stay put
+    def test_indifferent_top_player_gets_no_label(self):
+        # the rewardless top player is indifferent: abstaining offers no
+        # better index, and ties go to participating
         inst = make_instance([1, 2], [2, 1])
-        labels = recovery_winner_labels(
-            inst.stakes(), inst, MuStar(), tie_participate=False
-        )
-        assert labels == {1: PAR}
         assert recovery_winner_labels(inst.stakes(), inst, MuStar()) == {}
-
-    def test_par_label_without_candidates(self):
-        # an absent fixed winner zeroes every reward; with strict ties all
-        # ranks are tie-harmful and even the last rank has no recovery winner
-        inst = make_instance([2, 1], [2, 1])
-        labels = recovery_winner_labels(
-            inst.stakes(), inst, FixedWinner(99), tie_participate=False
-        )
-        assert labels == {1: PAR, 2: PAR}
 
     def test_labeling_cost_is_linear_in_harmfulness_checks(self, monkeypatch):
         # each rank's harmfulness check prices its suffix once, with worth()
@@ -223,14 +205,10 @@ class TestBruteForce:
             brute_force_equilibrium(inst.stakes(), inst, MuStar())
 
 
-def reference_equilibria(stakes, inst, policy, behavior, tie_participate, horizon_cap):
+def reference_equilibria(stakes, inst, policy, behavior, horizon_cap):
     """The oracle's definition, one stage_utility call per check."""
     ids = sorted(stakes)
-    solver = (
-        LookaheadSolver(inst, policy, horizon_cap, tie_participate)
-        if behavior == "lookahead"
-        else None
-    )
+    solver = LookaheadSolver(inst, policy, horizon_cap) if behavior == "lookahead" else None
 
     def abstain(i, others):
         if solver is None:
@@ -238,9 +216,7 @@ def reference_equilibria(stakes, inst, policy, behavior, tie_participate, horizo
         return solver.abstention_value(i, others, stakes)
 
     def prefers_in(i, with_i, without_i):
-        up = stage_utility(inst, stakes, policy, i, with_i)
-        ua = abstain(i, without_i)
-        return up >= ua if tie_participate else up > ua
+        return stage_utility(inst, stakes, policy, i, with_i) >= abstain(i, without_i)
 
     return [
         subset
@@ -282,22 +258,20 @@ def oracle_cases(draw, kind):
     return inst, draw(ORACLE_POLICY_KINDS[kind])
 
 
-@pytest.mark.parametrize("tie_participate", [True, False])
 @pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
 @pytest.mark.parametrize("kind", sorted(ORACLE_POLICY_KINDS))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_oracle_matches_its_per_call_definition(kind, behavior, tie_participate, data):
+def test_oracle_matches_its_per_call_definition(kind, behavior, data):
     inst, policy = data.draw(oracle_cases(kind))
     stakes = inst.stakes()
-    args = (stakes, inst, policy, behavior, tie_participate, 8)
+    args = (stakes, inst, policy, behavior, 8)
     assert outcome(brute_force_equilibrium, *args) == outcome(reference_equilibria, *args)
 
 
-@pytest.mark.parametrize("tie_participate", [True, False])
-def test_oracle_empty_set_when_costs_exceed_every_gain(tie_participate):
+def test_oracle_empty_set_when_costs_exceed_every_gain():
     inst = make_instance([3, 2, 1], [2, 1, 1], costs=[10, 10, 10])
-    args = (inst.stakes(), inst, MuStar(), "myopic", tie_participate, 50)
+    args = (inst.stakes(), inst, MuStar(), "myopic", 50)
     assert brute_force_equilibrium(*args) == [frozenset()]
     assert reference_equilibria(*args) == [frozenset()]
 

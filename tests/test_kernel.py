@@ -170,3 +170,16 @@ def test_lookahead_suffix_against_a_dominant_stake():
     inst = make_instance([1, 1, 1], [8, 3, 3])
     eq = LookaheadSolver(inst, MuStar()).solve(inst.stakes())
     assert eq in brute_force_equilibrium(inst.stakes(), inst, MuStar(), behavior="lookahead")
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the myopic suffix keeps a player whose cost exceeds her reward"
+)
+def test_myopic_suffix_against_a_costly_player():
+    # Player 2 gets no reward under MuStar, and her cost of 10 makes
+    # participating worse than abstaining; the labeler finds no rank below
+    # hers to recover to and labels her PAR, so the suffix keeps her.  The
+    # oracle's only equilibrium is {1}.
+    inst = make_instance([2, 1], [2, 1], costs=[0, 10])
+    eq = myopic_equilibrium(inst.stakes(), inst, MuStar())
+    assert brute_force_equilibrium(inst.stakes(), inst, MuStar()) == [eq]

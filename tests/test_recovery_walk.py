@@ -50,7 +50,7 @@ def reference_recovery(solver, i, participants, stakes):
     for offset in range(1, solver.horizon_cap + 1):
         rewards = expected_rewards(policy, inst, current, participants)
         current = {pid: s + rewards[pid] for pid, s in current.items()}
-        future = myopic_equilibrium(current, inst, policy, solver.tie_participate)
+        future = myopic_equilibrium(current, inst, policy)
         steps.append((offset, future, tuple(sorted(current.items()))))
         if i in future:
             _, v = stage_value(inst, current, future)
@@ -75,10 +75,7 @@ def reference_solve(solver, stakes):
         up = stage_utility(
             solver.instance, stakes, solver.policy, ranking[r - 1], frozenset(ranking[r - 1:])
         )
-        harmful = (
-            up < plan.terminal_value if solver.tie_participate else up <= plan.terminal_value
-        )
-        if not harmful:
+        if up >= plan.terminal_value:
             chosen = r
     return frozenset(ranking[chosen - 1:])
 
@@ -136,9 +133,7 @@ def lookahead_cases(draw, caps, steep=False):
         st.builds(MuAlpha, UNIT),
         st.builds(FixedWinner, st.integers(1, n)),
     ))
-    solver = LookaheadSolver(
-        inst, policy, horizon_cap=draw(caps), tie_participate=draw(st.booleans())
-    )
+    solver = LookaheadSolver(inst, policy, horizon_cap=draw(caps))
     return solver, inst.stakes()
 
 
