@@ -294,13 +294,14 @@ def _scenario_for_value(
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _get_scenario(args.scenario)
     values = _sweep_values(args.parameter, args.values)
-    # every value is checked before the first run writes anything
+    # every value is checked and run before anything is written, so a bad
+    # value or a failed run leaves no output directory behind
     variants = [_scenario_for_value(scenario, args.parameter, value) for value in values]
+    traces = [_run_scenario(variant) for variant in variants]
     os.makedirs(args.output_dir, exist_ok=True)
     summary_rows = []
     ids = sorted(scenario.instance.stakes())
-    for value, variant in zip(values, variants):
-        trace = _run_scenario(variant)
+    for value, trace in zip(values, traces):
         tag = str(value).replace("/", "_")
         write_trace(trace, os.path.join(args.output_dir, f"trace_{args.parameter}_{tag}.csv"))
         final = trace.final_stakes()

@@ -36,7 +36,7 @@ def scalar(value: ScalarLike) -> Fraction:
 PlayerId = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Player:
     """A participant with a fixed capability (``type_`` >= 1) and per-round cost."""
 
@@ -166,7 +166,7 @@ class Instance:
         return dict(self.initial_stakes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """One executed round: stakes, participants, index, value, winner, rewards."""
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
-from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, myopic_equilibrium, stage_value
+from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _myopic
 from .measures import tau_decentralization_index
 from .policies import (
     FixedWinner,
@@ -126,12 +126,14 @@ class Runner:
         self.round = 0
         self.trace = Trace(instance, policy, behavior, mode, seed)
 
-    def _participants(self, stage: Policy) -> frozenset:
+    def _solve(self, stage: Policy) -> Tuple[RankedProfile, int]:
+        """The round's kernel and equilibrium rank: the set is its suffix r."""
         if self.behavior == "myopic":
-            return myopic_equilibrium(self.stakes, self.instance, stage)
+            profile = RankedProfile(self.stakes, self.instance)
+            return profile, _myopic(profile, stage)
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
-        return LookaheadSolver(self.instance, stage, self.horizon_cap).solve(self.stakes)
+        return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(self.stakes, {})
 
     def step(self) -> RoundRecord:
         self.round += 1
@@ -140,10 +142,14 @@ class Runner:
         before = _shared(
             self.stakes, last.stakes_after if last else self.instance.initial_stakes
         )
-        participants = self._participants(stage)
-        if last is not None and participants == last.participants:
-            participants = last.participants
-        d, v = stage_value(self.instance, self.stakes, participants)
+        profile, r = self._solve(stage)
+        participants = profile.suffix(r)
+        d, v = profile.d[r], profile.v[r]
+        if last is not None:
+            if participants == last.participants:
+                participants = last.participants
+            if v == last.v:
+                v = last.v
 
         # A fixed winner who sits the round out is still the certain winner
         # the record names; the payout pays nobody.

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .core import ZERO, Instance, PlayerId, StakeProfile, rank, scalar
@@ -38,33 +39,43 @@ class RankedProfile:
     Suffix ``r`` (1-based) is the participation set of the players at rank
     ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
     level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
-    stake ``total``, tau-index ``d``, token value ``v`` and top-type player
-    ``top`` (ties to the smallest id; ``None`` for the empty set).  Entry 0
-    of each list is unused.
+    tau-index ``d``, token value ``v`` and top-type player ``top`` (ties to
+    the smallest id; ``None`` for the empty set); :attr:`total` gives each
+    suffix's stake.  Entry 0 of each list is unused.
 
     The solvers rest on one identity: the top-ranked player of suffix r is
     the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
     her participate-vs-abstain comparison are read from adjacent entries.
 
-    With prefix sums P over the ranking, the d-prefix of suffix r ends at the
-    first e with P[e] > tau * P[n] + (1 - tau) * P[r - 1].  That bound only
-    falls as the suffix grows upward, so the end never moves right and one
-    pointer serves every suffix.  All arithmetic is exact.
+    The kernel works on integers: every stake is scaled by the common
+    denominator of the profile (the lcm of the stakes' denominators), and P
+    holds the prefix sums of the scaled stakes over the ranking.  With
+    tau = p/q, the d-prefix of suffix r ends at the first e with
+    ``q * P[e] > p * (P[n] - P[r - 1]) + q * P[r - 1]``: the test
+    stake > tau * total + above, multiplied through by q and by the
+    (positive) common denominator.  That bound only falls as the suffix grows upward, so the end
+    never moves right and one pointer serves every suffix.  All arithmetic
+    is exact.
     """
 
-    __slots__ = ("instance", "stakes", "ranking", "total", "d", "v", "top")
+    __slots__ = ("instance", "stakes", "ranking", "d", "v", "top", "_prefix", "_den")
 
     def __init__(self, stakes: StakeProfile, instance: Instance):
         tau = instance.tau_threshold
         if not 0 < tau < 1:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
-        ranking = rank(stakes)
+        exact = [
+            (pid, s if isinstance(s, Fraction) else scalar(s)) for pid, s in stakes.items()
+        ]
+        den = lcm(*[s.denominator for _, s in exact])
+        scaled = {pid: s.numerator * (den // s.denominator) for pid, s in exact}
+        # the scaling keeps every order, so this is rank(stakes)
+        ranking = rank(scaled)
         n = len(ranking)
-        prefix = [ZERO]
+        prefix = [0]
         for pid in ranking:
-            s = stakes[pid]
-            prefix.append(prefix[-1] + (s if isinstance(s, Fraction) else scalar(s)))
-        smallest = prefix[n] - prefix[n - 1]
+            prefix.append(prefix[-1] + scaled[pid])
+        smallest = scaled[ranking[-1]]
         if smallest < 0:
             raise ValueError("negative stake")
         if smallest == 0:
@@ -74,17 +85,17 @@ class RankedProfile:
         types = instance.types()
         vf = instance.value_function
         level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
-        total: List[Fraction] = [ZERO] * (n + 2)
         d = [1] * (n + 2)
         v = [level_value[1]] * (n + 2)
         top: List[Optional[PlayerId]] = [None] * (n + 2)
+        p, q = tau.numerator, tau.denominator
+        full = prefix[n]
         end = n
         best: Optional[PlayerId] = None
         for r in range(n, 0, -1):
             above = prefix[r - 1]
-            total[r] = prefix[n] - above
-            bar = tau * total[r] + above
-            while end > r and prefix[end - 1] > bar:
+            bar = p * (full - above) + q * above
+            while end > r and q * prefix[end - 1] > bar:
                 end -= 1
             d[r] = level = end - r + 1
             if level not in level_value:
@@ -100,10 +111,17 @@ class RankedProfile:
         self.instance = instance
         self.stakes = stakes
         self.ranking = ranking
-        self.total = total
         self.d = d
         self.v = v
         self.top = top
+        self._prefix = prefix
+        self._den = den
+
+    @property
+    def total(self) -> List[Fraction]:
+        """Each suffix's stake, as Fractions indexed like ``d`` (built per call)."""
+        full = self._prefix[-1]
+        return [ZERO] + [Fraction(full - above, self._den) for above in self._prefix]
 
     def suffix(self, r: int) -> frozenset:
         """The participant set of suffix r (r = n + 1 gives the empty set)."""
@@ -260,7 +278,21 @@ def myopic_equilibrium(
     winner.
     """
     profile = RankedProfile(stakes, instance)
-    return profile.suffix(_labels(profile, policy)[1])
+    return profile.suffix(_myopic(profile, policy))
+
+
+def _myopic(profile: RankedProfile, policy: Policy) -> int:
+    """The myopic equilibrium's rank: its set is ``profile.suffix(r)``, priced at v[r]."""
+    return _labels(profile, policy)[1]
+
+
+def _priced_myopic(
+    stakes: StakeProfile, instance: Instance, policy: Policy
+) -> Tuple[frozenset, Fraction]:
+    """The myopic equilibrium and its token value, from one kernel pass."""
+    profile = RankedProfile(stakes, instance)
+    r = _myopic(profile, policy)
+    return profile.suffix(r), profile.v[r]
 
 
 @dataclass(frozen=True)
@@ -332,11 +364,13 @@ class LookaheadSolver:
         fails loudly even where a higher rank decides the outcome.
 
         The walks share their steps: within this call, each expected stake
-        profile a walk reaches is solved once (and priced once, if some
-        owner re-enters there), however many ranks' walks pass through it.
-        Nothing is kept between calls.
+        profile a walk reaches gets one kernel pass (:class:`RankedProfile`),
+        which gives both its myopic equilibrium and that set's token value,
+        however many ranks' walks pass through it.  Nothing is kept between
+        calls.
         """
-        return self._solve(stakes, {})
+        profile, r = self._solve(stakes, {})
+        return profile.suffix(r)
 
     def solve_with_plans(
         self, stakes: StakeProfile
@@ -346,7 +380,8 @@ class LookaheadSolver:
         The plans share walk steps with the solve, as in :meth:`solve`.
         """
         walked: Dict[tuple, list] = {}
-        participants = self._solve(stakes, walked)
+        profile, r = self._solve(stakes, walked)
+        participants = profile.suffix(r)
         plans: Dict[PlayerId, RecoveryPlan] = {}
         for pid in stakes:
             if pid not in participants:
@@ -359,15 +394,21 @@ class LookaheadSolver:
         """Value of abstaining when the round's other participants are given."""
         return self._recovery(i, without_i, stakes, {}).terminal_value
 
-    def _solve(self, stakes: StakeProfile, walked: Dict[tuple, list]) -> frozenset:
-        """:meth:`solve`, with the walks' steps shared through ``walked``."""
+    def _solve(
+        self, stakes: StakeProfile, walked: Dict[tuple, list]
+    ) -> Tuple[RankedProfile, int]:
+        """The profile's kernel and the equilibrium's rank r.
+
+        The set is ``profile.suffix(r)``, with index d[r] and token value
+        v[r].  The walks share their steps through ``walked``.
+        """
         profile = RankedProfile(stakes, self.instance)
         n = len(profile.ranking)
         chosen = n
         for r in range(n, 0, -1):
             if not self._harmful(profile, r, walked):
                 chosen = r
-        return profile.suffix(chosen)
+        return profile, chosen
 
     def _harmful(self, profile: RankedProfile, r: int, walked: Dict[tuple, list]) -> bool:
         """Whether suffix r is harmful for its leader, who would leave suffix r + 1."""
@@ -390,10 +431,10 @@ class LookaheadSolver:
         The first advance uses the hypothesized current-round set; later ones
         use each future round's own equilibrium.  The walk advances offset by
         offset for its owner.  ``walked`` holds the steps of one solve call,
-        keyed by expected stake profile: the profile's myopic equilibrium and,
-        once some owner has re-entered there, its token value.  Both depend on
-        the profile alone, so a profile that several walks reach is solved
-        and priced once, and every plan is the one a walk of its own finds.
+        keyed by expected stake profile: the profile's myopic equilibrium and
+        that set's token value, both from one kernel pass.  Both depend on the
+        profile alone, so a profile that several walks reach is solved and
+        priced once, and every plan is the one a walk of its own finds.
         """
         current = dict(stakes)
         participants = participants_now
@@ -405,15 +446,11 @@ class LookaheadSolver:
             # one lookup per step: hashing the key hashes every stake
             step = walked.setdefault(key, [None, None])
             if step[0] is None:
-                step[0] = myopic_equilibrium(current, self.instance, self.policy)
-            future = step[0]
+                step[:] = _priced_myopic(current, self.instance, self.policy)
+            future, value = step
             steps.append((offset, future, key))
             if i in future:
-                if step[1] is None:
-                    step[1] = stage_value(self.instance, current, future)[1]
-                return RecoveryPlan(
-                    owner=i, steps=tuple(steps), terminal_value=current[i] * step[1]
-                )
+                return RecoveryPlan(owner=i, steps=tuple(steps), terminal_value=current[i] * value)
             participants = future
         raise LookaheadHorizonError(i, stakes, self.horizon_cap)
 

@@ -19,13 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Instance, Player, PlayerId, ScalarLike, StakeProfile, scalar
-from .equilibrium import (
-    _priced_utility,
-    is_harmful,
-    myopic_equilibrium,
-    stage_utility,
-    stage_value,
-)
+from .equilibrium import _priced_myopic, _priced_utility, is_harmful
 from .policies import MuEll, MuStar, Policy
 
 
@@ -296,8 +290,8 @@ def _original_utility(
     owner: PlayerId, stakes: StakeProfile, instance: Instance, stage: Policy
 ) -> Fraction:
     """The owner's stage utility at the unsplit profile's myopic equilibrium."""
-    eq = myopic_equilibrium(stakes, instance, stage)
-    return stage_utility(instance, stakes, stage, owner, eq)
+    eq, v = _priced_myopic(stakes, instance, stage)
+    return _priced_utility(instance, stakes, stage, owner, eq, v)
 
 
 def _parts_utility(
@@ -308,8 +302,7 @@ def _parts_utility(
     Every part is priced at the one token value of that equilibrium.
     """
     new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
-    split_eq = myopic_equilibrium(new_stakes, new_instance, stage)
-    _, v = stage_value(new_instance, new_stakes, split_eq)
+    split_eq, v = _priced_myopic(new_stakes, new_instance, stage)
     return sum(
         _priced_utility(new_instance, new_stakes, stage, pid, split_eq, v)
         for pid in part_ids

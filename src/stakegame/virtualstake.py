@@ -68,12 +68,21 @@ class VirtualStakeState:
 
     @property
     def total_weight(self) -> Fraction:
-        return self.alpha * self.total_types + (1 - self.alpha) * self.total_stakes
+        return self.totals()[1]
+
+    def totals(self) -> Tuple[Fraction, Fraction]:
+        """(total stake, total weight), summing the stakes and the types once."""
+        stakes = self.total_stakes
+        return stakes, self.alpha * self.total_types + (1 - self.alpha) * stakes
 
 
 def selection_probabilities(state: VirtualStakeState) -> Dict[PlayerId, Fraction]:
     """w_i = p_i / W; exact, sums to 1."""
-    total = state.total_weight
+    return _probabilities(state, state.total_weight)
+
+
+def _probabilities(state: VirtualStakeState, total: Fraction) -> Dict[PlayerId, Fraction]:
+    """:func:`selection_probabilities` with the state's total weight known."""
     if total <= 0:
         raise ValueError("total virtual stake must be positive")
     return {pid: p / total for pid, p in state.weights().items()}
@@ -116,23 +125,26 @@ def check_invariance(state: VirtualStakeState, steps: int) -> InvarianceReport:
     Probabilities stay at their initial values; the stake total grows by 1
     per round and the weight total by 1 - alpha.  Everything is compared for
     exact rational equality, so a single break is a real counterexample.
+    Each state's totals are summed once, from its own stakes and types.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     report = InvarianceReport(steps=steps)
-    reference = probs = selection_probabilities(state)
+    stake_total, weight_total = state.totals()
+    reference = probs = _probabilities(state, weight_total)
     current = state
     for step in range(1, steps + 1):
         nxt = _advance(current, probs)
+        next_stakes, next_weight = nxt.totals()
         # the vector checked here is the one the next step advances by
-        probs = selection_probabilities(nxt)
+        probs = _probabilities(nxt, next_weight)
         if probs != reference:
             report.probability_breaks.append(step)
-        if nxt.total_stakes != current.total_stakes + 1:
+        if next_stakes != stake_total + 1:
             report.stake_recurrence_breaks.append(step)
-        if nxt.total_weight != current.total_weight + (1 - state.alpha):
+        if next_weight != weight_total + (1 - state.alpha):
             report.weight_recurrence_breaks.append(step)
-        current = nxt
+        current, stake_total, weight_total = nxt, next_stakes, next_weight
     return report
 
 

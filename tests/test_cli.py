@@ -366,6 +366,8 @@ def test_horizon_overrun_exits_1(capsys, tmp_path, command):
     assert captured.out == ""
     # one line, no traceback
     assert captured.err == "solver failed: player 1 has no recovery plan within 3 rounds\n"
+    # a failed sweep writes nothing
+    assert not (tmp_path / "sweep").exists()
 
 
 MU_ALPHA = dict(TWO_PLAYERS, policy={"kind": "mu_alpha", "alpha": "1/2"})

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -99,8 +100,8 @@ class TestMonitors:
 
     def test_budget_conservation_checked(self, three_player_instance):
         trace = run(three_player_instance, MuStar(), rounds=3)
-        trace.records[1] = trace.records[1].__class__(
-            **{**trace.records[1].__dict__, "rewards": ((1, Fraction(1, 3)), (2, Fraction(0)), (3, Fraction(0)))}
+        trace.records[1] = dataclasses.replace(
+            trace.records[1], rewards=((1, Fraction(1, 3)), (2, Fraction(0)), (3, Fraction(0)))
         )
         report = monitor_properties(trace)
         assert report.conservation_violations == [2]

@@ -3,7 +3,8 @@
 The kernel (``RankedProfile``) evaluates every ranking suffix of a profile in
 one pass; each test compares it with the per-set reference functions, or the
 solvers with the brute-force oracle.  Stakes come from a small pool so that
-ties are common, and include fractions; tau ranges over (0, 1).
+ties are common, and include fractions with coprime denominators; tau
+ranges over (0, 1).
 """
 
 from fractions import Fraction
@@ -34,8 +35,11 @@ from stakegame.policies import top_type_participant
 
 from conftest import make_instance
 
+# The coprime denominators give the kernel's integer prefix sums a large
+# common denominator.
 STAKES = st.sampled_from(
-    [Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(1, 2), Fraction(5, 3)]
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(1, 2), Fraction(5, 3),
+     Fraction(5, 7), Fraction(3, 11), Fraction(7, 13), Fraction(1, 1024)]
 )
 TAUS = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)

@@ -183,18 +183,23 @@ def test_one_solve_solves_each_walked_profile_once(monkeypatch):
     walked = [key for _, plan in reference_rank_plans(solver, stakes) for *_, key in plan.steps]
     distinct = set(walked)
 
-    # Count as the benchmark tracer does: rebind the module-level name.
+    # Count kernel passes: one gives a profile's equilibrium and its price.
     calls = []
-    original = equilibrium.myopic_equilibrium
 
-    def counting(stakes, *args, **kwargs):
-        calls.append(tuple(sorted(stakes.items())))
-        return original(stakes, *args, **kwargs)
+    class CountingProfile(equilibrium.RankedProfile):
+        __slots__ = ()
 
-    monkeypatch.setattr(equilibrium, "myopic_equilibrium", counting)
+        def __init__(self, stakes, *args, **kwargs):
+            calls.append(tuple(sorted(stakes.items())))
+            super().__init__(stakes, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "RankedProfile", CountingProfile)
     participants = solver.solve(stakes)
     monkeypatch.undo()
 
     assert participants == reference_solve(solver, stakes)
-    assert len(calls) == len(set(calls)) == len(distinct) < len(stakes) <= len(walked)
-    assert set(calls) == distinct
+    # the solve's own profile, then one pass per walked profile
+    assert calls[0] == tuple(sorted(stakes.items()))
+    walk_calls = calls[1:]
+    assert len(walk_calls) == len(set(walk_calls)) == len(distinct) < len(stakes) <= len(walked)
+    assert set(walk_calls) == distinct
