@@ -98,7 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_paper_tables() -> Dict[str, object]:
+def _verify_paper_tables(args: argparse.Namespace) -> Dict[str, object]:
     mismatches = []
     for name, filename in GOLDEN_FILES.items():
         scenario = builtin_scenario(name)
@@ -118,6 +118,12 @@ def _verify_paper_tables() -> Dict[str, object]:
 
 def _verify_axioms(args: argparse.Namespace) -> Dict[str, object]:
     grid = [_number(x, "verify axioms --grid") for x in args.grid.split(",")]
+    # a negative stake has no tau index, and an all-zero multiset is skipped
+    for x in grid:
+        if x < 0:
+            raise ScenarioError(f"verify axioms --grid: must be >= 0, got {x}")
+    if not any(grid):
+        raise ScenarioError("verify axioms --grid: needs a positive entry")
     taus = [_open_unit_interval(x, "verify axioms --tau") for x in args.tau.split(",")]
     violations = []
     checked = 0
@@ -227,17 +233,17 @@ def _verify_oracle(args: argparse.Namespace) -> Dict[str, object]:
             "mismatches": mismatches, "ok": not mismatches}
 
 
+_VERIFY = {
+    "paper_tables": _verify_paper_tables,
+    "axioms": _verify_axioms,
+    "invariance": _verify_invariance,
+    "sybil": _verify_sybil,
+    "oracle": _verify_oracle,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "paper_tables":
-        report = _verify_paper_tables()
-    elif args.suite == "axioms":
-        report = _verify_axioms(args)
-    elif args.suite == "invariance":
-        report = _verify_invariance(args)
-    elif args.suite == "sybil":
-        report = _verify_sybil(args)
-    else:
-        report = _verify_oracle(args)
+    report = _VERIFY[args.suite](args)
     print(json.dumps(report))
     return 0 if report["ok"] else 1
 
@@ -245,9 +251,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # How each sweep parameter's values are read: with the scenario file's checks.
 _SWEEP_VALUE = {
     "alpha": _unit_interval,
-    "epsilon": _unit_interval,
-    "rounds": _at_least_one,
     "M": _number,
+    "rounds": _at_least_one,
+    "epsilon": _unit_interval,
 }
 
 
@@ -256,6 +262,10 @@ def _sweep_values(parameter: str, raw: str) -> List[Fraction | int]:
     values = [parse(v, f"sweep {parameter}") for v in raw.split(",") if v.strip()]
     if not values:
         raise ScenarioError("sweep: empty value list")
+    # each value's trace file is named after it, so a repeat would overwrite
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ScenarioError(f"sweep {parameter}: value {value} given twice")
     return values
 
 
@@ -336,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=["paper_tables", "axioms", "invariance",
-                                            "sybil", "oracle"])
+    p_verify.add_argument("suite", choices=list(_VERIFY))
     p_verify.add_argument("--n-max", type=int, default=4)
     p_verify.add_argument("--grid", default="1,2,3,4")
     p_verify.add_argument("--tau", default="1/3,1/2,2/3")
@@ -350,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rerun a scenario over parameter values")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--parameter", required=True,
-                         choices=["alpha", "M", "rounds", "epsilon"])
+    p_sweep.add_argument("--parameter", required=True, choices=list(_SWEEP_VALUE))
     p_sweep.add_argument("--values", required=True, help="comma separated values")
     p_sweep.add_argument("--output-dir", required=True)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, str, float, Fraction]
 
@@ -68,6 +68,9 @@ class IdentityValue:
     def __call__(self, d: int) -> Fraction:
         return Fraction(d)
 
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "identity"}
+
 
 @dataclass(frozen=True)
 class AffineValue:
@@ -78,6 +81,9 @@ class AffineValue:
 
     def __call__(self, d: int) -> Fraction:
         return self.slope * d + self.intercept
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "affine", "slope": str(self.slope), "intercept": str(self.intercept)}
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,9 @@ class TableValue:
             if level == d:
                 return value
         raise ValueError(f"value table has no entry for decentralization {d}")
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": "table", "values": {str(level): str(v) for level, v in self.table}}
 
 
 # PEP 604 unions of package classes: typing.Union would keep each class (and

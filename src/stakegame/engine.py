@@ -24,15 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
 from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _myopic
 from .measures import tau_decentralization_index
-from .policies import (
-    FixedWinner,
-    MuEll,
-    MuStar,
-    Policy,
-    draw_winner,
-    point_mass_winner,
-    top_type_participant,
-)
+from .policies import FixedWinner, MuEll, MuStar, Policy, draw_winner, point_mass_winner
 
 
 PairTuple = Tuple[Tuple[PlayerId, Fraction], ...]
@@ -73,29 +65,6 @@ def _shared(
     return tuple(old if old == new else new for old, new in zip(previous, fresh))
 
 
-class MuEllShadow:
-    """Shadow type-favoring trajectory with lookahead players, one round ahead.
-
-    Initialized from the instance's initial stakes and advanced to round 1 at
-    construction; each :meth:`next_winner` call plays one further shadow round
-    and returns its winner, which is the real run's winner for the previous
-    round number.  Calls must be serialized per run.
-    """
-
-    def __init__(self, instance: Instance, horizon_cap: int = DEFAULT_HORIZON_CAP):
-        self._instance = instance
-        self._solver = LookaheadSolver(instance, MuStar(), horizon_cap)
-        self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
-        self.next_winner()
-
-    def next_winner(self) -> PlayerId:
-        """Advance the shadow one round and return that round's winner."""
-        participants = self._solver.solve(self.stakes)
-        winner = top_type_participant(self._instance, participants)
-        self.stakes[winner] += self._instance.budget
-        return winner
-
-
 class Runner:
     """Stateful driver: holds current stakes, advances one round per step."""
 
@@ -121,7 +90,12 @@ class Runner:
         self.seed = seed
         self.horizon_cap = horizon_cap
         self._rng = random.Random(seed) if mode == "sampled" else None
-        self._shadow = MuEllShadow(instance, horizon_cap) if isinstance(policy, MuEll) else None
+        # MuEll's shadow: type-favoring play with planning players, kept one
+        # round ahead, so its next winner is this run's winner
+        self._shadow = None
+        if isinstance(policy, MuEll):
+            self._shadow = Runner(instance, MuStar(), "lookahead", horizon_cap=horizon_cap)
+            self._shadow.step()
         self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
         self.round = 0
         self.trace = Trace(instance, policy, behavior, mode, seed)
@@ -137,7 +111,7 @@ class Runner:
 
     def step(self) -> RoundRecord:
         self.round += 1
-        stage = self.policy if self._shadow is None else FixedWinner(self._shadow.next_winner())
+        stage = self.policy if self._shadow is None else FixedWinner(self._shadow.step().winner)
         last = self.trace.records[-1] if self.trace.records else None
         before = _shared(
             self.stakes, last.stakes_after if last else self.instance.initial_stakes

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .core import ZERO, Instance, PlayerId, StakeProfile, rank, scalar
+from .core import Instance, PlayerId, StakeProfile, rank, scalar
 from .measures import tau_decentralization_index, token_value
 from .policies import FixedWinner, MuEll, Policy, expected_budget, expected_rewards
 
@@ -40,8 +40,8 @@ class RankedProfile:
     ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
     level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
     tau-index ``d``, token value ``v`` and top-type player ``top`` (ties to
-    the smallest id; ``None`` for the empty set); :attr:`total` gives each
-    suffix's stake.  Entry 0 of each list is unused.
+    the smallest id; ``None`` for the empty set).  Entry 0 of each list is
+    unused.
 
     The solvers rest on one identity: the top-ranked player of suffix r is
     the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
@@ -58,7 +58,7 @@ class RankedProfile:
     is exact.
     """
 
-    __slots__ = ("instance", "stakes", "ranking", "d", "v", "top", "_prefix", "_den")
+    __slots__ = ("instance", "stakes", "ranking", "d", "v", "top")
 
     def __init__(self, stakes: StakeProfile, instance: Instance):
         tau = instance.tau_threshold
@@ -114,14 +114,6 @@ class RankedProfile:
         self.d = d
         self.v = v
         self.top = top
-        self._prefix = prefix
-        self._den = den
-
-    @property
-    def total(self) -> List[Fraction]:
-        """Each suffix's stake, as Fractions indexed like ``d`` (built per call)."""
-        full = self._prefix[-1]
-        return [ZERO] + [Fraction(full - above, self._den) for above in self._prefix]
 
     def suffix(self, r: int) -> frozenset:
         """The participant set of suffix r (r = n + 1 gives the empty set)."""

@@ -1,4 +1,4 @@
-"""Scenario files: JSON descriptions of an instance plus a run configuration.
+"""Scenario files: UTF-8 JSON descriptions of an instance plus a run configuration.
 
 Numbers may be written as rational strings ("3/2"), integers, or decimals;
 decimals are converted exactly, so "0.25" means exactly 1/4.  Unknown fields
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Collection, Dict, Optional
+from typing import Any, Collection, Dict, Optional, Tuple
 
 from .core import (
     AffineValue,
@@ -49,10 +49,16 @@ class Scenario:
     horizon_cap: int
 
 
-def _require(mapping: Dict[str, Any], allowed: set, context: str) -> None:
+def _require(
+    mapping: Dict[str, Any], allowed: set, context: str, required: Tuple[str, ...] = ()
+) -> None:
+    """Reject fields outside ``allowed``, then the first of ``required`` left out."""
     unknown = set(mapping) - allowed
     if unknown:
         raise ScenarioError(f"{context}: unknown field(s) {sorted(unknown)}")
+    for key in required:
+        if key not in mapping:
+            raise ScenarioError(f"{context}: missing {key!r}")
 
 
 # What int() and scalar() raise on malformed input ("a", "1/0", null, ...).
@@ -106,9 +112,7 @@ def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
         raise ScenarioError("policy: expected an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "mu_alpha":
-        _require(spec, {"kind", "alpha"}, "policy mu_alpha")
-        if "alpha" not in spec:
-            raise ScenarioError("policy mu_alpha: missing 'alpha'")
+        _require(spec, {"kind", "alpha"}, "policy mu_alpha", ("alpha",))
         return MuAlpha(alpha=_unit_interval(spec["alpha"], "policy mu_alpha: alpha"))
     if kind == "mu_star":
         _require(spec, {"kind", "epsilon"}, "policy mu_star")
@@ -120,9 +124,7 @@ def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
         _require(spec, {"kind"}, "policy mu_ell")
         return MuEll()
     if kind == "fixed_winner":
-        _require(spec, {"kind", "winner"}, "policy fixed_winner")
-        if "winner" not in spec:
-            raise ScenarioError("policy fixed_winner: missing 'winner'")
+        _require(spec, {"kind", "winner"}, "policy fixed_winner", ("winner",))
         winner = _integer(spec["winner"], "policy fixed_winner: winner")
         if winner not in ids:
             raise ScenarioError(f"policy fixed_winner: winner {winner} is not a player id")
@@ -138,10 +140,9 @@ def _value_from_dict(spec: Dict[str, Any]) -> ValueFunction:
         _require(spec, {"kind"}, "value_function identity")
         return IdentityValue()
     if kind == "affine":
-        _require(spec, {"kind", "slope", "intercept"}, "value_function affine")
-        for key in ("slope", "intercept"):
-            if key not in spec:
-                raise ScenarioError(f"value_function affine: missing {key!r}")
+        _require(
+            spec, {"kind", "slope", "intercept"}, "value_function affine", ("slope", "intercept")
+        )
         return AffineValue(
             slope=_number(spec["slope"], "value_function affine: slope"),
             intercept=_number(spec["intercept"], "value_function affine: intercept"),
@@ -159,45 +160,15 @@ def _value_from_dict(spec: Dict[str, Any]) -> ValueFunction:
     raise ScenarioError(f"value_function: unknown kind {kind!r}")
 
 
-def _value_to_dict(vf: ValueFunction) -> Dict[str, Any]:
-    if isinstance(vf, IdentityValue):
-        return {"kind": "identity"}
-    if isinstance(vf, AffineValue):
-        return {
-            "kind": "affine",
-            "slope": str(vf.slope),
-            "intercept": str(vf.intercept),
-        }
-    if isinstance(vf, TableValue):
-        return {
-            "kind": "table",
-            "values": {str(level): str(v) for level, v in vf.table},
-        }
-    raise ScenarioError(f"unknown value function {vf!r}")
-
-
-_TOP_FIELDS = {
-    "name",
-    "players",
-    "policy",
-    "behavior",
-    "tau_threshold",
-    "value_function",
-    "budget",
-    "rounds",
-    "mode",
-    "seed",
-    "horizon_cap",
-}
+# required fields in the order a missing one is reported, then the optional ones
+_TOP_REQUIRED = ("players", "policy", "budget", "tau_threshold", "rounds")
+_TOP_FIELDS = {*_TOP_REQUIRED, "name", "behavior", "value_function", "mode", "seed", "horizon_cap"}
 
 
 def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("top level must be an object")
-    _require(data, _TOP_FIELDS, "scenario")
-    for key in ("players", "policy", "budget", "tau_threshold", "rounds"):
-        if key not in data:
-            raise ScenarioError(f"scenario: missing required field {key!r}")
+    _require(data, _TOP_FIELDS, "scenario", _TOP_REQUIRED)
 
     players = []
     stakes = {}
@@ -206,11 +177,8 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
     for idx, entry in enumerate(data["players"]):
         if not isinstance(entry, dict):
             raise ScenarioError(f"players[{idx}]: expected an object")
-        _require(entry, {"id", "type", "stake", "cost"}, f"players[{idx}]")
-        for key in ("id", "type", "stake"):
-            if key not in entry:
-                raise ScenarioError(f"players[{idx}]: missing {key!r}")
         context = f"players[{idx}]"
+        _require(entry, {"id", "type", "stake", "cost"}, context, ("id", "type", "stake"))
         pid = _integer(entry["id"], f"{context}: id")
         players.append(Player(
             id=pid,
@@ -273,7 +241,7 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
         "policy": scenario.policy.to_dict(),
         "behavior": scenario.behavior,
         "tau_threshold": str(instance.tau_threshold),
-        "value_function": _value_to_dict(instance.value_function),
+        "value_function": instance.value_function.to_dict(),
         "budget": str(instance.budget),
         "rounds": scenario.rounds,
         "mode": scenario.mode,
@@ -285,11 +253,14 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
+    """Read a scenario file: JSON text, so UTF-8 whatever the locale's codec."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_scenario(data, name=path)
 
 
@@ -299,62 +270,33 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         fh.write("\n")
 
 
-def _base_players():
-    return [
-        Player(id=1, type_=Fraction(3)),
-        Player(id=2, type_=Fraction(2)),
-        Player(id=3, type_=Fraction(1)),
-    ]
+# The worked three-player setup every builtin runs on.
+_BASE_INSTANCE = Instance.build(
+    players=[Player(id=pid, type_=Fraction(t)) for pid, t in ((1, 3), (2, 2), (3, 1))],
+    initial_stakes={1: 1, 2: 1, 3: 1},
+    budget=1,
+    tau_threshold=Fraction(1, 2),
+    value_function=IdentityValue(),
+)
 
+# name -> (policy, behavior, rounds); each runs in expected mode, unseeded,
+# at the default horizon cap
+_BUILTINS = {
+    "example1-myopic": (MuStar(), "myopic", 5),
+    "example2-lookahead": (MuStar(), "lookahead", 10),
+    "example3-muell": (MuEll(), "myopic", 10),
+}
 
-def _base_instance() -> Instance:
-    return Instance.build(
-        players=_base_players(),
-        initial_stakes={1: 1, 2: 1, 3: 1},
-        budget=1,
-        tau_threshold=Fraction(1, 2),
-        value_function=IdentityValue(),
-    )
+BUILTIN_SCENARIOS = tuple(_BUILTINS)
 
 
 def builtin_scenario(name: str) -> Scenario:
-    if name == "example1-myopic":
-        return Scenario(
-            name=name,
-            instance=_base_instance(),
-            policy=MuStar(),
-            behavior="myopic",
-            rounds=5,
-            mode="expected",
-            seed=None,
-            horizon_cap=DEFAULT_HORIZON_CAP,
+    if name not in _BUILTINS:
+        raise ScenarioError(
+            f"unknown builtin scenario {name!r}; available: {', '.join(BUILTIN_SCENARIOS)}"
         )
-    if name == "example2-lookahead":
-        return Scenario(
-            name=name,
-            instance=_base_instance(),
-            policy=MuStar(),
-            behavior="lookahead",
-            rounds=10,
-            mode="expected",
-            seed=None,
-            horizon_cap=DEFAULT_HORIZON_CAP,
-        )
-    if name == "example3-muell":
-        return Scenario(
-            name=name,
-            instance=_base_instance(),
-            policy=MuEll(),
-            behavior="myopic",
-            rounds=10,
-            mode="expected",
-            seed=None,
-            horizon_cap=DEFAULT_HORIZON_CAP,
-        )
-    raise ScenarioError(
-        f"unknown builtin scenario {name!r}; "
-        "available: example1-myopic, example2-lookahead, example3-muell"
+    policy, behavior, rounds = _BUILTINS[name]
+    return Scenario(
+        name, _BASE_INSTANCE, policy, behavior, rounds,
+        mode="expected", seed=None, horizon_cap=DEFAULT_HORIZON_CAP,
     )
-
-
-BUILTIN_SCENARIOS = ("example1-myopic", "example2-lookahead", "example3-muell")

@@ -179,14 +179,12 @@ def incumbent_gap_state(
 
 
 def theorem6_counterexample(
-    alpha: ScalarLike,
-    types: Dict[PlayerId, ScalarLike],
-    M: ScalarLike,
-    budget: ScalarLike = 1,
-    tau_threshold: ScalarLike = Fraction(1, 2),
-    value_function=None,
+    alpha: ScalarLike, types: Dict[PlayerId, ScalarLike], M: ScalarLike
 ) -> Tuple[Instance, VirtualStakeState]:
-    """A full game instance on the gap construction, plus its dynamics state."""
+    """A full game instance on the gap construction, plus its dynamics state.
+
+    The instance has budget 1, tau 1/2 and the identity value function.
+    """
     state = incumbent_gap_state(alpha, types, M)
     players = tuple(
         Player(id=pid, type_=t) for pid, t in sorted(state.type_dict().items())
@@ -194,9 +192,9 @@ def theorem6_counterexample(
     instance = Instance.build(
         players=players,
         initial_stakes=state.stake_dict(),
-        budget=budget,
-        tau_threshold=tau_threshold,
-        value_function=value_function if value_function is not None else IdentityValue(),
+        budget=1,
+        tau_threshold=Fraction(1, 2),
+        value_function=IdentityValue(),
     )
     return instance, state
 

@@ -89,6 +89,25 @@ class TestRun:
         code, _ = run_cli(capsys, "run", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--parameter", "rounds",
+                                                    "--values", "1"]])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, command):
+        # scenario files are UTF-8 JSON, whatever the locale's codec
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"name": "a\xffb"}')
+        out_dir = tmp_path / "sweep"
+        argv = command[:1] + [str(path)] + command[1:]
+        if command[0] == "sweep":
+            argv += ["--output-dir", str(out_dir)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()
+
 
 TWO_PLAYERS = {
     "players": [
@@ -386,8 +405,13 @@ MALFORMED_OPTIONS = {
     "sweep rounds not an integer": (
         ["sweep", "--parameter", "rounds", "--values", "5/2"], TWO_PLAYERS),
     "sweep M 0": (["sweep", "--parameter", "M", "--values", "0"], MU_ALPHA),
+    "sweep alpha repeated value": (
+        ["sweep", "--parameter", "alpha", "--values", "1/2,0.5"], MU_ALPHA),
     "verify grid not a number": (["verify", "axioms", "--grid", "foo"], None),
     "verify grid zero denominator": (["verify", "axioms", "--grid", "1/0"], None),
+    "verify grid negative": (["verify", "axioms", "--grid=-1,1,2", "--n-max", "3"], None),
+    "verify grid all negative": (["verify", "axioms", "--grid=-1,-2"], None),
+    "verify grid all zero": (["verify", "axioms", "--grid", "0,0"], None),
     "verify tau not a number": (["verify", "axioms", "--tau", "foo"], None),
     "verify tau above 1": (["verify", "axioms", "--tau", "1/2,2"], None),
     "verify n-max 1": (["verify", "axioms", "--n-max", "1"], None),

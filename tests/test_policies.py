@@ -14,9 +14,9 @@ from stakegame import (
     expected_rewards,
     is_harmful,
     myopic_equilibrium,
+    run,
     winner_distribution,
 )
-from stakegame.engine import MuEllShadow
 from stakegame.policies import draw_winner, point_mass_winner, top_type_participant
 
 from conftest import make_instance
@@ -133,7 +133,6 @@ class TestDrawWinner:
 
 class TestMuEllShadow:
     def test_winner_sequence_is_shifted_lookahead(self, inst):
-        # shadow run winners start at the planning run's second round
-        shadow = MuEllShadow(inst)
-        winners = [shadow.next_winner() for _ in range(10)]
+        # round t crowns the winner of the planning run's round t + 1
+        winners = [rec.winner for rec in run(inst, MuEll(), rounds=10).records]
         assert winners == [1, 2, 1, 3, 1, 2, 1, 3, 1, 2]

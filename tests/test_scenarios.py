@@ -9,6 +9,7 @@ from stakegame import (
     MuAlpha,
     MuEll,
     MuStar,
+    BUILTIN_SCENARIOS,
     ScenarioError,
     builtin_scenario,
     load_scenario,
@@ -129,5 +130,44 @@ class TestRoundTrip:
 
 
 def test_unknown_builtin():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as exc:
         builtin_scenario("example9")
+    assert str(exc.value).endswith(
+        "available: example1-myopic, example2-lookahead, example3-muell"
+    )
+
+
+def test_builtin_names_in_order():
+    assert BUILTIN_SCENARIOS == ("example1-myopic", "example2-lookahead", "example3-muell")
+
+
+def _builtin(name, policy, behavior, rounds):
+    """A builtin's full declaration: the shared three-player instance plus its run."""
+    return {
+        "name": name,
+        "players": [
+            {"id": 1, "type": "3", "stake": "1", "cost": "0"},
+            {"id": 2, "type": "2", "stake": "1", "cost": "0"},
+            {"id": 3, "type": "1", "stake": "1", "cost": "0"},
+        ],
+        "policy": policy,
+        "behavior": behavior,
+        "tau_threshold": "1/2",
+        "value_function": {"kind": "identity"},
+        "budget": "1",
+        "rounds": rounds,
+        "mode": "expected",
+        "horizon_cap": 50,
+    }
+
+
+BUILTIN_DECLARATIONS = {
+    "example1-myopic": _builtin("example1-myopic", {"kind": "mu_star"}, "myopic", 5),
+    "example2-lookahead": _builtin("example2-lookahead", {"kind": "mu_star"}, "lookahead", 10),
+    "example3-muell": _builtin("example3-muell", {"kind": "mu_ell"}, "myopic", 10),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_builtin_declaration(name):
+    assert scenario_to_dict(builtin_scenario(name)) == BUILTIN_DECLARATIONS[name]
