@@ -24,7 +24,15 @@ from typing import Dict, List, Optional, Tuple
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
 from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _myopic
 from .measures import tau_decentralization_index
-from .policies import FixedWinner, MuEll, MuStar, Policy, draw_winner, point_mass_winner
+from .policies import (
+    FixedWinner,
+    MuEll,
+    MuStar,
+    Policy,
+    draw_winner,
+    point_mass_winner,
+    top_type_participant,
+)
 
 
 PairTuple = Tuple[Tuple[PlayerId, Fraction], ...]
@@ -92,13 +100,24 @@ class Runner:
         self._rng = random.Random(seed) if mode == "sampled" else None
         # MuEll's shadow: type-favoring play with planning players, kept one
         # round ahead, so its next winner is this run's winner
-        self._shadow = None
+        self._shadow: Optional[Tuple[LookaheadSolver, Dict[PlayerId, Fraction]]] = None
         if isinstance(policy, MuEll):
-            self._shadow = Runner(instance, MuStar(), "lookahead", horizon_cap=horizon_cap)
-            self._shadow.step()
+            self._shadow = (LookaheadSolver(instance, MuStar(), horizon_cap), instance.stakes())
+            self._shadow_step()
         self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
         self.round = 0
         self.trace = Trace(instance, policy, behavior, mode, seed)
+
+    def _shadow_step(self) -> PlayerId:
+        """Advance MuEll's shadow one round and return that round's winner.
+
+        The shadow plays ``MuStar()`` in expected mode: the top-type member
+        of the lookahead equilibrium wins the whole budget.
+        """
+        solver, stakes = self._shadow
+        winner = top_type_participant(self.instance, solver.solve(stakes))
+        stakes[winner] += self.instance.budget
+        return winner
 
     def _solve(self, stage: Policy) -> Tuple[RankedProfile, int]:
         """The round's kernel and equilibrium rank: the set is its suffix r."""
@@ -111,7 +130,7 @@ class Runner:
 
     def step(self) -> RoundRecord:
         self.round += 1
-        stage = self.policy if self._shadow is None else FixedWinner(self._shadow.step().winner)
+        stage = self.policy if self._shadow is None else FixedWinner(self._shadow_step())
         last = self.trace.records[-1] if self.trace.records else None
         before = _shared(
             self.stakes, last.stakes_after if last else self.instance.initial_stakes
