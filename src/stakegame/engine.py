@@ -19,6 +19,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
@@ -57,20 +58,30 @@ class Trace:
         return dict(self.records[-1].stakes_after)
 
 
+@lru_cache(maxsize=4096)
+def _zero_pair(pid: PlayerId) -> Tuple[PlayerId, Fraction]:
+    return (pid, ZERO)
+
+
 def _shared(
     values: Dict[PlayerId, Fraction], previous: Optional[PairTuple]
 ) -> PairTuple:
     """``values`` as sorted (id, value) pairs, reusing equal pairs of ``previous``.
 
     A trace keeps every round, so consecutive records share what did not
-    change: the whole tuple when nothing did, else each unchanged pair.
+    change: the whole tuple when nothing did, else each unchanged pair.  Most
+    rewards are zero, and a zero pair is the one :func:`_zero_pair` keeps per
+    player id, so every trace shares it.
     """
     fresh = tuple(sorted(values.items()))
-    if previous is None or len(previous) != len(fresh):
-        return fresh
     if fresh == previous:
         return previous
-    return tuple(old if old == new else new for old, new in zip(previous, fresh))
+    if previous is None or len(previous) != len(fresh):
+        previous = (None,) * len(fresh)
+    return tuple(
+        old if old == new else new if new[1] else _zero_pair(new[0])
+        for old, new in zip(previous, fresh)
+    )
 
 
 class Runner:
@@ -104,7 +115,6 @@ class Runner:
         if isinstance(policy, MuEll):
             self._shadow = (LookaheadSolver(instance, MuStar(), horizon_cap), instance.stakes())
             self._shadow_step()
-        self.stakes: Dict[PlayerId, Fraction] = instance.stakes()
         self.round = 0
         self.trace = Trace(instance, policy, behavior, mode, seed)
 
@@ -119,23 +129,25 @@ class Runner:
         stakes[winner] += self.instance.budget
         return winner
 
-    def _solve(self, stage: Policy) -> Tuple[RankedProfile, int]:
+    def _solve(
+        self, stage: Policy, stakes: Dict[PlayerId, Fraction]
+    ) -> Tuple[RankedProfile, int]:
         """The round's kernel and equilibrium rank: the set is its suffix r."""
         if self.behavior == "myopic":
-            profile = RankedProfile(self.stakes, self.instance)
+            profile = RankedProfile(stakes, self.instance)
             return profile, _myopic(profile, stage)
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
-        return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(self.stakes, {})
+        return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(stakes, {})
 
     def step(self) -> RoundRecord:
         self.round += 1
         stage = self.policy if self._shadow is None else FixedWinner(self._shadow_step())
         last = self.trace.records[-1] if self.trace.records else None
-        before = _shared(
-            self.stakes, last.stakes_after if last else self.instance.initial_stakes
-        )
-        profile, r = self._solve(stage)
+        # the current stakes are the last record's: the runner keeps no copy of its own
+        before = last.stakes_after if last else self.instance.initial_stakes
+        stakes = dict(before)
+        profile, r = self._solve(stage, stakes)
         participants = profile.suffix(r)
         d, v = profile.d[r], profile.v[r]
         if last is not None:
@@ -146,17 +158,15 @@ class Runner:
 
         # A fixed winner who sits the round out is still the certain winner
         # the record names; the payout pays nobody.
-        dist = stage.distribution(self.instance, self.stakes, participants)
+        dist = stage.distribution(self.instance, stakes, participants)
         winner = point_mass_winner(dist)
         if winner is None and self.mode == "sampled":
-            winner = draw_winner(dist, self.stakes, Fraction(self._rng.random()))
+            winner = draw_winner(dist, stakes, Fraction(self._rng.random()))
             dist = {winner: ONE}
-        rewards = dict.fromkeys(self.stakes, ZERO)
+        rewards = dict.fromkeys(stakes, ZERO)
         rewards.update(stage.payout(self.instance, participants, dist))
 
-        self.stakes = {
-            pid: s + rewards[pid] if rewards[pid] else s for pid, s in self.stakes.items()
-        }
+        stakes = {pid: s + rewards[pid] if rewards[pid] else s for pid, s in stakes.items()}
         record = RoundRecord(
             round=self.round,
             stakes_before=before,
@@ -165,7 +175,7 @@ class Runner:
             v=v,
             winner=winner,
             rewards=_shared(rewards, last and last.rewards),
-            stakes_after=_shared(self.stakes, before),
+            stakes_after=_shared(stakes, before),
         )
         self.trace.records.append(record)
         return record

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import Instance, PlayerId, StakeProfile, rank, scalar
 from .measures import tau_decentralization_index, token_value
@@ -48,17 +48,24 @@ class RankedProfile:
     her participate-vs-abstain comparison are read from adjacent entries.
 
     The kernel works on integers: every stake is scaled by the common
-    denominator of the profile (the lcm of the stakes' denominators), and P
-    holds the prefix sums of the scaled stakes over the ranking.  With
-    tau = p/q, the d-prefix of suffix r ends at the first e with
+    denominator ``scale`` of the profile (the lcm of the stakes'
+    denominators), and ``prefix`` (P below) holds the prefix sums of the
+    scaled stakes over the ranking.  With tau = p/q, the d-prefix of suffix
+    r ends at the first e with
     ``q * P[e] > p * (P[n] - P[r - 1]) + q * P[r - 1]``: the test
     stake > tau * total + above, multiplied through by q and by the
-    (positive) common denominator.  That bound only falls as the suffix grows upward, so the end
-    never moves right and one pointer serves every suffix.  All arithmetic
-    is exact.
+    (positive) common denominator.  That bound only falls as the suffix
+    grows upward, so the end never moves right and one pointer serves every
+    suffix.  The token values are scaled the same way: ``v_scaled[r]`` is
+    ``v[r] * v_scale``, with ``v_scale`` the lcm of their denominators.
+    :meth:`leaders` prices every suffix leader on these integers.  All
+    arithmetic is exact.
     """
 
-    __slots__ = ("instance", "stakes", "ranking", "d", "v", "top")
+    __slots__ = (
+        "instance", "stakes", "ranking", "d", "v", "top", "scale", "prefix", "v_scaled",
+        "v_scale",
+    )
 
     def __init__(self, stakes: StakeProfile, instance: Instance):
         tau = instance.tau_threshold
@@ -86,7 +93,6 @@ class RankedProfile:
         vf = instance.value_function
         level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
         d = [1] * (n + 2)
-        v = [level_value[1]] * (n + 2)
         top: List[Optional[PlayerId]] = [None] * (n + 2)
         p, q = tau.numerator, tau.denominator
         full = prefix[n]
@@ -100,32 +106,53 @@ class RankedProfile:
             d[r] = level = end - r + 1
             if level not in level_value:
                 level_value[level] = token_value(level, vf)
-            v[r] = level_value[level]
             pid = ranking[r - 1]
             if best is None or types[pid] > types[best] or (
                 types[pid] == types[best] and pid < best
             ):
                 best = pid
             top[r] = best
+        v_scale = lcm(*[x.denominator for x in level_value.values()])
+        level_scaled = {
+            level: x.numerator * (v_scale // x.denominator) for level, x in level_value.items()
+        }
 
         self.instance = instance
         self.stakes = stakes
         self.ranking = ranking
         self.d = d
-        self.v = v
+        self.v = [level_value[level] for level in d]
         self.top = top
+        self.scale = den
+        self.prefix = prefix
+        self.v_scaled = [level_scaled[level] for level in d]
+        self.v_scale = v_scale
 
     def suffix(self, r: int) -> frozenset:
         """The participant set of suffix r (r = n + 1 gives the empty set)."""
         return frozenset(self.ranking[r - 1 :])
 
-    def worth(self, policy: Policy, r: int) -> Fraction:
-        """Stake plus expected reward of suffix r's leader, priced at v[r]; no cost."""
-        i = self.ranking[r - 1]
-        reward = policy.member_budget(
-            self.instance, self.stakes, i, self.ranking[r - 1 :], self.top[r]
-        )
-        return (self.stakes[i] + reward) * self.v[r]
+    def leaders(self, policy: Policy) -> Iterator[Tuple[int, int, int, int, int]]:
+        """Price every suffix leader on integers, from rank n up to rank 1.
+
+        Yields ``(r, worth, net, stake, unit)`` for the leader i of suffix r:
+        over the common denominator ``unit``, ``worth`` is her cost-free
+        worth (stake + B) * v[r], ``net`` that worth minus her cost (what
+        participating gives her), and ``stake * v_scaled[k]`` her stake priced
+        at v[k].  B comes from one ``leader_budgets`` pass of the policy;
+        the budget's and the cost's denominators enter ``unit``.
+        """
+        budgets = policy.leader_budgets(self.instance, self.stakes, self.ranking, self.top)
+        player, scale, prefix = self.instance.player, self.scale, self.prefix
+        v_scaled, v_scale = self.v_scaled, self.v_scale
+        for r in range(len(self.ranking), 0, -1):
+            budget = budgets[r]
+            cost = player(self.ranking[r - 1]).cost
+            b_den, c_den = budget.denominator, cost.denominator
+            stake = (prefix[r] - prefix[r - 1]) * b_den * c_den
+            worth = (stake + budget.numerator * scale * c_den) * v_scaled[r]
+            net = worth - cost.numerator * scale * b_den * v_scale
+            yield r, worth, net, stake, scale * b_den * c_den * v_scale
 
 
 def stage_value(instance: Instance, stakes: StakeProfile, participants: frozenset):
@@ -210,26 +237,26 @@ Label = RecoveryWinnerLabel | str  # not typing.Union: see core.ValueFunction
 def _labels(profile: RankedProfile, policy: Policy) -> Tuple[Dict[int, Label], int]:
     """Recovery-winner labels keyed by rank, and the myopic equilibrium's rank.
 
-    Exactly the harmful ranks get a label.  The candidate for a harmful rank
-    r is the first later rank that is non-harmful or labeled ``PAR``.
-    Scanning upward from the last rank, that is the candidate seen most
-    recently, so the pass is O(n).  The last candidate seen is the top rank
-    that is non-harmful or labeled ``PAR``: the myopic equilibrium's rank.
+    Exactly the harmful ranks get a label: those whose leader's net worth
+    (stake + B) * v[r] - cost falls below her stake priced at v[r + 1].  The
+    candidate for a harmful rank r is the first later rank that is
+    non-harmful or labeled ``PAR``; r is labeled with it when her cost-free
+    worth (stake + B) * v[r] falls below v[candidate] * stake, and ``PAR``
+    otherwise.  Scanning upward from the last rank, the candidate is the one
+    seen most recently, so the pass is O(n), and it is decided on the
+    kernel's integers (:meth:`RankedProfile.leaders`).  The last candidate
+    seen is the top rank that is non-harmful or labeled ``PAR``: the myopic
+    equilibrium's rank.
     """
-    stakes = profile.stakes
-    v = profile.v
+    v_scaled = profile.v_scaled
     labels: Dict[int, Label] = {}
     candidate: Optional[int] = None
-    for r in range(len(profile.ranking), 0, -1):
-        pid = profile.ranking[r - 1]
-        worth = profile.worth(policy, r)
-        participate = worth - profile.instance.player(pid).cost
-        abstain = stakes[pid] * v[r + 1]
-        if participate >= abstain:
+    for r, worth, net, stake, _ in profile.leaders(policy):
+        if net >= stake * v_scaled[r + 1]:
             candidate = r
             continue
         label: Label = PAR
-        if candidate is not None and worth < v[candidate] * stakes[pid]:
+        if candidate is not None and worth < stake * v_scaled[candidate]:
             label = RecoveryWinnerLabel(candidate)
         else:
             # Abstaining does not pay, or no candidate lies below (only rank
@@ -247,11 +274,15 @@ def recovery_winner_labels(
 ) -> Dict[PlayerId, Label]:
     """Label every player for whom her suffix is harmful.
 
-    Scanning ranks from smallest stake upward, a harmful player gets the
-    first later rank r that is itself non-harmful (or labeled ``PAR``) as her
-    recovery winner, provided abstaining in favor of the suffix at r beats
-    participating; otherwise she is labeled ``PAR`` and participates anyway.
-    Runs in O(n) with exactly one harmfulness evaluation per rank.
+    A player is harmful in her suffix when her stake plus expected reward,
+    priced at the suffix's token value, minus her cost is below her stake
+    priced at the value of the suffix without her.  Scanning ranks from
+    smallest stake upward, a harmful player gets as her recovery winner the
+    first later rank r that is itself non-harmful (or labeled ``PAR``),
+    provided her stake priced at the value of suffix r exceeds her cost-free
+    priced stake plus reward; otherwise she is labeled ``PAR`` and
+    participates anyway.  Runs in O(n) with exactly one harmfulness decision
+    per rank.
     """
     profile = RankedProfile(stakes, instance)
     labels, _ = _labels(profile, policy)
@@ -371,7 +402,7 @@ class LookaheadSolver:
 
         The plans share walk steps with the solve, as in :meth:`solve`.
         """
-        walked: Dict[tuple, list] = {}
+        walked: Dict[tuple, tuple] = {}
         profile, r = self._solve(stakes, walked)
         participants = profile.suffix(r)
         plans: Dict[PlayerId, RecoveryPlan] = {}
@@ -387,36 +418,32 @@ class LookaheadSolver:
         return self._recovery(i, without_i, stakes, {}).terminal_value
 
     def _solve(
-        self, stakes: StakeProfile, walked: Dict[tuple, list]
+        self, stakes: StakeProfile, walked: Dict[tuple, tuple]
     ) -> Tuple[RankedProfile, int]:
         """The profile's kernel and the equilibrium's rank r.
 
         The set is ``profile.suffix(r)``, with index d[r] and token value
-        v[r].  The walks share their steps through ``walked``.
+        v[r].  Each rank's leader is harmful when her net worth from
+        :meth:`RankedProfile.leaders` is below her plan's terminal value for
+        leaving to suffix r + 1, decided on integers.  The walks share their
+        steps through ``walked``.
         """
         profile = RankedProfile(stakes, self.instance)
-        n = len(profile.ranking)
-        chosen = n
-        for r in range(n, 0, -1):
-            if not self._harmful(profile, r, walked):
+        chosen = len(profile.ranking)
+        for r, _, net, _, unit in profile.leaders(self.policy):
+            abstain = self._recovery(
+                profile.ranking[r - 1], profile.suffix(r + 1), profile.stakes, walked
+            ).terminal_value
+            if net * abstain.denominator >= abstain.numerator * unit:
                 chosen = r
         return profile, chosen
-
-    def _harmful(self, profile: RankedProfile, r: int, walked: Dict[tuple, list]) -> bool:
-        """Whether suffix r is harmful for its leader, who would leave suffix r + 1."""
-        i = profile.ranking[r - 1]
-        participate = profile.worth(self.policy, r) - self.instance.player(i).cost
-        abstain = self._recovery(
-            i, profile.suffix(r + 1), profile.stakes, walked
-        ).terminal_value
-        return participate < abstain
 
     def _recovery(
         self,
         i: PlayerId,
         participants_now: frozenset,
         stakes: StakeProfile,
-        walked: Dict[tuple, list],
+        walked: Dict[tuple, tuple],
     ) -> RecoveryPlan:
         """Follow future myopic equilibria until i re-enters.
 
@@ -424,9 +451,12 @@ class LookaheadSolver:
         use each future round's own equilibrium.  The walk advances offset by
         offset for its owner.  ``walked`` holds the steps of one solve call,
         keyed by expected stake profile: the profile's myopic equilibrium and
-        that set's token value, both from one kernel pass.  Both depend on the
-        profile alone, so a profile that several walks reach is solved and
-        priced once, and every plan is the one a walk of its own finds.
+        that set's token value, both from one kernel pass, and the profile as
+        sorted ``(pid, stake)`` pairs.  All three depend on the profile alone,
+        so a profile that several walks reach is solved and priced once, and
+        every plan is the one a walk of its own finds.  The key is each stake's
+        numerator and denominator in the profile's order, which every walk of
+        one solve shares: ints hash faster than ``Fraction``.
         """
         current = dict(stakes)
         participants = participants_now
@@ -434,13 +464,15 @@ class LookaheadSolver:
         for offset in range(1, self.horizon_cap + 1):
             rewards = expected_rewards(self.policy, self.instance, current, participants)
             current = {pid: s + rewards[pid] if rewards[pid] else s for pid, s in current.items()}
-            key = tuple(sorted(current.items()))
-            # one lookup per step: hashing the key hashes every stake
-            step = walked.setdefault(key, [None, None])
-            if step[0] is None:
-                step[:] = _priced_myopic(current, self.instance, self.policy)
-            future, value = step
-            steps.append((offset, future, key))
+            key = tuple([s.as_integer_ratio() for s in current.values()])
+            step = walked.get(key)
+            if step is None:
+                step = walked[key] = (
+                    *_priced_myopic(current, self.instance, self.policy),
+                    tuple(sorted(current.items())),
+                )
+            future, value, profile = step
+            steps.append((offset, future, profile))
             if i in future:
                 return RecoveryPlan(owner=i, steps=tuple(steps), terminal_value=current[i] * value)
             participants = future

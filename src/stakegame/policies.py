@@ -15,20 +15,27 @@
 
 A stage policy's ``distribution`` is the winner's exact distribution over a
 participant set (players who cannot win may be left out), ``member_budget``
-a member's expected reward B_i(Q), on which the equilibrium logic is built,
-and ``payout`` the rewards paid when the winner is drawn from a distribution.
+a member's expected reward B_i(Q) in any set Q, ``leader_budgets`` the same
+reward for the leader of every suffix of a ranking in one O(n) pass, on
+which the suffix solvers are built, and ``payout`` the rewards paid when the
+winner is drawn from a distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Collection, Dict, Iterable, Optional
+from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence
 
 from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank
 
 
 Distribution = Dict[PlayerId, Fraction]
+# Indexed by rank r (1-based, entry 0 unused) of a ranking: the top-type player
+# of suffix r (the players at rank r or below), and the expected reward B of
+# suffix r's leader (the player at rank r) in suffix r.
+SuffixTops = Sequence[Optional[PlayerId]]
+LeaderBudgets = List[Fraction]
 
 
 class _WinnerTakesAll:
@@ -46,13 +53,8 @@ class _WinnerTakesAll:
         stakes: StakeProfile,
         i: PlayerId,
         participants: Collection[PlayerId],
-        top: Optional[PlayerId] = None,
     ) -> Fraction:
-        """Expected reward of a member i of the participant set.
-
-        ``top`` is the set's top-type participant when the caller knows it
-        (the solvers read it from their suffix kernel); MuStar skips a scan.
-        """
+        """Expected reward of a member i of the participant set."""
         return instance.budget * self.distribution(instance, stakes, participants).get(i, ZERO)
 
 
@@ -60,17 +62,35 @@ class _WinnerTakesAll:
 class MuAlpha(_WinnerTakesAll):
     alpha: Fraction
 
+    def _weight(self, type_: Fraction, stake: Fraction) -> Fraction:
+        return self.alpha * type_ + (1 - self.alpha) * stake
+
     def distribution(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
         weights = {
-            pid: self.alpha * instance.player(pid).type_ + (1 - self.alpha) * stakes[pid]
-            for pid in participants
+            pid: self._weight(instance.player(pid).type_, stakes[pid]) for pid in participants
         }
         total = sum(weights.values())
         if total <= 0:
             raise ValueError("virtual stakes sum to zero; distribution undefined")
         return {pid: w / total for pid, w in weights.items()}
+
+    def leader_budgets(
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+    ) -> LeaderBudgets:
+        """Each leader's weight over a running suffix total, from the last rank up."""
+        types = instance.types()
+        budgets = [ZERO] * (len(ranking) + 1)
+        total = ZERO
+        for r in range(len(ranking), 0, -1):
+            pid = ranking[r - 1]
+            weight = self._weight(types[pid], stakes[pid])
+            total += weight
+            if total <= 0:
+                raise ValueError("virtual stakes sum to zero; distribution undefined")
+            budgets[r] = instance.budget * (weight / total)
+        return budgets
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": "mu_alpha", "alpha": str(self.alpha)}
@@ -97,11 +117,20 @@ class MuStar(_WinnerTakesAll):
         stakes: StakeProfile,
         i: PlayerId,
         participants: Collection[PlayerId],
-        top: Optional[PlayerId] = None,
     ) -> Fraction:
-        if top is None:
-            top = top_type_participant(instance, participants)
+        top = top_type_participant(instance, participants)
         return instance.budget * type_favoring_share(self.epsilon, len(participants), i == top)
+
+    def leader_budgets(
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+    ) -> LeaderBudgets:
+        n, budget = len(ranking), instance.budget
+        if not self.epsilon:  # each share is 1 or 0: no product to form
+            return [ZERO] + [budget if pid == top[r] else ZERO for r, pid in enumerate(ranking, 1)]
+        return [ZERO] + [
+            budget * type_favoring_share(self.epsilon, n - r + 1, pid == top[r])
+            for r, pid in enumerate(ranking, 1)
+        ]
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"kind": "mu_star"}
@@ -123,9 +152,14 @@ class MuAll:
         stakes: StakeProfile,
         i: PlayerId,
         participants: Collection[PlayerId],
-        top: Optional[PlayerId] = None,
     ) -> Fraction:
         return instance.budget / len(participants)
+
+    def leader_budgets(
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+    ) -> LeaderBudgets:
+        n = len(ranking)
+        return [ZERO] + [instance.budget / (n - r + 1) for r in range(1, n + 1)]
 
     def payout(
         self, instance: Instance, participants: Collection[PlayerId], dist: Distribution
@@ -144,7 +178,7 @@ class MuEll:
     def _unresolved(self, *args: Any) -> Any:
         raise TypeError("MuEll needs its shadow trajectory; resolve it to FixedWinner first")
 
-    distribution = member_budget = payout = _unresolved
+    distribution = member_budget = leader_budgets = payout = _unresolved
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": "mu_ell"}
@@ -165,6 +199,11 @@ class FixedWinner(_WinnerTakesAll):
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
         return {self.winner: ONE}
+
+    def leader_budgets(
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+    ) -> LeaderBudgets:
+        return [ZERO] + [instance.budget if pid == self.winner else ZERO for pid in ranking]
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": "fixed_winner", "winner": self.winner}

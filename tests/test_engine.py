@@ -83,6 +83,17 @@ class TestRunner:
         assert all(v == 0 for _, v in rec.rewards)
         assert dict(rec.stakes_after) == inst.stakes()
 
+    def test_traces_share_zero_reward_pairs(self, three_player_instance):
+        # a trace stores every player's reward each round, mostly zeros: one
+        # (id, 0) pair per player serves every record of every trace
+        first, second = (run(three_player_instance, MuStar(), rounds=4) for _ in range(2))
+        zeros = [
+            pair for trace in (first, second) for rec in trace.records for pair in rec.rewards
+            if pair[1] == 0
+        ]
+        assert len(zeros) == 16
+        assert len({id(pair) for pair in zeros}) == len({pair[0] for pair in zeros}) == 3
+
 
 class TestMonitors:
     def test_clean_run(self, three_player_instance):

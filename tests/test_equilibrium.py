@@ -98,17 +98,25 @@ class TestMyopicEquilibrium:
         assert recovery_winner_labels(inst.stakes(), inst, MuStar()) == {}
 
     def test_labeling_cost_is_linear_in_harmfulness_checks(self, monkeypatch):
-        # each rank's harmfulness check prices its suffix once, with worth()
+        # one pricing pass of the policy per labeling, one decision per rank
         inst = make_instance([5, 4, 3, 2, 1], [6, 5, 4, 3, 3])
-        ranks = []
-        original = RankedProfile.worth
+        passes, ranks = [], []
+        budgets = MuStar.leader_budgets
+        leaders = RankedProfile.leaders
 
-        def counting(profile, policy, r):
-            ranks.append(r)
-            return original(profile, policy, r)
+        def counting_budgets(policy, *args):
+            passes.append(args)
+            return budgets(policy, *args)
 
-        monkeypatch.setattr(RankedProfile, "worth", counting)
+        def counting_leaders(profile, policy):
+            for row in leaders(profile, policy):
+                ranks.append(row[0])
+                yield row
+
+        monkeypatch.setattr(MuStar, "leader_budgets", counting_budgets)
+        monkeypatch.setattr(RankedProfile, "leaders", counting_leaders)
         myopic_equilibrium(inst.stakes(), inst, MuStar())
+        assert len(passes) == 1
         assert sorted(ranks) == list(range(1, inst.n + 1))
 
 

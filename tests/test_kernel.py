@@ -27,10 +27,17 @@ from stakegame import (
     expected_rewards,
     myopic_equilibrium,
     rank,
+    recovery_winner_labels,
     tau_decentralization_index,
     token_value,
 )
-from stakegame.equilibrium import RankedProfile, stage_value
+from stakegame.equilibrium import (
+    PAR,
+    RankedProfile,
+    RecoveryWinnerLabel,
+    stage_utility,
+    stage_value,
+)
 from stakegame.policies import top_type_participant
 
 from conftest import make_instance
@@ -43,6 +50,7 @@ STAKES = st.sampled_from(
 )
 TAUS = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)
+COSTS = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5)])
 
 
 @st.composite
@@ -57,7 +65,8 @@ def value_functions(draw, n):
 
 
 @st.composite
-def instances(draw, max_n=8):
+def instances(draw, max_n=8, costs=None):
+    """Random instances; ``costs`` draws each player's cost, else costs are 0."""
     n = draw(st.integers(1, max_n))
     types = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     stakes = draw(st.lists(STAKES, min_size=n, max_size=n))
@@ -67,6 +76,7 @@ def instances(draw, max_n=8):
         budget=draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3)])),
         tau=draw(TAUS),
         vf=draw(value_functions(n)),
+        costs=draw(st.lists(costs, min_size=n, max_size=n)) if costs is not None else None,
     )
 
 
@@ -112,12 +122,51 @@ def test_expected_rewards_match_expected_budget(inst, policy, data):
 def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
     stakes = inst.stakes()
     profile = RankedProfile(stakes, inst)
+    budgets = policy.leader_budgets(inst, stakes, profile.ranking, profile.top)
+    assert len(budgets) == len(profile.ranking) + 1
     for r, leader in enumerate(profile.ranking, start=1):
         suffix = profile.suffix(r)
-        hinted = policy.member_budget(
-            inst, stakes, leader, profile.ranking[r - 1 :], profile.top[r]
-        )
-        assert hinted == expected_budget(policy, inst, stakes, leader, suffix)
+        assert budgets[r] == expected_budget(policy, inst, stakes, leader, suffix)
+
+
+def reference_labels(inst, stakes, policy):
+    """Labels by player and the myopic rank, rank by rank in Fractions.
+
+    Rank r is harmful when participating in suffix r is worth less than
+    abstaining to suffix r + 1; it is labeled with the last candidate (a
+    rank non-harmful or labeled PAR) when its cost-free worth is below its
+    stake priced at the candidate's value, and PAR otherwise.
+    """
+    ranking = rank(stakes)
+
+    def suffix(r):
+        return frozenset(ranking[r - 1:])
+
+    def value(r):
+        return stage_value(inst, stakes, suffix(r))[1]
+
+    labels, candidate = {}, None
+    for r in range(len(ranking), 0, -1):
+        pid = ranking[r - 1]
+        participate = stage_utility(inst, stakes, policy, pid, suffix(r))
+        if participate >= stage_utility(inst, stakes, policy, pid, suffix(r + 1)):
+            candidate = r
+            continue
+        worth = participate + inst.player(pid).cost
+        if candidate is not None and worth < value(candidate) * stakes[pid]:
+            labels[pid] = RecoveryWinnerLabel(candidate)
+        else:
+            labels[pid] = PAR
+            candidate = r
+    return labels, suffix(candidate)
+
+
+@given(instances(costs=COSTS), POLICIES)
+def test_labels_and_myopic_rank_match_the_per_rank_reference(inst, policy):
+    stakes = inst.stakes()
+    labels, eq = reference_labels(inst, stakes, policy)
+    assert recovery_winner_labels(stakes, inst, policy) == labels
+    assert myopic_equilibrium(stakes, inst, policy) == eq
 
 
 # The regime of the oracle tests: stakes of at least 3 against a unit budget
