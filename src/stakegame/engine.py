@@ -85,7 +85,11 @@ def _shared(
 
 
 class Runner:
-    """Stateful driver: holds current stakes, advances one round per step."""
+    """Stateful driver: advances one round per step.
+
+    The current stakes are the trace's (``trace.final_stakes()``): the runner
+    keeps no copy of its own.
+    """
 
     def __init__(
         self,
@@ -144,7 +148,6 @@ class Runner:
         self.round += 1
         stage = self.policy if self._shadow is None else FixedWinner(self._shadow_step())
         last = self.trace.records[-1] if self.trace.records else None
-        # the current stakes are the last record's: the runner keeps no copy of its own
         before = last.stakes_after if last else self.instance.initial_stakes
         stakes = dict(before)
         profile, r = self._solve(stage, stakes)

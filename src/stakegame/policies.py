@@ -58,6 +58,13 @@ class _WinnerTakesAll:
         return instance.budget * self.distribution(instance, stakes, participants).get(i, ZERO)
 
 
+def _positive(total: Fraction) -> Fraction:
+    """A sum of virtual stakes, which must be positive to normalize by."""
+    if total <= 0:
+        raise ValueError("virtual stakes sum to zero; distribution undefined")
+    return total
+
+
 @dataclass(frozen=True)
 class MuAlpha(_WinnerTakesAll):
     alpha: Fraction
@@ -71,9 +78,7 @@ class MuAlpha(_WinnerTakesAll):
         weights = {
             pid: self._weight(instance.player(pid).type_, stakes[pid]) for pid in participants
         }
-        total = sum(weights.values())
-        if total <= 0:
-            raise ValueError("virtual stakes sum to zero; distribution undefined")
+        total = _positive(sum(weights.values()))
         return {pid: w / total for pid, w in weights.items()}
 
     def leader_budgets(
@@ -87,9 +92,7 @@ class MuAlpha(_WinnerTakesAll):
             pid = ranking[r - 1]
             weight = self._weight(types[pid], stakes[pid])
             total += weight
-            if total <= 0:
-                raise ValueError("virtual stakes sum to zero; distribution undefined")
-            budgets[r] = instance.budget * (weight / total)
+            budgets[r] = instance.budget * (weight / _positive(total))
         return budgets
 
     def to_dict(self) -> Dict[str, Any]:
@@ -106,9 +109,11 @@ class MuStar(_WinnerTakesAll):
         top = top_type_participant(instance, participants)
         size = len(participants)
         dist = {
-            pid: type_favoring_share(self.epsilon, size, False) for pid in participants if pid != top
+            pid: type_favoring_share(self.epsilon, size, False, ONE)
+            for pid in participants
+            if pid != top
         }
-        dist[top] = type_favoring_share(self.epsilon, size, True)
+        dist[top] = type_favoring_share(self.epsilon, size, True, ONE)
         return dist
 
     def member_budget(
@@ -119,16 +124,14 @@ class MuStar(_WinnerTakesAll):
         participants: Collection[PlayerId],
     ) -> Fraction:
         top = top_type_participant(instance, participants)
-        return instance.budget * type_favoring_share(self.epsilon, len(participants), i == top)
+        return type_favoring_share(self.epsilon, len(participants), i == top, instance.budget)
 
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
     ) -> LeaderBudgets:
-        n, budget = len(ranking), instance.budget
-        if not self.epsilon:  # each share is 1 or 0: no product to form
-            return [ZERO] + [budget if pid == top[r] else ZERO for r, pid in enumerate(ranking, 1)]
+        n = len(ranking)
         return [ZERO] + [
-            budget * type_favoring_share(self.epsilon, n - r + 1, pid == top[r])
+            type_favoring_share(self.epsilon, n - r + 1, pid == top[r], instance.budget)
             for r, pid in enumerate(ranking, 1)
         ]
 
@@ -224,16 +227,17 @@ def top_type_participant(instance: Instance, participants: Iterable[PlayerId]) -
     return best
 
 
-def type_favoring_share(epsilon: Fraction, size: int, is_top: bool) -> Fraction:
-    """Winning probability under the type-favoring rule in a set of ``size``.
+def type_favoring_share(epsilon: Fraction, size: int, is_top: bool, whole: Fraction) -> Fraction:
+    """A participant's part of ``whole`` under the type-favoring rule in a set of ``size``.
 
-    The top-type participant wins with probability ``1 - epsilon`` and the
-    others split ``epsilon`` evenly; a lone participant, or epsilon 0, makes
-    the top a certain winner.
+    ``whole`` is 1 for a winning probability and the budget for an expected
+    reward.  The top-type participant gets ``1 - epsilon`` of it and the
+    others split ``epsilon`` evenly; a lone participant, or epsilon 0, gives
+    the top all of it, with no product to form.
     """
     if size == 1 or epsilon == 0:
-        return ONE if is_top else ZERO
-    return 1 - epsilon if is_top else epsilon / (size - 1)
+        return whole if is_top else ZERO
+    return whole * (1 - epsilon) if is_top else whole * epsilon / (size - 1)
 
 
 def winner_distribution(

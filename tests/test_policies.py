@@ -51,6 +51,16 @@ UNRESOLVED_MU_ELL = {
     "brute_force_equilibrium": lambda inst, stakes, q: brute_force_equilibrium(stakes, inst, MuEll()),
 }
 
+# MuAlpha with alpha > 1 can weigh a set at <= 0: the distribution and the
+# suffix solvers reject it alike.
+NONPOSITIVE_MU_ALPHA = {
+    "winner_distribution": lambda inst, mu: winner_distribution(
+        mu, inst, inst.stakes(), frozenset({1, 2})
+    ),
+    "myopic_equilibrium": lambda inst, mu: myopic_equilibrium(inst.stakes(), inst, mu),
+    "LookaheadSolver.solve": lambda inst, mu: LookaheadSolver(inst, mu).solve(inst.stakes()),
+}
+
 
 class TestWinnerDistribution:
     def test_mu_star_point_mass(self, inst):
@@ -80,6 +90,15 @@ class TestWinnerDistribution:
             MuAlpha(alpha=Fraction(0)), inst, inst.stakes(), frozenset({1, 2})
         )
         assert dist == {1: Fraction(3, 4), 2: Fraction(1, 4)}
+
+    @pytest.mark.parametrize("call", sorted(NONPOSITIVE_MU_ALPHA))
+    def test_mu_alpha_rejects_a_nonpositive_weight_total(self, call):
+        # alpha = 3 weighs 3 * type - 2 * stake: suffix {2} totals 1, but the
+        # whole set totals -6 + 1, so the suffix solvers' running total must
+        # fail there as the distribution does
+        inst = make_instance([0, 1], [3, 1])
+        with pytest.raises(ValueError, match="virtual stakes sum to zero"):
+            NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(3)))
 
     def test_mu_all_top_type_wins(self):
         # the equal split does not hide who the recorded winner is
