@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, str, float, Fraction]
@@ -125,16 +126,17 @@ class Instance:
     budget: Fraction
     tau_threshold: Fraction
     value_function: ValueFunction
-    # id -> Player (first occurrence wins) and id -> type, built once.
+    # id -> Player (first occurrence wins) and id -> type order, built once.
     _by_id: Dict[PlayerId, Player] = field(init=False, repr=False, compare=False)
-    _types: Dict[PlayerId, Fraction] = field(init=False, repr=False, compare=False)
+    _order: Dict[PlayerId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: Dict[PlayerId, Player] = {}
         for p in self.players:
             by_id.setdefault(p.id, p)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_types", {pid: p.type_ for pid, p in by_id.items()})
+        order = rank({pid: p.type_ for pid, p in by_id.items()}) if by_id else ()
+        object.__setattr__(self, "_order", {pid: k for k, pid in enumerate(order)})
 
     @staticmethod
     def build(
@@ -168,8 +170,12 @@ class Instance:
             raise KeyError(f"no player with id {pid}") from None
 
     def types(self) -> Dict[PlayerId, Fraction]:
-        """id -> type, one map shared by every call: read it, do not change it."""
-        return self._types
+        """id -> type, a fresh map on every call."""
+        return {pid: p.type_ for pid, p in self._by_id.items()}
+
+    def type_order(self) -> Mapping[PlayerId, int]:
+        """Read-only id -> position by type descending, equal types by ascending id."""
+        return MappingProxyType(self._order)
 
     def stakes(self) -> Dict[PlayerId, Fraction]:
         return dict(self.initial_stakes)

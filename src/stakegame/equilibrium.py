@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import Instance, PlayerId, StakeProfile, rank, scalar
 from .measures import tau_decentralization_index, token_value
-from .policies import FixedWinner, MuEll, Policy, expected_budget, expected_rewards
+from .policies import FixedWinner, MuEll, Policy, expected_budget
 
 PAR = "par"
 
@@ -40,8 +40,8 @@ class RankedProfile:
     ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
     level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
     tau-index ``d``, token value ``v`` and top-type player ``top`` (ties to
-    the smallest id; ``None`` for the empty set).  Entry 0 of each list is
-    unused.
+    the smallest id, decided on the ints of :meth:`Instance.type_order`;
+    ``None`` for the empty set).  Entry 0 of each list is unused.
 
     The solvers rest on one identity: the top-ranked player of suffix r is
     the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
@@ -89,7 +89,7 @@ class RankedProfile:
             # the last suffix holds only the smallest stake
             raise ValueError("all stakes are zero; fraction of total is undefined")
 
-        types = instance.types()
+        order = instance.type_order()
         vf = instance.value_function
         level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
         d = [1] * (n + 2)
@@ -97,7 +97,7 @@ class RankedProfile:
         p, q = tau.numerator, tau.denominator
         full = prefix[n]
         end = n
-        best: Optional[PlayerId] = None
+        best, best_k = None, len(order)
         for r in range(n, 0, -1):
             above = prefix[r - 1]
             bar = p * (full - above) + q * above
@@ -107,10 +107,9 @@ class RankedProfile:
             if level not in level_value:
                 level_value[level] = token_value(level, vf)
             pid = ranking[r - 1]
-            if best is None or types[pid] > types[best] or (
-                types[pid] == types[best] and pid < best
-            ):
-                best = pid
+            k = order[pid]
+            if k < best_k:
+                best, best_k = pid, k
             top[r] = best
         v_scale = lcm(*[x.denominator for x in level_value.values()])
         level_scaled = {
@@ -146,12 +145,11 @@ class RankedProfile:
         player, scale, prefix = self.instance.player, self.scale, self.prefix
         v_scaled, v_scale = self.v_scaled, self.v_scale
         for r in range(len(self.ranking), 0, -1):
-            budget = budgets[r]
-            cost = player(self.ranking[r - 1]).cost
-            b_den, c_den = budget.denominator, cost.denominator
+            b_num, b_den = budgets[r].as_integer_ratio()
+            c_num, c_den = player(self.ranking[r - 1]).cost.as_integer_ratio()
             stake = (prefix[r] - prefix[r - 1]) * b_den * c_den
-            worth = (stake + budget.numerator * scale * c_den) * v_scaled[r]
-            net = worth - cost.numerator * scale * b_den * v_scale
+            worth = (stake + b_num * scale * c_den) * v_scaled[r]
+            net = worth - c_num * scale * b_den * v_scale
             yield r, worth, net, stake, scale * b_den * c_den * v_scale
 
 
@@ -448,22 +446,26 @@ class LookaheadSolver:
         """Follow future myopic equilibria until i re-enters.
 
         The first advance uses the hypothesized current-round set; later ones
-        use each future round's own equilibrium.  The walk advances offset by
-        offset for its owner.  ``walked`` holds the steps of one solve call,
-        keyed by expected stake profile: the profile's myopic equilibrium and
-        that set's token value, both from one kernel pass, and the profile as
-        sorted ``(pid, stake)`` pairs.  All three depend on the profile alone,
-        so a profile that several walks reach is solved and priced once, and
-        every plan is the one a walk of its own finds.  The key is each stake's
-        numerator and denominator in the profile's order, which every walk of
-        one solve shares: ints hash faster than ``Fraction``.
+        use each future round's own equilibrium.  A step adds only the rewards
+        the policy pays to a copy of the expected stakes.  The walk advances
+        offset by offset for its owner.  ``walked`` holds the steps of one
+        solve call, keyed by expected stake profile: the profile's myopic
+        equilibrium and that set's token value, both from one kernel pass, and
+        the profile as sorted ``(pid, stake)`` pairs.  All three depend on the
+        profile alone, so a profile that several walks reach is solved and
+        priced once, and every plan is the one a walk of its own finds.  The
+        key is each stake's numerator and denominator in the profile's order,
+        which every walk of one solve shares: ints hash faster than ``Fraction``.
         """
         current = dict(stakes)
         participants = participants_now
         steps: List[Tuple[int, frozenset, Tuple[Tuple[PlayerId, Fraction], ...]]] = []
         for offset in range(1, self.horizon_cap + 1):
-            rewards = expected_rewards(self.policy, self.instance, current, participants)
-            current = {pid: s + rewards[pid] if rewards[pid] else s for pid, s in current.items()}
+            if participants:
+                dist = self.policy.distribution(self.instance, current, participants)
+                current = dict(current)
+                for pid, reward in self.policy.payout(self.instance, participants, dist).items():
+                    current[pid] += reward
             key = tuple([s.as_integer_ratio() for s in current.values()])
             step = walked.get(key)
             if step is None:

@@ -85,12 +85,11 @@ class MuAlpha(_WinnerTakesAll):
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
     ) -> LeaderBudgets:
         """Each leader's weight over a running suffix total, from the last rank up."""
-        types = instance.types()
         budgets = [ZERO] * (len(ranking) + 1)
         total = ZERO
         for r in range(len(ranking), 0, -1):
             pid = ranking[r - 1]
-            weight = self._weight(types[pid], stakes[pid])
+            weight = self._weight(instance.player(pid).type_, stakes[pid])
             total += weight
             budgets[r] = instance.budget * (weight / _positive(total))
         return budgets
@@ -108,11 +107,8 @@ class MuStar(_WinnerTakesAll):
     ) -> Distribution:
         top = top_type_participant(instance, participants)
         size = len(participants)
-        dist = {
-            pid: type_favoring_share(self.epsilon, size, False, ONE)
-            for pid in participants
-            if pid != top
-        }
+        share = type_favoring_share(self.epsilon, size, False, ONE)
+        dist = {pid: share for pid in participants if pid != top}
         dist[top] = type_favoring_share(self.epsilon, size, True, ONE)
         return dist
 
@@ -216,12 +212,8 @@ Policy = MuAlpha | MuStar | MuAll | MuEll | FixedWinner  # not typing.Union: see
 
 
 def top_type_participant(instance: Instance, participants: Iterable[PlayerId]) -> PlayerId:
-    """The participant with the largest type; ties broken by smallest id."""
-    types = instance.types()
-    best = None
-    for pid in participants:
-        if best is None or types[pid] > types[best] or (types[pid] == types[best] and pid < best):
-            best = pid
+    """The participant with the largest type, ties to the smallest id (least ``type_order``)."""
+    best = min(participants, key=instance.type_order().__getitem__, default=None)
     if best is None:
         raise ValueError("empty participant set")
     return best
@@ -235,7 +227,7 @@ def type_favoring_share(epsilon: Fraction, size: int, is_top: bool, whole: Fract
     others split ``epsilon`` evenly; a lone participant, or epsilon 0, gives
     the top all of it, with no product to form.
     """
-    if size == 1 or epsilon == 0:
+    if size == 1 or not epsilon:
         return whole if is_top else ZERO
     return whole * (1 - epsilon) if is_top else whole * epsilon / (size - 1)
 

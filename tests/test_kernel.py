@@ -17,10 +17,12 @@ from stakegame import (
     AffineValue,
     FixedWinner,
     IdentityValue,
+    Instance,
     LookaheadSolver,
     MuAll,
     MuAlpha,
     MuStar,
+    Player,
     TableValue,
     brute_force_equilibrium,
     expected_budget,
@@ -104,6 +106,55 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
         assert profile.top[r] == top_type_participant(inst, suffix)
     assert profile.suffix(n + 1) == frozenset()
     assert (profile.d[n + 1], profile.v[n + 1]) == stage_value(inst, stakes, frozenset())
+
+
+# Tied types are common; the fractional ones have coprime denominators.
+TYPES = st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(5, 7),
+     Fraction(3, 11), Fraction(10, 7)]
+)
+
+
+@st.composite
+def typed_instances(draw):
+    """Players in any order, ids not 1..n, and at times one id given twice."""
+    ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
+    players = [Player(id=pid, type_=draw(TYPES)) for pid in ids]
+    if draw(st.booleans()):
+        twin = Player(id=draw(st.sampled_from(ids)), type_=draw(TYPES))
+        players.insert(draw(st.integers(0, len(players))), twin)
+    stakes = {pid: draw(STAKES) for pid in ids}
+    return players, Instance.build(players, stakes, 1, Fraction(1, 2), IdentityValue())
+
+
+def reference_top(players, ids):
+    """The Fraction order: largest type, then smallest id; a twin's first entry counts."""
+    types = {}
+    for p in players:
+        types.setdefault(p.id, p.type_)
+    return max(ids, key=lambda pid: (types[pid], -pid))
+
+
+@given(typed_instances(), st.data())
+def test_the_integer_type_order_matches_the_fraction_order(case, data):
+    players, inst = case
+    profile = RankedProfile(inst.stakes(), inst)
+    for r in range(1, len(profile.ranking) + 1):
+        assert profile.top[r] == reference_top(players, profile.ranking[r - 1 :])
+    ids = data.draw(st.lists(st.sampled_from(sorted(inst.stakes())), min_size=1))
+    assert top_type_participant(inst, iter(ids)) == reference_top(players, ids)
+    with pytest.raises(ValueError, match="empty participant set"):
+        top_type_participant(inst, (pid for pid in ids if pid is None))
+
+
+def test_a_changed_types_map_changes_no_top_type_decision():
+    inst = make_instance([3, 2, 1], [3, 2, 1])
+    inst.types()[3] = Fraction(10)
+    assert inst.types() == {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
+    assert top_type_participant(inst, {1, 2, 3}) == 1
+    assert RankedProfile(inst.stakes(), inst).top[1:4] == [1, 2, 3]
+    with pytest.raises(TypeError):
+        inst.type_order()[3] = -1
 
 
 @given(instances(), POLICIES, st.data())
