@@ -282,23 +282,22 @@ def _scenario_for_value(
         return replace(scenario, policy=MuStar(epsilon=value))
     if parameter == "rounds":
         return replace(scenario, rounds=value)
-    if parameter == "M":
-        if not isinstance(scenario.policy, MuAlpha):
-            raise ScenarioError("sweep M: scenario policy must be mu_alpha")
-        types = {p.id: p.type_ for p in scenario.instance.players}
-        try:
-            state = incumbent_gap_state(scenario.policy.alpha, types, value)
-        except ValueError as exc:  # M <= 0, alpha = 1 or a single player
-            raise ScenarioError(f"sweep M: {exc}") from None
-        instance = Instance.build(
-            players=scenario.instance.players,
-            initial_stakes=state.stake_dict(),
-            budget=scenario.instance.budget,
-            tau_threshold=scenario.instance.tau_threshold,
-            value_function=scenario.instance.value_function,
-        )
-        return replace(scenario, instance=instance)
-    raise ScenarioError(f"sweep: unknown parameter {parameter!r}")
+    # parameter == "M": argparse admits only the keys of _SWEEP_VALUE
+    if not isinstance(scenario.policy, MuAlpha):
+        raise ScenarioError("sweep M: scenario policy must be mu_alpha")
+    types = {p.id: p.type_ for p in scenario.instance.players}
+    try:
+        state = incumbent_gap_state(scenario.policy.alpha, types, value)
+    except ValueError as exc:  # M <= 0, alpha = 1 or a single player
+        raise ScenarioError(f"sweep M: {exc}") from None
+    instance = Instance.build(
+        players=scenario.instance.players,
+        initial_stakes=state.stake_dict(),
+        budget=scenario.instance.budget,
+        tau_threshold=scenario.instance.tau_threshold,
+        value_function=scenario.instance.value_function,
+    )
+    return replace(scenario, instance=instance)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

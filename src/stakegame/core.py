@@ -183,7 +183,11 @@ class Instance:
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One executed round: stakes, participants, index, value, winner, rewards."""
+    """One executed round: stakes, participants, index, value, winner, rewards.
+
+    ``rewards`` lists only the players the round paid, as (id, reward) pairs
+    in id order: empty when nobody was paid.
+    """
 
     round: int
     stakes_before: Tuple[Tuple[PlayerId, Fraction], ...]

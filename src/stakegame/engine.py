@@ -19,7 +19,6 @@ import csv
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
@@ -34,9 +33,6 @@ from .policies import (
     point_mass_winner,
     top_type_participant,
 )
-
-
-PairTuple = Tuple[Tuple[PlayerId, Fraction], ...]
 
 
 @dataclass
@@ -56,32 +52,6 @@ class Trace:
         if not self.records:
             return self.instance.stakes()
         return dict(self.records[-1].stakes_after)
-
-
-@lru_cache(maxsize=4096)
-def _zero_pair(pid: PlayerId) -> Tuple[PlayerId, Fraction]:
-    return (pid, ZERO)
-
-
-def _shared(
-    values: Dict[PlayerId, Fraction], previous: Optional[PairTuple]
-) -> PairTuple:
-    """``values`` as sorted (id, value) pairs, reusing equal pairs of ``previous``.
-
-    A trace keeps every round, so consecutive records share what did not
-    change: the whole tuple when nothing did, else each unchanged pair.  Most
-    rewards are zero, and a zero pair is the one :func:`_zero_pair` keeps per
-    player id, so every trace shares it.
-    """
-    fresh = tuple(sorted(values.items()))
-    if fresh == previous:
-        return previous
-    if previous is None or len(previous) != len(fresh):
-        previous = (None,) * len(fresh)
-    return tuple(
-        old if old == new else new if new[1] else _zero_pair(new[0])
-        for old, new in zip(previous, fresh)
-    )
 
 
 class Runner:
@@ -119,7 +89,6 @@ class Runner:
         if isinstance(policy, MuEll):
             self._shadow = (LookaheadSolver(instance, MuStar(), horizon_cap), instance.stakes())
             self._shadow_step()
-        self.round = 0
         self.trace = Trace(instance, policy, behavior, mode, seed)
 
     def _shadow_step(self) -> PlayerId:
@@ -145,7 +114,6 @@ class Runner:
         return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(stakes, {})
 
     def step(self) -> RoundRecord:
-        self.round += 1
         stage = self.policy if self._shadow is None else FixedWinner(self._shadow_step())
         last = self.trace.records[-1] if self.trace.records else None
         before = last.stakes_after if last else self.instance.initial_stakes
@@ -166,19 +134,25 @@ class Runner:
         if winner is None and self.mode == "sampled":
             winner = draw_winner(dist, stakes, Fraction(self._rng.random()))
             dist = {winner: ONE}
-        rewards = dict.fromkeys(stakes, ZERO)
-        rewards.update(stage.payout(self.instance, participants, dist))
-
-        stakes = {pid: s + rewards[pid] if rewards[pid] else s for pid, s in stakes.items()}
+        paid = stage.payout(self.instance, participants, dist)
+        rewards = tuple(sorted(paid.items()))
+        if last is not None and rewards == last.rewards:
+            rewards = last.rewards
+        # an unpaid player's pair carries over as it is
+        after = before
+        if paid:
+            after = tuple(
+                (pair[0], pair[1] + paid[pair[0]]) if pair[0] in paid else pair for pair in before
+            )
         record = RoundRecord(
-            round=self.round,
+            round=len(self.trace.records) + 1,
             stakes_before=before,
             participants=participants,
             d=d,
             v=v,
             winner=winner,
-            rewards=_shared(rewards, last and last.rewards),
-            stakes_after=_shared(stakes, before),
+            rewards=rewards,
+            stakes_after=after,
         )
         self.trace.records.append(record)
         return record
@@ -275,7 +249,7 @@ def trace_rows(trace: Trace) -> List[List[str]]:
                 str(rec.v),
                 "" if rec.winner is None else str(rec.winner),
             ]
-            + [str(rewards[pid]) for pid in ids]
+            + [str(rewards.get(pid, ZERO)) for pid in ids]
         )
     return rows
 

@@ -129,7 +129,8 @@ def check_decentralization_axioms(
                 d_reduced = evaluate(reduced)
                 if d_reduced is not None and d < d_reduced:
                     report.removal_violations.append(
-                        f"d{multiset} = {d} >= d(minus max) = {without_top} "
+                        f"d({', '.join(map(str, multiset))}) = {d} "
+                        f">= d(minus max) = {without_top} "
                         f"but d(minus {multiset[idx]}) = {d_reduced}"
                     )
     # default: no multiset could be evaluated (e.g. an all-zero grid)
@@ -137,7 +138,7 @@ def check_decentralization_axioms(
     for multiset, d in singleton_values:
         if d > minimum:
             report.singleton_violations.append(
-                f"singleton {multiset} has value {d} > enumeration minimum {minimum}"
+                f"singleton ({multiset[0]}) has value {d} > enumeration minimum {minimum}"
             )
     return report
 

@@ -253,9 +253,8 @@ def sybil_proofness_condition(
     """
     if profiles is None:
         profiles = [instance.stakes()]
-    by_type = sorted(
-        instance.ids, key=lambda pid: (-instance.player(pid).type_, pid)
-    )
+    order = instance.type_order()
+    by_type = sorted(order, key=order.__getitem__)
     report = SybilConditionReport()
     for profile in profiles:
         for idx, pid in enumerate(by_type):

@@ -315,6 +315,24 @@ class TestSweep:
         share_1 = Fraction(rows["1/2"][1])
         assert abs(share_1 - w[1]) < Fraction(1, 100)
 
+    def test_epsilon_sweep(self, capsys, tmp_path):
+        out_dir = tmp_path / "sweep"
+        code, _ = run_cli(
+            capsys, "sweep", "example1-myopic",
+            "--parameter", "epsilon", "--values", "0,1/10",
+            "--output-dir", str(out_dir),
+        )
+        assert code == 0
+        with open(out_dir / "summary.csv") as fh:
+            rows = list(csv.reader(fh))
+        # epsilon 0 is the builtin itself: final stakes 5, 2, 1
+        assert rows == [
+            ["epsilon", "share_1", "share_2", "share_3", "min_d"],
+            ["0", "5/8", "1/4", "1/8", "1"],
+            ["1/10", "23/40", "21/80", "13/80", "1"],
+        ]
+        assert (out_dir / "trace_epsilon_1_10.csv").exists()
+
     def test_empty_values_rejected(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "sweep", "example1-myopic",
@@ -405,6 +423,10 @@ MALFORMED_OPTIONS = {
     "sweep rounds not an integer": (
         ["sweep", "--parameter", "rounds", "--values", "5/2"], TWO_PLAYERS),
     "sweep M 0": (["sweep", "--parameter", "M", "--values", "0"], MU_ALPHA),
+    "sweep alpha on mu_star": (["sweep", "--parameter", "alpha", "--values", "1/2"], TWO_PLAYERS),
+    "sweep epsilon on mu_alpha": (
+        ["sweep", "--parameter", "epsilon", "--values", "1/10"], MU_ALPHA),
+    "sweep M on mu_star": (["sweep", "--parameter", "M", "--values", "10"], TWO_PLAYERS),
     "sweep alpha repeated value": (
         ["sweep", "--parameter", "alpha", "--values", "1/2,0.5"], MU_ALPHA),
     "verify grid not a number": (["verify", "axioms", "--grid", "foo"], None),

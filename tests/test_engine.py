@@ -70,8 +70,8 @@ class TestRunner:
         inst = make_instance([3, 2, 1], [9, 1, 1])
         trace = run(inst, MuEll(), rounds=1)
         rec = trace.records[0]
-        if rec.winner not in rec.participants:
-            assert all(v == 0 for _, v in rec.rewards)
+        assert rec.winner not in rec.participants
+        assert rec.rewards == ()
 
     @pytest.mark.parametrize("mode", ["expected", "sampled"])
     def test_absent_fixed_winner_is_recorded_and_pays_nobody(self, mode):
@@ -80,19 +80,21 @@ class TestRunner:
         rec = Runner(inst, FixedWinner(1), mode=mode, seed=0).step()
         assert rec.participants == frozenset({2, 3})
         assert rec.winner == 1
-        assert all(v == 0 for _, v in rec.rewards)
+        assert rec.rewards == ()
         assert dict(rec.stakes_after) == inst.stakes()
 
-    def test_traces_share_zero_reward_pairs(self, three_player_instance):
-        # a trace stores every player's reward each round, mostly zeros: one
-        # (id, 0) pair per player serves every record of every trace
-        first, second = (run(three_player_instance, MuStar(), rounds=4) for _ in range(2))
-        zeros = [
-            pair for trace in (first, second) for rec in trace.records for pair in rec.rewards
-            if pair[1] == 0
-        ]
-        assert len(zeros) == 16
-        assert len({id(pair) for pair in zeros}) == len({pair[0] for pair in zeros}) == 3
+    def test_records_store_only_what_was_paid(self, three_player_instance):
+        inst = three_player_instance
+        records = run(inst, MuStar(), rounds=2).records
+        for rec in records:
+            assert rec.rewards == ((rec.winner, inst.budget),)
+        # player 2 goes unpaid in both rounds: one pair object serves throughout
+        assert records[0].stakes_before[1] is records[0].stakes_after[1]
+        assert records[0].stakes_after[1] is records[1].stakes_after[1]
+        # the designated winner sits out: nothing paid, the stakes carry over
+        absent = Runner(make_instance([3, 5, 3], [8, 1, 1]), FixedWinner(1)).step()
+        assert absent.rewards == ()
+        assert absent.stakes_after is absent.stakes_before
 
 
 class TestMonitors:
@@ -108,6 +110,18 @@ class TestMonitors:
         # rounds 3, 5, 7, 9 each exclude at least one prior participant
         assert report.exclusion_rounds == 4
         assert report.good_recovery
+
+    def test_index_drop_during_exclusion_is_a_recovery_violation(self, three_player_instance):
+        trace = run(three_player_instance, MuStar(), behavior="lookahead", rounds=4)
+        # round 3 excludes player 1; make the full-profile index fall 2 -> 1
+        trace.records[2] = dataclasses.replace(
+            trace.records[2],
+            stakes_before=((1, Fraction(1)), (2, Fraction(1)), (3, Fraction(1))),
+            stakes_after=((1, Fraction(3)), (2, Fraction(1)), (3, Fraction(1))),
+        )
+        report = monitor_properties(trace)
+        assert report.recovery_violations == [(3, 2, 1)]
+        assert not report.good_recovery and not report.ok
 
     def test_budget_conservation_checked(self, three_player_instance):
         trace = run(three_player_instance, MuStar(), rounds=3)

@@ -2,9 +2,11 @@
 
 They cover the paths the worked-example tables do not: sampled mode under
 ``MuAlpha`` and under ``MuStar`` with epsilon > 0 (fractional stakes, tied
-stakes, tau other than 1/2), and one 16-player lookahead trajectory shaped
-like the ``lookahead_n16`` benchmark workload.  A change to the solvers or
-the engine that is meant to be exact must leave every file unchanged.
+stakes, tau other than 1/2), ``MuAll`` in expected mode (several players
+paid per round, a costly player sitting out the first rounds), and one
+16-player lookahead trajectory shaped like the ``lookahead_n16`` benchmark
+workload.  A change to the solvers or the engine that is meant to be exact
+must leave every file unchanged.
 
 Regenerate the files only when trajectories are meant to change::
 
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from stakegame import MuAlpha, MuStar, run, trace_rows
+from stakegame import MuAll, MuAlpha, MuStar, run, trace_rows
 
 from conftest import make_instance
 
@@ -46,6 +48,15 @@ def sampled_mu_star_epsilon():
     )
 
 
+def mu_all():
+    inst = make_instance(
+        [5, 3, 5, 1, 5],
+        [2, Fraction(1, 2), 7, 1, 1],
+        costs=[0, 0, Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)],
+    )
+    return run(inst, MuAll(), rounds=12)
+
+
 def lookahead_n16():
     rng = random.Random(20240)
     types = [rng.randint(1, 32) for _ in range(16)]
@@ -57,6 +68,7 @@ GOLDEN = {
     "sampled_mu_alpha.csv": sampled_mu_alpha,
     "sampled_mu_star_epsilon.csv": sampled_mu_star_epsilon,
     "lookahead_n16.csv": lookahead_n16,
+    "mu_all.csv": mu_all,
 }
 
 

@@ -94,6 +94,20 @@ class TestAxioms:
         assert not report.ok
         assert report.singleton_violations
 
+    def test_violations_render_multisets_as_rationals(self):
+        # a stake of 1 anywhere keeps the measure at 1; without one it reads 2
+        report = check_decentralization_axioms(
+            lambda ms: 1 if min(ms) == 1 else 2, 3, [1, 2, 3]
+        )
+        assert report.singleton_violations == [
+            "singleton (2) has value 2 > enumeration minimum 1",
+            "singleton (3) has value 2 > enumeration minimum 1",
+        ]
+        assert report.removal_violations == [
+            f"d({ms}) = 1 >= d(minus max) = 1 but d(minus 1) = 2"
+            for ms in ("1, 2", "1, 3", "1, 2, 2", "1, 2, 3", "1, 3, 3")
+        ]
+
     def test_n_max_guard(self):
         with pytest.raises(ValueError):
             check_decentralization_axioms(tau_index_measure("1/2"), 1, [1])

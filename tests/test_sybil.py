@@ -139,6 +139,15 @@ class TestProofnessCondition:
         assert entry.player == 1
         assert entry.preferred.top_part[1] > 2
 
+    def test_last_in_type_order_passes_vacuously(self):
+        # only the lowest type, player 3, is harmed; nobody follows it
+        inst = make_instance([4, 3, 2], [1, 1, 3])
+        report = sybil_proofness_condition(inst, MuStar(), Fraction(1, 2), 3)
+        assert report.checked == 3
+        [entry] = report.entries
+        assert (entry.player, entry.next_player, entry.satisfied) == (3, None, True)
+        assert report.satisfied
+
     def test_single_player_vacuous(self):
         inst = make_instance([3], [5])
         report = sybil_proofness_condition(inst, MuEll(), 1, 2)
