@@ -42,13 +42,6 @@ from .scenarios import (
 from .sybil import max_sybil_gain, sybil_proofness_condition
 from .virtualstake import VirtualStakeState, check_invariance, incumbent_gap_state
 
-GOLDEN_FILES = {
-    "example1-myopic": "table_myopic.csv",
-    "example2-lookahead": "table_lookahead.csv",
-    "example3-muell": "table_simulating.csv",
-}
-
-
 def _load_golden(filename: str) -> List[List[str]]:
     ref = resources.files("stakegame").joinpath("data").joinpath(filename)
     with ref.open() as fh:
@@ -98,12 +91,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_paper_tables(args: argparse.Namespace) -> Dict[str, object]:
+def _verify_paper_tables(opts: argparse.Namespace) -> Dict[str, object]:
     mismatches = []
-    for name, filename in GOLDEN_FILES.items():
-        scenario = builtin_scenario(name)
-        rows = trace_rows(_run_scenario(scenario))
-        golden = _load_golden(filename)
+    for name in BUILTIN_SCENARIOS:
+        rows = trace_rows(_run_scenario(builtin_scenario(name)))
+        golden = _load_golden(f"{name}.csv")
         if rows != golden:
             for i, (got, want) in enumerate(zip(rows, golden)):
                 if got != want:
@@ -112,47 +104,34 @@ def _verify_paper_tables(args: argparse.Namespace) -> Dict[str, object]:
                 mismatches.append(
                     {"trace": name, "rows": len(rows), "expected": len(golden)}
                 )
-    return {"suite": "paper_tables", "traces": len(GOLDEN_FILES), "mismatches": mismatches,
+    return {"suite": "paper_tables", "traces": len(BUILTIN_SCENARIOS), "mismatches": mismatches,
             "ok": not mismatches}
 
 
-def _verify_axioms(args: argparse.Namespace) -> Dict[str, object]:
-    grid = [_number(x, "verify axioms --grid") for x in args.grid.split(",")]
-    # a negative stake has no tau index, and an all-zero multiset is skipped
-    for x in grid:
-        if x < 0:
-            raise ScenarioError(f"verify axioms --grid: must be >= 0, got {x}")
-    if not any(grid):
-        raise ScenarioError("verify axioms --grid: needs a positive entry")
-    taus = [_open_unit_interval(x, "verify axioms --tau") for x in args.tau.split(",")]
+def _verify_axioms(opts: argparse.Namespace) -> Dict[str, object]:
     violations = []
     checked = 0
-    for tau in taus:
-        try:
-            report = check_decentralization_axioms(tau_index_measure(tau), args.n_max, grid)
-        except ValueError as exc:  # the checker's own argument checks
-            raise ScenarioError(f"verify axioms: {exc}") from None
+    for tau in opts.taus:
+        report = check_decentralization_axioms(tau_index_measure(tau), opts.n_max, opts.grid)
         checked += report.checked
         violations.extend(f"tau={tau}: {v}" for v in report.violations)
     return {"suite": "axioms", "checked": checked, "violations": violations,
             "ok": not violations}
 
 
-def _verify_invariance(args: argparse.Namespace) -> Dict[str, object]:
-    triples = _at_least_one(args.triples, "verify invariance --triples")
-    steps = _at_least_one(args.steps, "verify invariance --steps")
-    rng = random.Random(args.seed)
+def _verify_invariance(opts: argparse.Namespace) -> Dict[str, object]:
+    rng = random.Random(opts.seed)
     failures = []
-    for trial in range(triples):
+    for trial in range(opts.triples):
         n = rng.randint(2, 5)
         alpha = Fraction(rng.randint(0, 8), 8)
         types = {i + 1: Fraction(rng.randint(1, 9)) for i in range(n)}
         stakes = {i + 1: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for i in range(n)}
         state = VirtualStakeState.build(alpha, types, stakes)
-        report = check_invariance(state, steps)
+        report = check_invariance(state, opts.steps)
         if not report.ok:
             failures.append({"trial": trial, "alpha": str(alpha)})
-    return {"suite": "invariance", "triples": triples, "steps": steps,
+    return {"suite": "invariance", "triples": opts.triples, "steps": opts.steps,
             "failures": failures, "ok": not failures}
 
 
@@ -172,7 +151,7 @@ def _sybil_fixture() -> Instance:
     )
 
 
-def _verify_sybil(args: argparse.Namespace) -> Dict[str, object]:
+def _verify_sybil(opts: argparse.Namespace) -> Dict[str, object]:
     granularity = Fraction(1, 4)
     max_parts = 3
     instance = _sybil_fixture()
@@ -205,11 +184,10 @@ def _verify_sybil(args: argparse.Namespace) -> Dict[str, object]:
             "problems": problems, "ok": not problems}
 
 
-def _verify_oracle(args: argparse.Namespace) -> Dict[str, object]:
-    instances = _at_least_one(args.instances, "verify oracle --instances")
-    rng = random.Random(args.seed)
+def _verify_oracle(opts: argparse.Namespace) -> Dict[str, object]:
+    rng = random.Random(opts.seed)
     mismatches = []
-    for trial in range(instances):
+    for trial in range(opts.instances):
         n = rng.randint(2, 5)
         players = [Player(id=i + 1, type_=Fraction(rng.randint(1, 6))) for i in range(n)]
         # stakes >= 3 keep the value drop per index level above one round's
@@ -229,7 +207,7 @@ def _verify_oracle(args: argparse.Namespace) -> Dict[str, object]:
                 "solver": sorted(eq),
                 "oracle": [sorted(s) for s in oracle],
             })
-    return {"suite": "oracle", "instances": instances,
+    return {"suite": "oracle", "instances": opts.instances,
             "mismatches": mismatches, "ok": not mismatches}
 
 
@@ -242,8 +220,30 @@ _VERIFY = {
 }
 
 
+def _verify_options(args: argparse.Namespace) -> argparse.Namespace:
+    """Every verify option, read and checked whichever suite runs."""
+    grid = [_number(x, "verify --grid") for x in args.grid.split(",")]
+    # a negative stake has no tau index, and an all-zero multiset is skipped
+    for x in grid:
+        if x < 0:
+            raise ScenarioError(f"verify --grid: must be >= 0, got {x}")
+    if not any(grid):
+        raise ScenarioError("verify --grid: needs a positive entry")
+    if args.n_max < 2:
+        raise ScenarioError(f"verify --n-max: must be >= 2, got {args.n_max}")
+    return argparse.Namespace(
+        grid=grid,
+        taus=[_open_unit_interval(x, "verify --tau") for x in args.tau.split(",")],
+        n_max=args.n_max,
+        triples=_at_least_one(args.triples, "verify --triples"),
+        steps=_at_least_one(args.steps, "verify --steps"),
+        instances=_at_least_one(args.instances, "verify --instances"),
+        seed=args.seed,
+    )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = _VERIFY[args.suite](args)
+    report = _VERIFY[args.suite](_verify_options(args))
     print(json.dumps(report))
     return 0 if report["ok"] else 1
 
@@ -285,19 +285,11 @@ def _scenario_for_value(
     # parameter == "M": argparse admits only the keys of _SWEEP_VALUE
     if not isinstance(scenario.policy, MuAlpha):
         raise ScenarioError("sweep M: scenario policy must be mu_alpha")
-    types = {p.id: p.type_ for p in scenario.instance.players}
     try:
-        state = incumbent_gap_state(scenario.policy.alpha, types, value)
+        state = incumbent_gap_state(scenario.policy.alpha, scenario.instance.types(), value)
     except ValueError as exc:  # M <= 0, alpha = 1 or a single player
         raise ScenarioError(f"sweep M: {exc}") from None
-    instance = Instance.build(
-        players=scenario.instance.players,
-        initial_stakes=state.stake_dict(),
-        budget=scenario.instance.budget,
-        tau_threshold=scenario.instance.tau_threshold,
-        value_function=scenario.instance.value_function,
-    )
-    return replace(scenario, instance=instance)
+    return replace(scenario, instance=replace(scenario.instance, initial_stakes=state.stakes))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -50,6 +50,11 @@ class Player:
 StakeProfile = Mapping[PlayerId, Fraction]
 
 
+def virtual_stake(alpha: Fraction, type_: Fraction, stake: Fraction) -> Fraction:
+    """The interpolated selection weight ``alpha * type + (1 - alpha) * stake``."""
+    return alpha * type_ + (1 - alpha) * stake
+
+
 def rank(stakes: StakeProfile) -> Tuple[PlayerId, ...]:
     """Player ids in weakly decreasing stake order, equal stakes by ascending id.
 

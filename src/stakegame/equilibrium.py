@@ -507,16 +507,14 @@ def threshold(trace) -> Threshold:
     in her own suffix of that round's ranking; the value recorded is the
     token value of the full stake profile at that round.  The trajectory is
     the trace's own, whatever behavior and mode produced it.  Simulating
-    rounds are judged under their resolved fixed winner and skipped when it
-    is unknown.  Players never harmful get the plus-infinity sentinel.
+    rounds are judged under the fixed winner each round recorded.  Players
+    never harmful get the plus-infinity sentinel.
     """
     instance = trace.instance
     mins: Dict[PlayerId, Optional[Fraction]] = {pid: None for pid in instance.stakes()}
     for record in trace.records:
         stage = trace.policy
         if isinstance(stage, MuEll):
-            if record.winner is None:
-                continue
             stage = FixedWinner(record.winner)
         profile = RankedProfile(dict(record.stakes_before), instance)
         v_full = profile.v[1]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence
 
-from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank
+from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank, virtual_stake
 
 
 Distribution = Dict[PlayerId, Fraction]
@@ -69,14 +69,12 @@ def _positive(total: Fraction) -> Fraction:
 class MuAlpha(_WinnerTakesAll):
     alpha: Fraction
 
-    def _weight(self, type_: Fraction, stake: Fraction) -> Fraction:
-        return self.alpha * type_ + (1 - self.alpha) * stake
-
     def distribution(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
         weights = {
-            pid: self._weight(instance.player(pid).type_, stakes[pid]) for pid in participants
+            pid: virtual_stake(self.alpha, instance.player(pid).type_, stakes[pid])
+            for pid in participants
         }
         total = _positive(sum(weights.values()))
         return {pid: w / total for pid, w in weights.items()}
@@ -89,7 +87,7 @@ class MuAlpha(_WinnerTakesAll):
         total = ZERO
         for r in range(len(ranking), 0, -1):
             pid = ranking[r - 1]
-            weight = self._weight(instance.player(pid).type_, stakes[pid])
+            weight = virtual_stake(self.alpha, instance.player(pid).type_, stakes[pid])
             total += weight
             budgets[r] = instance.budget * (weight / _positive(total))
         return budgets

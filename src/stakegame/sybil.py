@@ -1,11 +1,12 @@
 """Sybil splits: enumeration, recovery splits, and the proofness condition.
 
 A player may split herself into parts whose stakes and types sum to at most
-her own (each part keeps type >= 1).  The winner-take-all type-favoring
-policy resists this when, for every profile harmful to a player, the best
-recovery split she can build has a top part that still loses the type
-comparison against the next player; the all-pay policy fails trivially
-because every extra identity earns an extra equal share.
+her own (each part keeps type >= 1).  Each part is an identity that
+participates, so each pays the owner's per-round cost.  The winner-take-all
+type-favoring policy resists this when, for every profile harmful to a
+player, the best recovery split she can build has a top part that still
+loses the type comparison against the next player; the all-pay policy fails
+trivially because every extra identity earns an extra equal share.
 
 Real-valued splits cannot be searched exhaustively, so everything here works
 on a granularity grid: the condition check is exact at grid resolution and
@@ -14,11 +15,12 @@ the gain search is a falsifier, not a prover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Instance, Player, PlayerId, ScalarLike, StakeProfile, scalar
+from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar
 from .equilibrium import _priced_myopic, _priced_utility, is_harmful
 from .policies import MuEll, MuStar, Policy
 
@@ -139,22 +141,17 @@ def _stage(policy: Policy) -> Policy:
 def split_instance(
     instance: Instance, stakes: StakeProfile, split: SybilSplit
 ) -> Tuple[Instance, StakeProfile, List[PlayerId]]:
-    """Replace the owner by the split's parts; parts get fresh ids."""
-    next_id = max(instance.ids) + 1
-    players = [p for p in instance.players if p.id != split.owner]
-    new_stakes = {pid: stakes[pid] for pid in stakes if pid != split.owner}
-    part_ids = []
-    for s, t in split.parts:
-        players.append(Player(id=next_id, type_=t))
-        new_stakes[next_id] = s
-        part_ids.append(next_id)
-        next_id += 1
-    new_instance = Instance.build(
-        players=players,
-        initial_stakes=new_stakes,
-        budget=instance.budget,
-        tau_threshold=instance.tau_threshold,
-        value_function=instance.value_function,
+    """Replace the owner by the split's parts; parts get fresh ids and her cost."""
+    owner = instance.player(split.owner)
+    first = max(instance.ids) + 1
+    part_ids = list(range(first, first + len(split.parts)))
+    parts = [replace(owner, id=pid, type_=t) for pid, (_, t) in zip(part_ids, split.parts)]
+    new_stakes = {pid: s for pid, s in stakes.items() if pid != split.owner}
+    new_stakes.update(zip(part_ids, (s for s, _ in split.parts)))
+    new_instance = replace(
+        instance,
+        players=tuple(p for p in instance.players if p.id != split.owner) + tuple(parts),
+        initial_stakes=tuple(sorted(new_stakes.items())),
     )
     return new_instance, new_stakes, part_ids
 
@@ -195,17 +192,11 @@ def preferred_recovery_sybils(
     candidates = enumerate_splits(
         owner, stakes, instance.types(), granularity, max_parts, full_stake=True
     )
-    best: Optional[SybilSplit] = None
-    for split in candidates:
-        if not is_recovery_sybils(split, stakes, instance, policy):
-            continue
-        if best is None:
-            best = split
-            continue
-        cand_key = (split.top_part[1], split.top_part[0], split.parts)
-        best_key = (best.top_part[1], best.top_part[0], best.parts)
-        if cand_key > best_key:
-            best = split
+    best = max(
+        (split for split in candidates if is_recovery_sybils(split, stakes, instance, policy)),
+        key=lambda split: (split.top_part[1], split.top_part[0], split.parts),
+        default=None,
+    )
     if best is None:
         raise ValueError(
             f"no recovery split for player {owner} on the granularity {granularity} grid"
@@ -343,10 +334,5 @@ def max_sybil_gain(
         raise ValueError("no splits on the grid")
     stage = _stage(policy)
     original = _original_utility(owner, stakes, instance, stage)
-    best_gain: Optional[Fraction] = None
-    best_split: Optional[SybilSplit] = None
-    for split in splits:
-        gain = _parts_utility(split, stakes, instance, stage) - original
-        if best_gain is None or gain > best_gain:
-            best_gain, best_split = gain, split
-    return best_gain, best_split
+    gains = ((_parts_utility(split, stakes, instance, stage) - original, split) for split in splits)
+    return max(gains, key=itemgetter(0))

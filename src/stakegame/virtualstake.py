@@ -19,16 +19,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .core import IdentityValue, Instance, Player, PlayerId, ScalarLike, scalar
+from .core import IdentityValue, Instance, Player, PlayerId, ScalarLike, rank, scalar, virtual_stake
 
 
 @dataclass(frozen=True)
 class VirtualStakeState:
-    """Snapshot of the interpolated dynamics: alpha, fixed types, current stakes."""
+    """Snapshot of the interpolated dynamics: alpha, fixed types, current stakes.
+
+    The stake and weight totals are summed once, when the state is built.
+    """
 
     alpha: Fraction
     types: Tuple[Tuple[PlayerId, Fraction], ...]
     stakes: Tuple[Tuple[PlayerId, Fraction], ...]
+    total_stakes: Fraction = field(init=False, compare=False, repr=False)
+    total_weight: Fraction = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        stakes = sum(s for _, s in self.stakes)
+        weight = virtual_stake(self.alpha, sum(t for _, t in self.types), stakes)
+        object.__setattr__(self, "total_stakes", stakes)
+        object.__setattr__(self, "total_weight", weight)
 
     @staticmethod
     def build(
@@ -54,35 +65,13 @@ class VirtualStakeState:
         return dict(self.stakes)
 
     def weights(self) -> Dict[PlayerId, Fraction]:
-        t = self.type_dict()
         s = self.stake_dict()
-        return {pid: self.alpha * t[pid] + (1 - self.alpha) * s[pid] for pid in t}
-
-    @property
-    def total_types(self) -> Fraction:
-        return sum(t for _, t in self.types)
-
-    @property
-    def total_stakes(self) -> Fraction:
-        return sum(s for _, s in self.stakes)
-
-    @property
-    def total_weight(self) -> Fraction:
-        return self.totals()[1]
-
-    def totals(self) -> Tuple[Fraction, Fraction]:
-        """(total stake, total weight), summing the stakes and the types once."""
-        stakes = self.total_stakes
-        return stakes, self.alpha * self.total_types + (1 - self.alpha) * stakes
+        return {pid: virtual_stake(self.alpha, t, s[pid]) for pid, t in self.types}
 
 
 def selection_probabilities(state: VirtualStakeState) -> Dict[PlayerId, Fraction]:
     """w_i = p_i / W; exact, sums to 1."""
-    return _probabilities(state, state.total_weight)
-
-
-def _probabilities(state: VirtualStakeState, total: Fraction) -> Dict[PlayerId, Fraction]:
-    """:func:`selection_probabilities` with the state's total weight known."""
+    total = state.total_weight
     if total <= 0:
         raise ValueError("total virtual stake must be positive")
     return {pid: p / total for pid, p in state.weights().items()}
@@ -125,26 +114,23 @@ def check_invariance(state: VirtualStakeState, steps: int) -> InvarianceReport:
     Probabilities stay at their initial values; the stake total grows by 1
     per round and the weight total by 1 - alpha.  Everything is compared for
     exact rational equality, so a single break is a real counterexample.
-    Each state's totals are summed once, from its own stakes and types.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     report = InvarianceReport(steps=steps)
-    stake_total, weight_total = state.totals()
-    reference = probs = _probabilities(state, weight_total)
+    reference = probs = selection_probabilities(state)
     current = state
     for step in range(1, steps + 1):
         nxt = _advance(current, probs)
-        next_stakes, next_weight = nxt.totals()
         # the vector checked here is the one the next step advances by
-        probs = _probabilities(nxt, next_weight)
+        probs = selection_probabilities(nxt)
         if probs != reference:
             report.probability_breaks.append(step)
-        if next_stakes != stake_total + 1:
+        if nxt.total_stakes != current.total_stakes + 1:
             report.stake_recurrence_breaks.append(step)
-        if next_weight != weight_total + (1 - state.alpha):
+        if nxt.total_weight != current.total_weight + (1 - state.alpha):
             report.weight_recurrence_breaks.append(step)
-        current, stake_total, weight_total = nxt, next_stakes, next_weight
+        current = nxt
     return report
 
 
@@ -170,7 +156,7 @@ def incumbent_gap_state(
     ts = {pid: scalar(t) for pid, t in types.items()}
     if len(ts) < 2:
         raise ValueError("need at least two players")
-    top = max(ts, key=lambda pid: (ts[pid], -pid))
+    top = rank(ts)[0]
     stakes = {
         pid: Fraction(1) if pid == top else a * (ts[top] - ts[pid]) / (1 - a) + m
         for pid in ts
@@ -219,15 +205,13 @@ def sampled_win_frequencies(
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    types = state.type_dict()
-    stakes = sorted(state.stakes)
-    order = [pid for pid, _ in stakes]
-    alpha = state.alpha
-    weights = [alpha * types[pid] + (1 - alpha) * s for pid, s in stakes]
+    start = state.weights()
+    order = sorted(start)
+    weights = [start[pid] for pid in order]
     total = state.total_weight
     if total <= 0:
         raise ValueError("total virtual stake must be positive")
-    growth = 1 - alpha
+    growth = 1 - state.alpha
     rng = random.Random(seed)
     wins = [0] * len(order)
     last = len(order) - 1

@@ -441,6 +441,12 @@ MALFORMED_OPTIONS = {
     "verify steps negative": (["verify", "invariance", "--steps", "-1"], None),
     "verify steps 0": (["verify", "invariance", "--steps", "0"], None),
     "verify instances negative": (["verify", "oracle", "--instances", "-1"], None),
+    # every option is checked, whichever suite runs
+    "verify sybil triples 0": (["verify", "sybil", "--triples", "0"], None),
+    "verify sybil n-max 1": (["verify", "sybil", "--n-max", "1"], None),
+    "verify paper_tables grid negative": (["verify", "paper_tables", "--grid=-1"], None),
+    "verify oracle tau above 1": (["verify", "oracle", "--tau", "5"], None),
+    "verify axioms instances not a number": (["verify", "axioms", "--instances", "x"], None),
 }
 
 

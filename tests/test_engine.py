@@ -24,6 +24,12 @@ class TestRunner:
         with pytest.raises(TypeError):
             run(three_player_instance, MuStar())
 
+    def test_final_stakes_before_any_round(self, three_player_instance):
+        inst = three_player_instance
+        trace = Runner(inst, MuStar()).trace
+        assert trace.rounds == 0
+        assert trace.final_stakes() == inst.stakes()
+
     def test_step_by_step_matches_run(self, three_player_instance):
         inst = three_player_instance
         runner = Runner(inst, MuStar())

@@ -120,6 +120,21 @@ class TestMyopicEquilibrium:
         assert sorted(ranks) == list(range(1, inst.n + 1))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda stakes, inst: myopic_equilibrium(stakes, inst, MuStar()),
+    lambda stakes, inst: LookaheadSolver(inst, MuStar()).solve(stakes),
+], ids=["myopic", "lookahead"])
+@pytest.mark.parametrize("tau, stakes, message", [
+    (Fraction(1), {1: 1, 2: 1}, r"tau must lie in \(0, 1\), got 1"),
+    (Fraction(1, 2), {1: -1, 2: 2}, "negative stake"),
+    (Fraction(1, 2), {1: 0, 2: 0}, "all stakes are zero"),
+], ids=["tau 1", "negative stake", "all stakes zero"])
+def test_solvers_reject_a_profile_with_no_index(solve, tau, stakes, message):
+    inst = make_instance([2, 1], [1, 1], tau=tau)
+    with pytest.raises(ValueError, match=message):
+        solve({pid: Fraction(s) for pid, s in stakes.items()}, inst)
+
+
 class TestLookahead:
     def test_planning_exit_round_five(self):
         # the two larger players sit out so the smallest can catch up

@@ -149,6 +149,12 @@ class TestDrawWinner:
         assert draw_winner(dist, stakes, Fraction(3, 4)) == 3
         assert draw_winner(dist, stakes, Fraction(999, 1000)) == 3
 
+    def test_u_of_one_falls_to_the_last_participant_in_rank_order(self):
+        # player 3 ranks last but sits out, so the last participant is 2
+        stakes = {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
+        dist = {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert draw_winner(dist, stakes, Fraction(1)) == 2
+
 
 class TestMuEllShadow:
     def test_winner_sequence_is_shifted_lookahead(self, inst):

@@ -122,6 +122,22 @@ class TestRoundTrip:
         assert loaded == sc
         assert loaded.policy == policy
 
+    @pytest.mark.parametrize("value_function", [
+        {"kind": "identity"},
+        {"kind": "affine", "slope": "3/2", "intercept": "1/4"},
+        {"kind": "table", "values": {"1": "1", "2": "5/2"}},
+    ], ids=lambda vf: vf["kind"])
+    def test_seeded_sampled_scenario_round_trips(self, value_function, tmp_path):
+        data = dict(minimal_scenario_dict(), name="seeded", mode="sampled", seed=11,
+                    value_function=value_function)
+        sc = parse_scenario(data)
+        assert parse_scenario(scenario_to_dict(sc)) == sc
+        path = tmp_path / "sc.json"
+        save_scenario(sc, str(path))
+        assert load_scenario(str(path)) == sc
+        assert scenario_to_dict(sc)["seed"] == 11
+        assert scenario_to_dict(sc)["value_function"] == value_function
+
     def test_bad_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")

@@ -160,6 +160,13 @@ class TestGain:
         identity = make_split(1, [(1, 3)])
         assert sybil_gain(identity, inst.stakes(), inst, MuEll()) == 0
 
+    @pytest.mark.parametrize("policy", [MuStar(), MuAll()])
+    def test_identity_split_of_a_costly_owner_gains_zero(self, policy):
+        # the part participates as the owner did, so it pays her cost
+        inst = make_instance([3, 2, 1], [3, 3, 3], costs=[Fraction(1, 10), 0, 0])
+        identity = make_split(1, [(3, 3)])
+        assert sybil_gain(identity, inst.stakes(), inst, policy) == 0
+
     def test_all_pay_two_parts_gain_extra_share(self):
         inst = make_instance([3, 2, 1], [1, 1, 1])
         split = make_split(1, [(Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(3, 2))])

@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stakegame import (
+    IdentityValue,
+    Instance,
+    MuAlpha,
+    Player,
     VirtualStakeState,
     check_invariance,
+    expected_rewards,
     expected_step,
     incumbent_gap_state,
     sampled_win_frequencies,
@@ -210,3 +215,24 @@ def test_sampler_matches_the_per_round_loop(state_, rounds, seed):
 def test_sampler_rejects_a_zero_total_weight():
     with pytest.raises(ValueError, match="positive"):
         sampled_win_frequencies(state(0, {1: 1, 2: 1}, {1: 0, 2: 0}), 3, seed=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampler_states())
+def test_the_lottery_and_the_policy_weigh_alike(state_):
+    # the analysis state and the stage policy are two homes of one weight
+    stakes = state_.stake_dict()
+    inst = Instance.build(
+        players=[Player(id=pid, type_=t) for pid, t in state_.types],
+        initial_stakes=stakes,
+        budget=1,
+        tau_threshold=F(1, 2),
+        value_function=IdentityValue(),
+    )
+    policy = MuAlpha(alpha=state_.alpha)
+    everyone = frozenset(stakes)
+    assert selection_probabilities(state_) == policy.distribution(inst, stakes, everyone)
+    rewards = expected_rewards(policy, inst, stakes, everyone)
+    assert expected_step(state_).stake_dict() == {
+        pid: s + rewards[pid] for pid, s in stakes.items()
+    }
