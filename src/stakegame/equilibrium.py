@@ -22,7 +22,7 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import Instance, PlayerId, StakeProfile, rank, scalar
+from .core import Instance, PlayerId, StakeProfile, rank
 from .measures import tau_decentralization_index, token_value
 from .policies import FixedWinner, MuEll, Policy, expected_budget
 
@@ -39,9 +39,9 @@ class RankedProfile:
     Suffix ``r`` (1-based) is the participation set of the players at rank
     ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
     level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
-    tau-index ``d``, token value ``v`` and top-type player ``top`` (ties to
-    the smallest id, decided on the ints of :meth:`Instance.type_order`;
-    ``None`` for the empty set).  Entry 0 of each list is unused.
+    tau-index ``d`` and token value ``v``; entry 0 of each list is unused.
+    Building it reads only the stakes, tau and the value function.  Stakes
+    must be ints or ``Fraction``s (anything else raises ``TypeError``).
 
     The solvers rest on one identity: the top-ranked player of suffix r is
     the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
@@ -63,19 +63,18 @@ class RankedProfile:
     """
 
     __slots__ = (
-        "instance", "stakes", "ranking", "d", "v", "top", "scale", "prefix", "v_scaled",
-        "v_scale",
+        "instance", "stakes", "ranking", "d", "v", "scale", "prefix", "v_scaled", "v_scale",
     )
 
     def __init__(self, stakes: StakeProfile, instance: Instance):
         tau = instance.tau_threshold
         if not 0 < tau < 1:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
-        exact = [
-            (pid, s if isinstance(s, Fraction) else scalar(s)) for pid, s in stakes.items()
-        ]
-        den = lcm(*[s.denominator for _, s in exact])
-        scaled = {pid: s.numerator * (den // s.denominator) for pid, s in exact}
+        try:
+            den = lcm(*[s.denominator for s in stakes.values()])
+        except AttributeError:
+            raise TypeError("stakes must be int or Fraction") from None
+        scaled = {pid: s.numerator * (den // s.denominator) for pid, s in stakes.items()}
         # the scaling keeps every order, so this is rank(stakes)
         ranking = rank(scaled)
         n = len(ranking)
@@ -89,15 +88,12 @@ class RankedProfile:
             # the last suffix holds only the smallest stake
             raise ValueError("all stakes are zero; fraction of total is undefined")
 
-        order = instance.type_order()
         vf = instance.value_function
         level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
         d = [1] * (n + 2)
-        top: List[Optional[PlayerId]] = [None] * (n + 2)
         p, q = tau.numerator, tau.denominator
         full = prefix[n]
         end = n
-        best, best_k = None, len(order)
         for r in range(n, 0, -1):
             above = prefix[r - 1]
             bar = p * (full - above) + q * above
@@ -106,11 +102,6 @@ class RankedProfile:
             d[r] = level = end - r + 1
             if level not in level_value:
                 level_value[level] = token_value(level, vf)
-            pid = ranking[r - 1]
-            k = order[pid]
-            if k < best_k:
-                best, best_k = pid, k
-            top[r] = best
         v_scale = lcm(*[x.denominator for x in level_value.values()])
         level_scaled = {
             level: x.numerator * (v_scale // x.denominator) for level, x in level_value.items()
@@ -121,7 +112,6 @@ class RankedProfile:
         self.ranking = ranking
         self.d = d
         self.v = [level_value[level] for level in d]
-        self.top = top
         self.scale = den
         self.prefix = prefix
         self.v_scaled = [level_scaled[level] for level in d]
@@ -141,7 +131,7 @@ class RankedProfile:
         at v[k].  B comes from one ``leader_budgets`` pass of the policy;
         the budget's and the cost's denominators enter ``unit``.
         """
-        budgets = policy.leader_budgets(self.instance, self.stakes, self.ranking, self.top)
+        budgets = policy.leader_budgets(self.instance, self.stakes, self.ranking)
         player, scale, prefix = self.instance.player, self.scale, self.prefix
         v_scaled, v_scale = self.v_scaled, self.v_scale
         for r in range(len(self.ranking), 0, -1):

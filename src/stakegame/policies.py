@@ -19,6 +19,11 @@ a member's expected reward B_i(Q) in any set Q, ``leader_budgets`` the same
 reward for the leader of every suffix of a ranking in one O(n) pass, on
 which the suffix solvers are built, and ``payout`` the rewards paid when the
 winner is drawn from a distribution.
+
+The top-type rule (largest type, ties to the smallest id, compared on the
+positions of :meth:`Instance.type_order`) lives here alone: in
+:func:`top_type_participant` for one set, and in ``MuStar.leader_budgets``
+for every suffix of a ranking.
 """
 
 from __future__ import annotations
@@ -31,10 +36,9 @@ from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank, virtual_sta
 
 
 Distribution = Dict[PlayerId, Fraction]
-# Indexed by rank r (1-based, entry 0 unused) of a ranking: the top-type player
-# of suffix r (the players at rank r or below), and the expected reward B of
-# suffix r's leader (the player at rank r) in suffix r.
-SuffixTops = Sequence[Optional[PlayerId]]
+# Indexed by rank r (1-based, entry 0 unused) of a ranking: the expected reward
+# B of suffix r's leader (the player at rank r) in suffix r, the set of the
+# players at rank r or below.
 LeaderBudgets = List[Fraction]
 
 
@@ -80,7 +84,7 @@ class MuAlpha(_WinnerTakesAll):
         return {pid: w / total for pid, w in weights.items()}
 
     def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
         """Each leader's weight over a running suffix total, from the last rank up."""
         budgets = [ZERO] * (len(ranking) + 1)
@@ -121,13 +125,22 @@ class MuStar(_WinnerTakesAll):
         return type_favoring_share(self.epsilon, len(participants), i == top, instance.budget)
 
     def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
+        """Each leader's share, from the last rank up.
+
+        She is her suffix's top type when her ``type_order`` position is the least so far.
+        """
+        order = instance.type_order()
         n = len(ranking)
-        return [ZERO] + [
-            type_favoring_share(self.epsilon, n - r + 1, pid == top[r], instance.budget)
-            for r, pid in enumerate(ranking, 1)
-        ]
+        budgets = [ZERO] * (n + 1)
+        best = len(order)
+        for r in range(n, 0, -1):
+            k = order[ranking[r - 1]]
+            if k < best:
+                best = k
+            budgets[r] = type_favoring_share(self.epsilon, n - r + 1, k == best, instance.budget)
+        return budgets
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"kind": "mu_star"}
@@ -153,7 +166,7 @@ class MuAll:
         return instance.budget / len(participants)
 
     def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
         n = len(ranking)
         return [ZERO] + [instance.budget / (n - r + 1) for r in range(1, n + 1)]
@@ -198,7 +211,7 @@ class FixedWinner(_WinnerTakesAll):
         return {self.winner: ONE}
 
     def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId], top: SuffixTops
+        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
         return [ZERO] + [instance.budget if pid == self.winner else ZERO for pid in ranking]
 

@@ -58,9 +58,6 @@ class VirtualStakeState:
             stakes=tuple(sorted((pid, scalar(s)) for pid, s in stakes.items())),
         )
 
-    def type_dict(self) -> Dict[PlayerId, Fraction]:
-        return dict(self.types)
-
     def stake_dict(self) -> Dict[PlayerId, Fraction]:
         return dict(self.stakes)
 
@@ -172,9 +169,7 @@ def theorem6_counterexample(
     The instance has budget 1, tau 1/2 and the identity value function.
     """
     state = incumbent_gap_state(alpha, types, M)
-    players = tuple(
-        Player(id=pid, type_=t) for pid, t in sorted(state.type_dict().items())
-    )
+    players = tuple(Player(id=pid, type_=t) for pid, t in state.types)
     instance = Instance.build(
         players=players,
         initial_stakes=state.stake_dict(),

@@ -135,6 +135,18 @@ def test_solvers_reject_a_profile_with_no_index(solve, tau, stakes, message):
         solve({pid: Fraction(s) for pid, s in stakes.items()}, inst)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda stakes, inst: myopic_equilibrium(stakes, inst, MuStar()),
+    lambda stakes, inst: recovery_winner_labels(stakes, inst, MuStar()),
+    lambda stakes, inst: LookaheadSolver(inst, MuStar()).solve(stakes),
+], ids=["myopic", "labels", "lookahead"])
+@pytest.mark.parametrize("stake", [0.5, "1/2"], ids=["float", "str"])
+def test_solvers_take_only_int_or_fraction_stakes(solve, stake):
+    inst = make_instance([2, 1], [1, 1])
+    with pytest.raises(TypeError, match="stakes must be int or Fraction"):
+        solve({1: Fraction(1), 2: stake}, inst)
+
+
 class TestLookahead:
     def test_planning_exit_round_five(self):
         # the two larger players sit out so the smallest can catch up

@@ -103,7 +103,6 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
         assert profile.suffix(r) == suffix
         assert profile.d[r] == tau_decentralization_index(values, inst.tau_threshold)
         assert profile.v[r] == token_value(profile.d[r], inst.value_function)
-        assert profile.top[r] == top_type_participant(inst, suffix)
     assert profile.suffix(n + 1) == frozenset()
     assert (profile.d[n + 1], profile.v[n + 1]) == stage_value(inst, stakes, frozenset())
 
@@ -138,9 +137,11 @@ def reference_top(players, ids):
 @given(typed_instances(), st.data())
 def test_the_integer_type_order_matches_the_fraction_order(case, data):
     players, inst = case
-    profile = RankedProfile(inst.stakes(), inst)
-    for r in range(1, len(profile.ranking) + 1):
-        assert profile.top[r] == reference_top(players, profile.ranking[r - 1 :])
+    ranking = rank(inst.stakes())
+    budgets = MuStar().leader_budgets(inst, inst.stakes(), ranking)
+    for r, leader in enumerate(ranking, start=1):
+        is_top = leader == reference_top(players, ranking[r - 1 :])
+        assert (budgets[r] == inst.budget) == is_top
     ids = data.draw(st.lists(st.sampled_from(sorted(inst.stakes())), min_size=1))
     assert top_type_participant(inst, iter(ids)) == reference_top(players, ids)
     with pytest.raises(ValueError, match="empty participant set"):
@@ -149,10 +150,12 @@ def test_the_integer_type_order_matches_the_fraction_order(case, data):
 
 def test_a_changed_types_map_changes_no_top_type_decision():
     inst = make_instance([3, 2, 1], [3, 2, 1])
+    stakes, ranking = inst.stakes(), rank(inst.stakes())
+    before = MuStar().leader_budgets(inst, stakes, ranking)
     inst.types()[3] = Fraction(10)
     assert inst.types() == {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
     assert top_type_participant(inst, {1, 2, 3}) == 1
-    assert RankedProfile(inst.stakes(), inst).top[1:4] == [1, 2, 3]
+    assert MuStar().leader_budgets(inst, stakes, ranking) == before == [0, 1, 1, 1]
     with pytest.raises(TypeError):
         inst.type_order()[3] = -1
 
@@ -173,7 +176,7 @@ def test_expected_rewards_match_expected_budget(inst, policy, data):
 def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
     stakes = inst.stakes()
     profile = RankedProfile(stakes, inst)
-    budgets = policy.leader_budgets(inst, stakes, profile.ranking, profile.top)
+    budgets = policy.leader_budgets(inst, stakes, profile.ranking)
     assert len(budgets) == len(profile.ranking) + 1
     for r, leader in enumerate(profile.ranking, start=1):
         suffix = profile.suffix(r)
