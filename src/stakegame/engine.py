@@ -211,16 +211,16 @@ def monitor_properties(trace: Trace) -> PropertyReport:
     prev_participants: Optional[frozenset] = None
     for rec in trace.records:
         report.rounds_checked += 1
-        excluded -= set(rec.participants)
+        excluded -= rec.participants
         if prev_participants is not None:
-            excluded |= set(prev_participants) - set(rec.participants)
+            excluded |= prev_participants - rec.participants
         if excluded:
             report.exclusion_rounds += 1
-            d_before = tau_decentralization_index(dict(rec.stakes_before).values(), tau)
-            d_after = tau_decentralization_index(dict(rec.stakes_after).values(), tau)
+            d_before = tau_decentralization_index([s for _, s in rec.stakes_before], tau)
+            d_after = tau_decentralization_index([s for _, s in rec.stakes_after], tau)
             if d_after < d_before:
                 report.recovery_violations.append((rec.round, d_before, d_after))
-        paid = sum(dict(rec.rewards).values())
+        paid = sum(r for _, r in rec.rewards)
         if paid != 0 and paid != trace.instance.budget:
             report.conservation_violations.append(rec.round)
         prev_participants = rec.participants

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .core import ONE, AffineValue, Instance, ScalarLike, TableValue, ValueFunction, scalar
@@ -25,25 +26,30 @@ def tau_decentralization_index(stakes: Iterable[ScalarLike], tau: ScalarLike) ->
 
     Permutation- and scale-invariant; a singleton always yields 1.  Raises if
     every stake is zero (the fraction is undefined) or tau is outside (0, 1).
+
+    Decided on integers: the stakes are scaled by the lcm of their
+    denominators, and with tau = p/q the index is the first k whose sum of
+    the k largest scaled stakes has ``q * running > p * total``.
     """
     tau = scalar(tau)
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    values = sorted(
-        (s if isinstance(s, Fraction) else scalar(s) for s in stakes), reverse=True
-    )
+    values = [s if isinstance(s, Fraction) else scalar(s) for s in stakes]
     if not values:
         raise ValueError("empty stake multiset")
-    if any(s < 0 for s in values):
+    den = lcm(*[s.denominator for s in values])
+    scaled = sorted((s.numerator * (den // s.denominator) for s in values), reverse=True)
+    if scaled[-1] < 0:
         raise ValueError("negative stake")
-    total = sum(values)
+    total = sum(scaled)
     if total == 0:
         raise ValueError("all stakes are zero; fraction of total is undefined")
-    threshold = tau * total
-    running = Fraction(0)
-    for k, s in enumerate(values, start=1):
+    threshold = tau.numerator * total
+    q = tau.denominator
+    running = 0
+    for k, s in enumerate(scaled, start=1):
         running += s
-        if running > threshold:
+        if q * running > threshold:
             return k
     raise AssertionError("unreachable: full sum exceeds any tau < 1 fraction")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .core import IdentityValue, Instance, Player, PlayerId, ScalarLike, rank, scalar, virtual_stake
@@ -194,9 +195,12 @@ def sampled_win_frequencies(
     Each round draws u in [0, 1) and walks the players in id order: the
     winner is the first whose partial weight sum S has u < S / W, W being
     the total weight.  Since W > 0, that is u * W < S, so the walk compares
-    with running weights and never divides.  A win adds 1 to the winner's
-    stake, so her weight and W both grow by 1 - alpha; W never falls, and
-    checking it once up front covers every round.
+    with running weights and never divides.  The walk runs on integers: the
+    weights, W and the growth below are held over one common denominator,
+    and with u = num / u_den the test is ``num * W < S * u_den``.  A win
+    adds 1 to the winner's stake, so her weight and W both grow by
+    1 - alpha; W never falls, and checking it once up front covers every
+    round.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -207,16 +211,21 @@ def sampled_win_frequencies(
     if total <= 0:
         raise ValueError("total virtual stake must be positive")
     growth = 1 - state.alpha
+    den = lcm(total.denominator, growth.denominator, *[w.denominator for w in weights])
+    total, growth, *weights = (
+        x.numerator * (den // x.denominator) for x in (total, growth, *weights)
+    )
     rng = random.Random(seed)
     wins = [0] * len(order)
     last = len(order) - 1
     for _ in range(rounds):
-        scaled_u = Fraction(rng.random()) * total
-        running = Fraction(0)
+        num, u_den = rng.random().as_integer_ratio()
+        scaled_u = num * total
+        running = 0
         winner = last
         for k, weight in enumerate(weights):
             running += weight
-            if scaled_u < running:
+            if scaled_u < running * u_den:
                 winner = k
                 break
         wins[winner] += 1

@@ -8,6 +8,7 @@ from stakegame import (
     check_alignment,
     check_decentralization_axioms,
     max_attainable_index,
+    scalar,
     tau_decentralization_index,
     tau_index_measure,
 )
@@ -66,6 +67,84 @@ class TestTauIndex:
         d = tau_decentralization_index(stakes, tau)
         assert 1 <= d <= len(stakes)
         assert d == tau_decentralization_index(list(reversed(stakes)), tau)
+
+
+def reference_tau_index(stakes, tau):
+    """The index on Fraction arithmetic: an independent reference."""
+    tau = scalar(tau)
+    if not 0 < tau < 1:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    values = sorted(
+        (s if isinstance(s, Fraction) else scalar(s) for s in stakes), reverse=True
+    )
+    if not values:
+        raise ValueError("empty stake multiset")
+    if any(s < 0 for s in values):
+        raise ValueError("negative stake")
+    total = sum(values)
+    if total == 0:
+        raise ValueError("all stakes are zero; fraction of total is undefined")
+    threshold = tau * total
+    running = Fraction(0)
+    for k, s in enumerate(values, start=1):
+        running += s
+        if running > threshold:
+            return k
+    raise AssertionError("unreachable: full sum exceeds any tau < 1 fraction")
+
+
+def outcome(index, stakes, tau):
+    """The index, or the type and message of the exception it raises."""
+    try:
+        return index(stakes, tau)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# ints, Fractions over assorted denominators and numeric strings, zeros included
+fractions = st.builds(
+    Fraction, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=12)
+)
+mixed_stakes = st.one_of(
+    st.integers(min_value=0, max_value=20),
+    fractions,
+    fractions.map(str),
+    st.sampled_from(["0", "0.25", "1.5", "3/4"]),
+)
+open_unit = st.integers(min_value=2, max_value=24).flatmap(
+    lambda q: st.integers(min_value=1, max_value=q - 1).map(lambda p: Fraction(p, q))
+)
+
+
+class TestTauIndexMatchesReference:
+    @given(stakes=st.lists(mixed_stakes, min_size=1, max_size=8), tau=open_unit)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_index_equals_the_fraction_reference(self, stakes, tau):
+        expected = outcome(reference_tau_index, stakes, tau)
+        assert outcome(tau_decentralization_index, stakes, tau) == expected
+
+    @pytest.mark.parametrize(
+        "stakes, tau",
+        [
+            ([], "1/2"),
+            ([1, -1], "1/2"),
+            ([Fraction(1, 3), "-1/2"], "1/3"),
+            ([0, 0, Fraction(0)], "1/2"),
+            ([1, 1], 0),
+            ([1, 1], 1),
+            ([1, 1], "3/2"),
+            ([1, True], "1/2"),
+            ([1, 1], True),
+        ],
+        ids=[
+            "empty", "negative", "negative string", "all zero", "tau zero", "tau one",
+            "tau above one", "bool stake", "bool tau",
+        ],
+    )
+    def test_errors_match_the_reference(self, stakes, tau):
+        expected = outcome(reference_tau_index, stakes, tau)
+        assert isinstance(expected, tuple)
+        assert outcome(tau_decentralization_index, stakes, tau) == expected
 
 
 class TestMaxAttainable:
