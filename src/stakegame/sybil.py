@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter
+from itertools import groupby
+from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar
@@ -84,28 +86,27 @@ def enumerate_splits(
         raise ValueError("granularity must be positive")
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    sigma = stakes[owner]
+    sigma = Fraction(stakes[owner])
     tau = types[owner]
     if tau < 1:
         raise ValueError(f"owner type {tau} is below 1")
+    tau = Fraction(tau)
 
-    stake_grid = []
-    s = g
-    while s <= sigma:
-        stake_grid.append(s)
-        s += g
-    type_grid = []
-    t = Fraction(1)
-    while t <= tau:
-        type_grid.append(t)
-        t += g
+    unit = lcm(g.denominator, sigma.denominator, tau.denominator)
+    step = g.numerator * (unit // g.denominator)
+    stake_units = sigma.numerator * (unit // sigma.denominator)
+    type_units = tau.numerator * (unit // tau.denominator)
+    # grid index k holds stake (k + 1) * step and type unit + k * step
+    stake_grid = [Fraction(u, unit) for u in range(step, stake_units + 1, step)]
+    type_grid = [Fraction(u, unit) for u in range(unit, type_units + 1, step)]
 
     results: List[SybilSplit] = []
     parts: List[Tuple[Fraction, Fraction]] = []
 
     # Parts are generated in non-increasing (type, stake) order, which makes
-    # every split canonical by construction.
-    def extend(stake_left: Fraction, type_left: Fraction, start: Tuple[int, int]) -> None:
+    # every split canonical by construction: (ti, si) are the grid indices of
+    # the last part, and no later part exceeds them.
+    def extend(stake_left: int, type_left: int, ti: int, si: int) -> None:
         if parts:
             if not full_stake or stake_left == 0:
                 results.append(SybilSplit(owner=owner, parts=tuple(parts)))
@@ -115,20 +116,15 @@ def enumerate_splits(
                     )
         if len(parts) == max_parts:
             return
-        for ti in range(start[0], -1, -1):
-            t = type_grid[ti]
-            if t > type_left:
-                continue
-            si_start = start[1] if ti == start[0] else len(stake_grid) - 1
-            for si in range(si_start, -1, -1):
-                s = stake_grid[si]
-                if s > stake_left:
-                    continue
-                parts.append((s, t))
-                extend(stake_left - s, type_left - t, (ti, si))
+        fits = stake_left // step - 1  # the largest stake index within stake_left
+        for tj in range(min(ti, (type_left - unit) // step), -1, -1):
+            t = type_grid[tj]
+            for sk in range(min(si, fits) if tj == ti else fits, -1, -1):
+                parts.append((stake_grid[sk], t))
+                extend(stake_left - (sk + 1) * step, type_left - unit - tj * step, tj, sk)
                 parts.pop()
 
-    extend(sigma, tau, (len(type_grid) - 1, len(stake_grid) - 1))
+    extend(stake_units, type_units, len(type_grid) - 1, len(stake_grid) - 1)
     return results
 
 
@@ -187,21 +183,31 @@ def preferred_recovery_sybils(
     """The recovery split maximizing the top part's type (stake breaks ties).
 
     Searches full-stake splits only: a part that silently discards stake is
-    not a partition of the player.  Raises when no grid split recovers.
+    not a partition of the player.  :func:`enumerate_splits` yields splits
+    grouped by top part in descending (type, stake) order, so the groups are
+    tested in that order and the first one holding a recovering split
+    decides, by the largest ``parts``: the max by (top type, top stake,
+    parts) over all recovering splits, without testing the groups below.
+    Raises when the owner's stake is not a positive multiple of the
+    granularity (no full-stake split exists) and when no grid split recovers.
     """
     candidates = enumerate_splits(
         owner, stakes, instance.types(), granularity, max_parts, full_stake=True
     )
-    best = max(
-        (split for split in candidates if is_recovery_sybils(split, stakes, instance, policy)),
-        key=lambda split: (split.top_part[1], split.top_part[0], split.parts),
-        default=None,
-    )
-    if best is None:
+    if not candidates:
         raise ValueError(
-            f"no recovery split for player {owner} on the granularity {granularity} grid"
+            f"stake {stakes[owner]} of player {owner} is not a positive multiple of "
+            f"the granularity {granularity}, so no full-stake split exists"
         )
-    return best
+    for _, group in groupby(candidates, key=attrgetter("top_part")):
+        recovering = [
+            split for split in group if is_recovery_sybils(split, stakes, instance, policy)
+        ]
+        if recovering:
+            return max(recovering, key=attrgetter("parts"))
+    raise ValueError(
+        f"no recovery split for player {owner} on the granularity {granularity} grid"
+    )
 
 
 @dataclass
@@ -241,9 +247,14 @@ def sybil_proofness_condition(
     top part must lose the type comparison (stake on ties) against the next
     player in type order.  A player with no successor passes vacuously; the
     quantification over all profiles is approximated by the supplied list.
+    Raises when a profile has no stake for some player of the instance.
     """
     if profiles is None:
         profiles = [instance.stakes()]
+    for k, profile in enumerate(profiles):
+        missing = [pid for pid in instance.ids if pid not in profile]
+        if missing:
+            raise ValueError(f"stake profile {k} has no stake for players {missing}")
     order = instance.type_order()
     by_type = sorted(order, key=order.__getitem__)
     report = SybilConditionReport()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from stakegame import (
     sybil_proofness_condition,
 )
 from stakegame.cli import _sybil_fixture
+from stakegame.core import scalar
+from stakegame.sybil import SybilSplit
 
 from conftest import make_instance
 
@@ -83,6 +86,14 @@ class TestEnumeration:
         for split in splits:
             assert split.top_part == max(split.parts, key=lambda part: (part[1], part[0]))
 
+    def test_splits_share_the_grid_fractions(self):
+        splits = enumerate_splits(
+            1, {1: Fraction(3)}, {1: Fraction(5, 2)}, Fraction(1, 2), 3
+        )
+        objects = {id(x) for split in splits for part in split.parts for x in part}
+        # 6 stakes (1/2 .. 3) and 4 types (1 .. 5/2), each built once
+        assert len(objects) == 10
+
     def test_make_split_validates(self):
         with pytest.raises(ValueError):
             make_split(1, [])
@@ -110,6 +121,24 @@ class TestRecoverySplits:
         pref = preferred_recovery_sybils(1, inst.stakes(), inst, MuEll(), Fraction(1, 4), 3)
         assert pref.top_part[1] == 2
         assert is_recovery_sybils(pref, inst.stakes(), inst, MuEll())
+
+    def test_off_grid_stake_is_named_as_such(self):
+        # no full-stake split exists when 2 does not divide the stake 3
+        inst = small_gap_instance()
+        with pytest.raises(
+            ValueError,
+            match=r"^stake 3 of player 1 is not a positive multiple of the granularity 2, "
+                  r"so no full-stake split exists$",
+        ):
+            preferred_recovery_sybils(1, inst.stakes(), inst, MuEll(), 2, 3)
+
+    def test_no_recovering_split(self):
+        # one part holds the whole stake, so every grid split stays harmful
+        inst = small_gap_instance()
+        with pytest.raises(
+            ValueError, match=r"^no recovery split for player 1 on the granularity 1/4 grid$"
+        ):
+            preferred_recovery_sybils(1, inst.stakes(), inst, MuEll(), Fraction(1, 4), 1)
 
     def test_finer_grid_no_worse(self):
         inst = small_gap_instance()
@@ -147,6 +176,26 @@ class TestProofnessCondition:
         [entry] = report.entries
         assert (entry.player, entry.next_player, entry.satisfied) == (3, None, True)
         assert report.satisfied
+
+    @pytest.mark.parametrize(
+        "inst, profile, policy, missing",
+        [
+            # player 3, the first the check reaches, has no stake
+            (_sybil_fixture(), {1: Fraction(3), 2: Fraction(1)}, MuEll(), r"\[3\]"),
+            # player 1 is harmed, and player 2, whom her top part is compared
+            # with, has no stake
+            (make_instance([4, 3, 3, 2], [1, 1, 1, 1]),
+             {1: Fraction(2), 3: Fraction(1, 2), 4: Fraction(1, 2)}, MuStar(), r"\[2\]"),
+        ],
+        ids=["fixture", "next in type order"],
+    )
+    def test_profile_missing_a_player(self, inst, profile, policy, missing):
+        with pytest.raises(
+            ValueError, match=rf"^stake profile 1 has no stake for players {missing}$"
+        ):
+            sybil_proofness_condition(
+                inst, policy, Fraction(1, 2), 2, profiles=[inst.stakes(), profile]
+            )
 
     def test_single_player_vacuous(self):
         inst = make_instance([3], [5])
@@ -231,3 +280,148 @@ def test_max_gain_matches_its_definition_on_random_instances(case, policy, max_p
     inst = make_instance(types, stakes)
     args = (owner, inst.stakes(), inst, policy, Fraction(1, 2), max_parts)
     assert max_sybil_gain(*args) == reference_max_gain(*args)
+
+
+def reference_enumerate_splits(
+    owner, stakes, types, granularity, max_parts, full_stake=False, limit=500_000
+):
+    """The enumeration on Fraction arithmetic, as before the integer grid."""
+    g = scalar(granularity)
+    if g <= 0:
+        raise ValueError("granularity must be positive")
+    if max_parts < 1:
+        raise ValueError("max_parts must be at least 1")
+    sigma = stakes[owner]
+    tau = types[owner]
+    if tau < 1:
+        raise ValueError(f"owner type {tau} is below 1")
+
+    stake_grid = []
+    s = g
+    while s <= sigma:
+        stake_grid.append(s)
+        s += g
+    type_grid = []
+    t = Fraction(1)
+    while t <= tau:
+        type_grid.append(t)
+        t += g
+
+    results: List[SybilSplit] = []
+    parts: List[Tuple[Fraction, Fraction]] = []
+
+    # Parts are generated in non-increasing (type, stake) order, which makes
+    # every split canonical by construction.
+    def extend(stake_left: Fraction, type_left: Fraction, start: Tuple[int, int]) -> None:
+        if parts:
+            if not full_stake or stake_left == 0:
+                results.append(SybilSplit(owner=owner, parts=tuple(parts)))
+                if len(results) > limit:
+                    raise ValueError(
+                        f"split grid exceeds {limit} entries; coarsen the granularity"
+                    )
+        if len(parts) == max_parts:
+            return
+        for ti in range(start[0], -1, -1):
+            t = type_grid[ti]
+            if t > type_left:
+                continue
+            si_start = start[1] if ti == start[0] else len(stake_grid) - 1
+            for si in range(si_start, -1, -1):
+                s = stake_grid[si]
+                if s > stake_left:
+                    continue
+                parts.append((s, t))
+                extend(stake_left - s, type_left - t, (ti, si))
+                parts.pop()
+
+    extend(sigma, tau, (len(type_grid) - 1, len(stake_grid) - 1))
+    return results
+
+
+def split_outcome(enumerate_, *args, **kwargs):
+    """Each split's parts in order, or the type and message of the exception."""
+    try:
+        return [split.parts for split in enumerate_(*args, **kwargs)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def up_to_three(low):
+    """ints and Fractions over denominators 1-6 in [low, 3], on and off every grid."""
+    return st.one_of(st.integers(low, 3), st.integers(1, 6).flatmap(
+        lambda den: st.integers(low * den, 3 * den).map(lambda num: Fraction(num, den))
+    ))
+
+
+class TestEnumerationMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stake=up_to_three(0),
+        type_=up_to_three(1),
+        granularity=st.sampled_from([1, Fraction(2), Fraction(2, 3), Fraction(1, 3),
+                                     Fraction(1, 4)]),
+        max_parts=st.integers(1, 3),
+        full_stake=st.booleans(),
+        limit=st.integers(1, 40),
+    )
+    def test_same_splits_in_the_same_order(
+        self, stake, type_, granularity, max_parts, full_stake, limit
+    ):
+        args = (1, {1: stake}, {1: type_}, granularity, max_parts)
+        kwargs = {"full_stake": full_stake, "limit": limit}
+        expected = split_outcome(reference_enumerate_splits, *args, **kwargs)
+        assert split_outcome(enumerate_splits, *args, **kwargs) == expected
+
+    @pytest.mark.parametrize(
+        "granularity, max_parts, type_",
+        [(0, 2, 2), (Fraction(-1, 2), 2, 2), (1, 0, 2), (1, 2, Fraction(1, 2))],
+        ids=["zero granularity", "negative granularity", "no parts", "type below 1"],
+    )
+    def test_validation_matches_the_reference(self, granularity, max_parts, type_):
+        args = (1, {1: Fraction(2)}, {1: type_}, granularity, max_parts)
+        expected = split_outcome(reference_enumerate_splits, *args)
+        assert isinstance(expected, tuple)
+        assert split_outcome(enumerate_splits, *args) == expected
+
+
+def reference_preferred(owner, stakes, inst, policy, granularity, max_parts):
+    """The exhaustive max by (top type, top stake, parts) over recovering splits."""
+    candidates = reference_enumerate_splits(
+        owner, stakes, inst.types(), granularity, max_parts, full_stake=True
+    )
+    best = max(
+        (split for split in candidates if is_recovery_sybils(split, stakes, inst, policy)),
+        key=lambda split: (split.top_part[1], split.top_part[0], split.parts),
+        default=None,
+    )
+    if best is None:
+        raise ValueError(f"no recovery split for player {owner}")
+    return best
+
+
+COSTS = st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 4)])
+PREFERRED_POLICIES = st.sampled_from(
+    [MuStar(), MuStar(Fraction(1, 5)), MuAll(), MuEll(), MuAlpha(Fraction(1, 2))]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(TYPES, min_size=n, max_size=n),
+    st.lists(HALVES, min_size=n, max_size=n),
+    st.lists(COSTS, min_size=n, max_size=n),
+    st.integers(1, n),
+)), PREFERRED_POLICIES, st.sampled_from([Fraction(1, 2), 1]), st.integers(1, 3))
+def test_preferred_split_matches_the_exhaustive_max(case, policy, granularity, max_parts):
+    # at granularity 1 the half stakes are off the grid, where both raise
+    types, stakes, costs, owner = case
+    inst = make_instance(types, stakes, costs=costs)
+    args = (owner, inst.stakes(), inst, policy, granularity, max_parts)
+    try:
+        expected = reference_preferred(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            preferred_recovery_sybils(*args)
+    else:
+        assert preferred_recovery_sybils(*args) == expected
