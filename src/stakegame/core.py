@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, str, float, Fraction]
 
@@ -74,9 +74,6 @@ class IdentityValue:
     def __call__(self, d: int) -> Fraction:
         return Fraction(d)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "identity"}
-
 
 @dataclass(frozen=True)
 class AffineValue:
@@ -88,28 +85,22 @@ class AffineValue:
     def __call__(self, d: int) -> Fraction:
         return self.slope * d + self.intercept
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "affine", "slope": str(self.slope), "intercept": str(self.intercept)}
-
 
 @dataclass(frozen=True)
 class TableValue:
-    """Token value from an explicit table over decentralization levels."""
+    """Token value from a table: ``values`` holds (level, value) pairs in level order."""
 
-    table: Tuple[Tuple[int, Fraction], ...]
+    values: Tuple[Tuple[int, Fraction], ...]
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, ScalarLike]) -> "TableValue":
         return TableValue(tuple(sorted((int(d), scalar(v)) for d, v in mapping.items())))
 
     def __call__(self, d: int) -> Fraction:
-        for level, value in self.table:
+        for level, value in self.values:
             if level == d:
                 return value
         raise ValueError(f"value table has no entry for decentralization {d}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "table", "values": {str(level): str(v) for level, v in self.table}}
 
 
 # PEP 604 unions of package classes: typing.Union would keep each class (and

@@ -246,11 +246,11 @@ def validate_instance(instance: Instance) -> ValidationReport:
     if isinstance(vf, AffineValue) and vf.slope < 0:
         report.errors.append("affine value function has negative slope")
     elif isinstance(vf, TableValue):
-        levels = [level for level, _ in vf.table]
+        levels = [level for level, _ in vf.values]
         for d in range(1, instance.n + 1):
             if d not in levels:
                 report.errors.append(f"value table misses decentralization level {d}")
-        values = [value for _, value in vf.table]
+        values = [value for _, value in vf.values]
         if any(a > b for a, b in zip(values, values[1:])):
             report.errors.append("value table is not non-decreasing")
 

@@ -96,9 +96,6 @@ class MuAlpha(_WinnerTakesAll):
             budgets[r] = instance.budget * (weight / _positive(total))
         return budgets
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "mu_alpha", "alpha": str(self.alpha)}
-
 
 @dataclass(frozen=True)
 class MuStar(_WinnerTakesAll):
@@ -142,12 +139,6 @@ class MuStar(_WinnerTakesAll):
             budgets[r] = type_favoring_share(self.epsilon, n - r + 1, k == best, instance.budget)
         return budgets
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"kind": "mu_star"}
-        if self.epsilon:
-            out["epsilon"] = str(self.epsilon)
-        return out
-
 
 @dataclass(frozen=True)
 class MuAll:
@@ -177,9 +168,6 @@ class MuAll:
         """An equal share for every participant, whoever wins."""
         return dict.fromkeys(participants, instance.budget / len(participants))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "mu_all"}
-
 
 @dataclass(frozen=True)
 class MuEll:
@@ -189,9 +177,6 @@ class MuEll:
         raise TypeError("MuEll needs its shadow trajectory; resolve it to FixedWinner first")
 
     distribution = member_budget = leader_budgets = payout = _unresolved
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "mu_ell"}
 
 
 @dataclass(frozen=True)
@@ -214,9 +199,6 @@ class FixedWinner(_WinnerTakesAll):
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
         return [ZERO] + [instance.budget if pid == self.winner else ZERO for pid in ranking]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "fixed_winner", "winner": self.winner}
 
 
 Policy = MuAlpha | MuStar | MuAll | MuEll | FixedWinner  # not typing.Union: see core.ValueFunction

@@ -15,9 +15,9 @@ decreasing types and equal initial stakes):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Any, Collection, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .core import (
     AffineValue,
@@ -25,7 +25,6 @@ from .core import (
     Instance,
     Player,
     TableValue,
-    ValueFunction,
     scalar,
 )
 from .equilibrium import DEFAULT_HORIZON_CAP
@@ -106,58 +105,65 @@ def _at_least_one(value: Any, context: str) -> int:
     return n
 
 
-def _policy_from_dict(spec: Dict[str, Any], ids: Collection[int]) -> Policy:
-    """Parse and validate a policy; ``ids`` are the scenario's player ids."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError("policy: expected an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "mu_alpha":
-        _require(spec, {"kind", "alpha"}, "policy mu_alpha", ("alpha",))
-        return MuAlpha(alpha=_unit_interval(spec["alpha"], "policy mu_alpha: alpha"))
-    if kind == "mu_star":
-        _require(spec, {"kind", "epsilon"}, "policy mu_star")
-        return MuStar(epsilon=_unit_interval(spec.get("epsilon", 0), "policy mu_star: epsilon"))
-    if kind == "mu_all":
-        _require(spec, {"kind"}, "policy mu_all")
-        return MuAll()
-    if kind == "mu_ell":
-        _require(spec, {"kind"}, "policy mu_ell")
-        return MuEll()
-    if kind == "fixed_winner":
-        _require(spec, {"kind", "winner"}, "policy fixed_winner", ("winner",))
-        winner = _integer(spec["winner"], "policy fixed_winner: winner")
-        if winner not in ids:
-            raise ScenarioError(f"policy fixed_winner: winner {winner} is not a player id")
-        return FixedWinner(winner=winner)
-    raise ScenarioError(f"policy: unknown kind {kind!r}")
+def _value_table(values: Any, context: str) -> Tuple[Tuple[int, Fraction], ...]:
+    """(level, value) pairs in level order, read from an object keyed by level."""
+    owner, name = context.rsplit(": ", 1)  # the kind's context, and this field's name
+    if not isinstance(values, dict):
+        raise ScenarioError(f"{owner}: {name!r} must map level -> value")
+    return tuple(sorted({
+        _integer(k, f"{owner}: level"): _number(v, f"{owner}: value of level {k}")
+        for k, v in values.items()
+    }.items()))
 
 
-def _value_from_dict(spec: Dict[str, Any]) -> ValueFunction:
+# family -> kind -> (class, field -> reader).  The fields are the class's
+# dataclass fields in field order, under the same names in the file; a field
+# without a default is required, and the writer leaves out a field at its default.
+_KINDS: Dict[str, Dict[str, Tuple[type, Dict[str, Callable[[Any, str], Any]]]]] = {
+    "policy": {
+        "mu_alpha": (MuAlpha, {"alpha": _unit_interval}),
+        "mu_star": (MuStar, {"epsilon": _unit_interval}),
+        "mu_all": (MuAll, {}),
+        "mu_ell": (MuEll, {}),
+        "fixed_winner": (FixedWinner, {"winner": _integer}),
+    },
+    "value_function": {
+        "identity": (IdentityValue, {}),
+        "affine": (AffineValue, {"slope": _number, "intercept": _number}),
+        "table": (TableValue, {"values": _value_table}),
+    },
+}
+
+
+def _from_dict(spec: Any, family: str) -> Any:
+    """Read a policy or value function of ``family`` from its file spelling."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError("value_function: expected an object with a 'kind' field")
+        raise ScenarioError(f"{family}: expected an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "identity":
-        _require(spec, {"kind"}, "value_function identity")
-        return IdentityValue()
-    if kind == "affine":
-        _require(
-            spec, {"kind", "slope", "intercept"}, "value_function affine", ("slope", "intercept")
-        )
-        return AffineValue(
-            slope=_number(spec["slope"], "value_function affine: slope"),
-            intercept=_number(spec["intercept"], "value_function affine: intercept"),
-        )
-    if kind == "table":
-        _require(spec, {"kind", "values"}, "value_function table")
-        values = spec.get("values")
-        if not isinstance(values, dict):
-            raise ScenarioError("value_function table: 'values' must map level -> value")
-        return TableValue.from_mapping({
-            _integer(k, "value_function table: level"):
-                _number(v, f"value_function table: value of level {k}")
-            for k, v in values.items()
-        })
-    raise ScenarioError(f"value_function: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS[family]:
+        raise ScenarioError(f"{family}: unknown kind {kind!r}")
+    cls, readers = _KINDS[family][kind]
+    context = f"{family} {kind}"
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+    _require(spec, {"kind", *readers}, context, required)
+    return cls(**{
+        name: read(spec[name], f"{context}: {name}")
+        for name, read in readers.items() if name in spec
+    })
+
+
+def _to_dict(obj: Any, family: str) -> Dict[str, Any]:
+    """The file spelling of a policy or value function: the inverse of :func:`_from_dict`."""
+    kind = next(kind for kind, (cls, _) in _KINDS[family].items() if type(obj) is cls)
+    out: Dict[str, Any] = {"kind": kind}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value != f.default:
+            if isinstance(value, tuple):  # a value table's (level, value) pairs
+                out[f.name] = {str(level): str(v) for level, v in value}
+            else:  # ids stay ints, numbers become exact strings
+                out[f.name] = value if isinstance(value, int) else str(value)
+    return out
 
 
 # required fields in the order a missing one is reported, then the optional ones
@@ -200,22 +206,27 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         seed = _integer(seed, "seed")
     rounds = _at_least_one(data["rounds"], "rounds")
 
-    vf_spec = data.get("value_function", {"kind": "identity"})
     instance = Instance.build(
         players=players,
         initial_stakes=stakes,
         budget=_number(data["budget"], "budget"),
         tau_threshold=_number(data["tau_threshold"], "tau_threshold"),
-        value_function=_value_from_dict(vf_spec),
+        value_function=(
+            _from_dict(data["value_function"], "value_function")
+            if "value_function" in data else IdentityValue()
+        ),
     )
     report = validate_instance(instance)
     if not report.ok:
         raise ScenarioError("invalid instance: " + "; ".join(report.errors))
+    policy = _from_dict(data["policy"], "policy")
+    if isinstance(policy, FixedWinner) and policy.winner not in stakes:
+        raise ScenarioError(f"policy fixed_winner: winner {policy.winner} is not a player id")
 
     return Scenario(
         name=str(data.get("name", name)),
         instance=instance,
-        policy=_policy_from_dict(data["policy"], stakes),
+        policy=policy,
         behavior=behavior,
         rounds=rounds,
         mode=mode,
@@ -238,10 +249,10 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
             }
             for p in instance.players
         ],
-        "policy": scenario.policy.to_dict(),
+        "policy": _to_dict(scenario.policy, "policy"),
         "behavior": scenario.behavior,
         "tau_threshold": str(instance.tau_threshold),
-        "value_function": instance.value_function.to_dict(),
+        "value_function": _to_dict(instance.value_function, "value_function"),
         "budget": str(instance.budget),
         "rounds": scenario.rounds,
         "mode": scenario.mode,

@@ -10,7 +10,9 @@ trivially because every extra identity earns an extra equal share.
 
 Real-valued splits cannot be searched exhaustively, so everything here works
 on a granularity grid: the condition check is exact at grid resolution and
-the gain search is a falsifier, not a prover.
+the gain search is a falsifier, not a prover.  The entry points that take a
+stake profile (the gain, its search, the preferred recovery split and the
+condition) raise ValueError unless it stakes exactly the instance's players.
 """
 
 from __future__ import annotations
@@ -128,6 +130,18 @@ def enumerate_splits(
     return results
 
 
+def _check_profile(instance: Instance, stakes: StakeProfile, name: str = "stake profile") -> None:
+    """Raise unless the profile stakes exactly the instance's players."""
+    ids = set(instance.ids)
+    found = {
+        "has no stake for players": ids - stakes.keys(),
+        "names unknown players": stakes.keys() - ids,
+    }
+    problems = [f"{problem} {sorted(pids)}" for problem, pids in found.items() if pids]
+    if problems:
+        raise ValueError(f"{name} {' and '.join(problems)}")
+
+
 def _stage(policy: Policy) -> Policy:
     # The lookahead-simulating policy pays like the type-favoring one within
     # a single stage, which is all the sybil definitions look at.
@@ -191,6 +205,7 @@ def preferred_recovery_sybils(
     Raises when the owner's stake is not a positive multiple of the
     granularity (no full-stake split exists) and when no grid split recovers.
     """
+    _check_profile(instance, stakes)
     candidates = enumerate_splits(
         owner, stakes, instance.types(), granularity, max_parts, full_stake=True
     )
@@ -247,14 +262,11 @@ def sybil_proofness_condition(
     top part must lose the type comparison (stake on ties) against the next
     player in type order.  A player with no successor passes vacuously; the
     quantification over all profiles is approximated by the supplied list.
-    Raises when a profile has no stake for some player of the instance.
     """
     if profiles is None:
         profiles = [instance.stakes()]
     for k, profile in enumerate(profiles):
-        missing = [pid for pid in instance.ids if pid not in profile]
-        if missing:
-            raise ValueError(f"stake profile {k} has no stake for players {missing}")
+        _check_profile(instance, profile, f"stake profile {k}")
     order = instance.type_order()
     by_type = sorted(order, key=order.__getitem__)
     report = SybilConditionReport()
@@ -322,6 +334,7 @@ def sybil_gain(
     positive value exhibits a profitable split.  The identity split gains
     exactly zero.
     """
+    _check_profile(instance, stakes)
     stage = _stage(policy)
     original = _original_utility(split.owner, stakes, instance, stage)
     return _parts_utility(split, stakes, instance, stage) - original
@@ -340,6 +353,7 @@ def max_sybil_gain(
     Equal to the first split reaching the maximum of :func:`sybil_gain` over
     the grid; the owner's unsplit utility is computed once for the search.
     """
+    _check_profile(instance, stakes)
     splits = enumerate_splits(owner, stakes, instance.types(), granularity, max_parts)
     if not splits:
         raise ValueError("no splits on the grid")

@@ -3,12 +3,17 @@ import copy
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stakegame import MuAll, MuEll, cli, make_split
 from stakegame.cli import main
+from stakegame.measures import AxiomReport
+from stakegame.sybil import SybilConditionEntry, SybilConditionReport
+from stakegame.virtualstake import InvarianceReport
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +176,18 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, case):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("family", ["policy", "value_function"])
+@pytest.mark.parametrize("kind", [["mu_star"], {"kind": "mu_star"}, None], ids=repr)
+def test_non_string_kind_exits_2(capsys, tmp_path, family, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TWO_PLAYERS, **{family: {"kind": kind}})))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"scenario error: {family}: unknown kind {kind!r}\n"
+
+
 # Field values that are malformed, out of range, or valid, mixed.
 ODD_VALUES = st.sampled_from(
     [0, 1, 2, 3, 9, -1, "1/2", "3/2", "-1/2", "1/0", "0.25", "a", "", None, True,
@@ -272,6 +289,134 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "oracle", "--instances", "25")
         assert code == 0
         assert out == '{"suite": "oracle", "instances": 25, "mismatches": [], "ok": true}\n'
+
+
+def failed_verify(capsys, *argv):
+    """Run a verify suite that must fail: exit 1 and a JSON report with ok false."""
+    code, out = run_cli(capsys, "verify", *argv)
+    report = json.loads(out)
+    assert code == 1
+    assert report["ok"] is False
+    return report
+
+
+class TestVerifyFailures:
+    """Each suite's failure report, with the check it calls made to fail."""
+
+    @staticmethod
+    def edit_golden(monkeypatch, filename, edit):
+        """Serve one golden CSV's rows through ``edit``; return the real rows."""
+        real = cli._load_golden
+        monkeypatch.setattr(
+            cli, "_load_golden", lambda name: edit(real(name)) if name == filename else real(name)
+        )
+        return real(filename)
+
+    def test_paper_tables_row_mismatch(self, capsys, monkeypatch):
+        got = cli._load_golden("example2-lookahead.csv")[3]
+        want = got[:-1] + ["9"]
+        self.edit_golden(monkeypatch, "example2-lookahead.csv",
+                         lambda rows: rows[:3] + [want] + rows[4:])
+        report = failed_verify(capsys, "paper_tables")
+        assert report["mismatches"] == [
+            {"trace": "example2-lookahead", "row": 3, "got": got, "want": want}
+        ]
+
+    def test_paper_tables_length_mismatch(self, capsys, monkeypatch):
+        rows = self.edit_golden(monkeypatch, "example1-myopic.csv",
+                                lambda rows: rows + [rows[-1]])
+        report = failed_verify(capsys, "paper_tables")
+        assert report["mismatches"] == [
+            {"trace": "example1-myopic", "rows": len(rows), "expected": len(rows) + 1}
+        ]
+
+    def test_axioms(self, capsys, monkeypatch):
+        def check(measure, n_max, grid):
+            return AxiomReport(checked=2, removal_violations=["removal raises d at (2, 1)"])
+
+        monkeypatch.setattr(cli, "check_decentralization_axioms", check)
+        report = failed_verify(capsys, "axioms", "--tau", "1/3,1/2")
+        assert report == {
+            "suite": "axioms", "checked": 4, "ok": False,
+            "violations": ["tau=1/3: removal raises d at (2, 1)",
+                           "tau=1/2: removal raises d at (2, 1)"],
+        }
+
+    def test_invariance(self, capsys, monkeypatch):
+        alphas = []
+
+        def check(state, steps):
+            alphas.append(state.alpha)
+            # only the second triple breaks
+            return InvarianceReport(steps=steps, probability_breaks=[1] * (len(alphas) == 2))
+
+        monkeypatch.setattr(cli, "check_invariance", check)
+        report = failed_verify(capsys, "invariance", "--triples", "3", "--steps", "4")
+        assert len(alphas) == 3
+        assert report == {
+            "suite": "invariance", "triples": 3, "steps": 4, "ok": False,
+            "failures": [{"trial": 1, "alpha": str(alphas[1])}],
+        }
+
+    def test_sybil_condition_violated(self, capsys, monkeypatch):
+        def condition(*args, **kwargs):
+            entry = SybilConditionEntry(1, (), make_split(1, [(3, 3)]), 2, satisfied=False)
+            return SybilConditionReport(checked=1, entries=[entry])
+
+        monkeypatch.setattr(cli, "sybil_proofness_condition", condition)
+        report = failed_verify(capsys, "sybil")
+        assert report["problems"] == ["proofness condition violated on the small-gap fixture"]
+
+    def test_sybil_gain_under_winner_take_all(self, capsys, monkeypatch):
+        real = cli.max_sybil_gain
+
+        def search(owner, stakes, instance, policy, granularity, max_parts):
+            if isinstance(policy, MuEll) and owner == 2:
+                return Fraction(1, 3), make_split(2, [(Fraction(1, 2), 1), (Fraction(1, 2), 1)])
+            return real(owner, stakes, instance, policy, granularity, max_parts)
+
+        monkeypatch.setattr(cli, "max_sybil_gain", search)
+        report = failed_verify(capsys, "sybil")
+        assert report["problems"] == [
+            "player 2 gains 1/3 under the winner-take-all policy "
+            "via [('1/2', '1'), ('1/2', '1')]"
+        ]
+        assert report["allpay_best_gain"] == "8/15"
+
+    def test_sybil_all_pay_not_profitable(self, capsys, monkeypatch):
+        real = cli.max_sybil_gain
+
+        def search(owner, stakes, instance, policy, granularity, max_parts):
+            if isinstance(policy, MuAll):
+                return Fraction(0), make_split(owner, [(stakes[owner], 1)])
+            return real(owner, stakes, instance, policy, granularity, max_parts)
+
+        monkeypatch.setattr(cli, "max_sybil_gain", search)
+        report = failed_verify(capsys, "sybil")
+        assert report == {
+            "suite": "sybil", "allpay_best_gain": "0", "ok": False,
+            "problems": ["expected a profitable split under the all-pay policy"],
+        }
+
+    def test_oracle(self, capsys, monkeypatch):
+        real = cli.brute_force_equilibrium
+        calls = []
+
+        def oracle(stakes, instance, policy):
+            # a second equilibrium on the first instance only
+            calls.append((dict(stakes), real(stakes, instance, policy)))
+            return calls[-1][1] + [frozenset()] * (len(calls) == 1)
+
+        monkeypatch.setattr(cli, "brute_force_equilibrium", oracle)
+        report = failed_verify(capsys, "oracle", "--instances", "2")
+        stakes, [eq] = calls[0]
+        assert len(calls) == 2
+        assert report["mismatches"] == [{
+            "trial": 0,
+            "stakes": {str(k): str(v) for k, v in stakes.items()},
+            "solver": sorted(eq),
+            "oracle": [sorted(eq), []],
+        }]
 
 
 class TestSweep:

@@ -17,6 +17,7 @@ from stakegame import (
     save_scenario,
     scenario_to_dict,
 )
+from stakegame.scenarios import _KINDS
 
 
 def minimal_scenario_dict():
@@ -96,8 +97,50 @@ class TestParse:
         sc = parse_scenario(data)
         assert sc.instance.value_function(2) == Fraction(3, 2)
 
+    @pytest.mark.parametrize("table, message", [
+        ({}, "missing 'values'"),
+        ({"values": ["1", "2"]}, "'values' must map level -> value"),
+        ({"values": {"x": "1"}}, "level: not an integer: 'x'"),
+        ({"values": {"1": "1", "2": "a"}}, "value of level 2: not a number: 'a'"),
+    ], ids=["missing", "not an object", "level", "value"])
+    def test_malformed_value_table(self, table, message):
+        data = minimal_scenario_dict()
+        data["value_function"] = {"kind": "table", **table}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(data)
+        assert str(exc.value) == f"value_function table: {message}"
+
+
+# A case per kind, and for each field a case off its default.
+POLICIES = [
+    MuAlpha(alpha=Fraction(3, 8)),
+    MuStar(),
+    MuStar(epsilon=Fraction(1, 10)),
+    MuAll(),
+    MuEll(),
+    FixedWinner(winner=2),
+]
+VALUE_FUNCTIONS = {
+    "identity": {"kind": "identity"},
+    "affine": {"kind": "affine", "slope": "3/2", "intercept": "1/4"},
+    "table": {"kind": "table", "values": {"1": "1", "2": "5/2"}},
+    "table-3-levels": {"kind": "table", "values": {"1": "1/2", "2": "1/2", "3": "7"}},
+}
+
 
 class TestRoundTrip:
+    def test_every_kind_and_field_has_a_case(self):
+        base = parse_scenario(minimal_scenario_dict())
+        written = {
+            "policy": [scenario_to_dict(replace(base, policy=p))["policy"] for p in POLICIES],
+            "value_function": list(VALUE_FUNCTIONS.values()),
+        }
+        for family, kinds in _KINDS.items():
+            for kind, (_, readers) in kinds.items():
+                fields = {field for spec in written[family] if spec["kind"] == kind
+                          for field in spec}
+                assert fields == {"kind", *readers}, (family, kind)
+
     @pytest.mark.parametrize("name", ["example1-myopic", "example2-lookahead", "example3-muell"])
     def test_builtin_round_trip(self, name, tmp_path):
         sc = builtin_scenario(name)
@@ -108,25 +151,16 @@ class TestRoundTrip:
         assert loaded.instance == sc.instance
         assert loaded.policy == sc.policy
 
-    @pytest.mark.parametrize("policy", [
-        MuAlpha(alpha=Fraction(3, 8)),
-        MuStar(),
-        MuStar(epsilon=Fraction(1, 10)),
-        MuAll(),
-        MuEll(),
-        FixedWinner(winner=2),
-    ], ids=repr)
+    @pytest.mark.parametrize("policy", POLICIES, ids=repr)
     def test_every_policy_round_trips(self, policy):
         sc = replace(parse_scenario(minimal_scenario_dict()), policy=policy)
         loaded = parse_scenario(scenario_to_dict(sc))
         assert loaded == sc
         assert loaded.policy == policy
 
-    @pytest.mark.parametrize("value_function", [
-        {"kind": "identity"},
-        {"kind": "affine", "slope": "3/2", "intercept": "1/4"},
-        {"kind": "table", "values": {"1": "1", "2": "5/2"}},
-    ], ids=lambda vf: vf["kind"])
+    @pytest.mark.parametrize(
+        "value_function", VALUE_FUNCTIONS.values(), ids=list(VALUE_FUNCTIONS)
+    )
     def test_seeded_sampled_scenario_round_trips(self, value_function, tmp_path):
         data = dict(minimal_scenario_dict(), name="seeded", mode="sampled", seed=11,
                     value_function=value_function)

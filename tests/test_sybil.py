@@ -197,6 +197,19 @@ class TestProofnessCondition:
                 inst, policy, Fraction(1, 2), 2, profiles=[inst.stakes(), profile]
             )
 
+    @pytest.mark.parametrize("profile, problem", [
+        ({1: 3, 2: 1, 3: 1, 4: 1}, "names unknown players [4]"),
+        ({1: 3, 4: 1, 5: 2},
+         "has no stake for players [2, 3] and names unknown players [4, 5]"),
+    ], ids=["unknown", "missing and unknown"])
+    def test_profile_naming_an_unknown_player(self, profile, problem):
+        inst = _sybil_fixture()
+        with pytest.raises(ValueError) as exc:
+            sybil_proofness_condition(
+                inst, MuEll(), Fraction(1, 4), 3, profiles=[inst.stakes(), profile]
+            )
+        assert str(exc.value) == f"stake profile 1 {problem}"
+
     def test_single_player_vacuous(self):
         inst = make_instance([3], [5])
         report = sybil_proofness_condition(inst, MuEll(), 1, 2)
@@ -239,6 +252,32 @@ class TestGain:
         a = sybil_gain(split, inst.stakes(), inst, MuEll())
         b = sybil_gain(split, inst.stakes(), inst, MuStar())
         assert a == b
+
+
+# Each entry point that takes a stake profile, called on the verify fixture.
+PROFILE_ENTRY_POINTS = {
+    "max_sybil_gain": lambda inst, stakes: max_sybil_gain(
+        1, stakes, inst, MuEll(), Fraction(1, 4), 3),
+    "sybil_gain": lambda inst, stakes: sybil_gain(
+        make_split(1, [(1, 1), (2, 2)]), stakes, inst, MuEll()),
+    "preferred_recovery_sybils": lambda inst, stakes: preferred_recovery_sybils(
+        1, stakes, inst, MuEll(), Fraction(1, 4), 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROFILE_ENTRY_POINTS))
+@pytest.mark.parametrize("profile, problem", [
+    # the search used to price player 3 as present with no stake (a gain of 5)
+    ({1: 3, 2: 1}, "has no stake for players [3]"),
+    ({1: 3, 2: 1, 3: 1, 4: 1}, "names unknown players [4]"),
+    ({1: 3, 4: 1}, "has no stake for players [2, 3] and names unknown players [4]"),
+], ids=["missing", "unknown", "both"])
+def test_profile_must_stake_exactly_the_players(entry, profile, problem):
+    inst = _sybil_fixture()
+    stakes = {pid: Fraction(s) for pid, s in profile.items()}
+    with pytest.raises(ValueError) as exc:
+        PROFILE_ENTRY_POINTS[entry](inst, stakes)
+    assert str(exc.value) == f"stake profile {problem}"
 
 
 def reference_max_gain(owner, stakes, inst, policy, granularity, max_parts):
