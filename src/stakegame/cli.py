@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -41,6 +42,7 @@ from .scenarios import (
 )
 from .sybil import max_sybil_gain, sybil_proofness_condition
 from .virtualstake import VirtualStakeState, check_invariance, incumbent_gap_state
+
 
 def _load_golden(filename: str) -> List[List[str]]:
     ref = resources.files("stakegame").joinpath("data").joinpath(filename)
@@ -321,7 +323,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it.
+
+    Sharing it changes no output: argparse keeps no state between calls
+    (each ``parse_args`` fills a fresh ``Namespace``), and usage, help and
+    error text go to whatever ``sys.stdout`` / ``sys.stderr`` is current
+    when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="stakegame",
         description="simulate repeated staking games under algorithmic reward policies",

@@ -10,9 +10,9 @@ trivially because every extra identity earns an extra equal share.
 
 Real-valued splits cannot be searched exhaustively, so everything here works
 on a granularity grid: the condition check is exact at grid resolution and
-the gain search is a falsifier, not a prover.  The entry points that take a
-stake profile (the gain, its search, the preferred recovery split and the
-condition) raise ValueError unless it stakes exactly the instance's players.
+the gain search is a falsifier, not a prover.  Every public function that
+takes a stake profile raises ValueError unless it stakes exactly the
+instance's players; the searches call private unchecked workers per split.
 """
 
 from __future__ import annotations
@@ -170,6 +170,13 @@ def profile_harmful_for(
     i: PlayerId, stakes: StakeProfile, instance: Instance, policy: Policy
 ) -> bool:
     """Harmfulness of the full-participation profile for player i."""
+    _check_profile(instance, stakes)
+    return _profile_harmful_for(i, stakes, instance, policy)
+
+
+def _profile_harmful_for(
+    i: PlayerId, stakes: StakeProfile, instance: Instance, policy: Policy
+) -> bool:
     everyone = frozenset(stakes)
     return is_harmful(i, everyone, stakes, instance, _stage(policy)).harmful
 
@@ -181,9 +188,20 @@ def is_recovery_sybils(
     policy: Policy,
 ) -> bool:
     """Whether the split profile stops being harmful for the top-type part."""
+    _check_profile(instance, stakes)
+    return _is_recovery_sybils(split, stakes, instance, policy)
+
+
+def _is_recovery_sybils(
+    split: SybilSplit,
+    stakes: StakeProfile,
+    instance: Instance,
+    policy: Policy,
+) -> bool:
+    # a split profile of a checked profile stakes exactly the split's players
     new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
     # parts are in descending (type, stake) order, so the first is the top part
-    return not profile_harmful_for(part_ids[0], new_stakes, new_instance, policy)
+    return not _profile_harmful_for(part_ids[0], new_stakes, new_instance, policy)
 
 
 def preferred_recovery_sybils(
@@ -216,7 +234,7 @@ def preferred_recovery_sybils(
         )
     for _, group in groupby(candidates, key=attrgetter("top_part")):
         recovering = [
-            split for split in group if is_recovery_sybils(split, stakes, instance, policy)
+            split for split in group if _is_recovery_sybils(split, stakes, instance, policy)
         ]
         if recovering:
             return max(recovering, key=attrgetter("parts"))
@@ -273,7 +291,7 @@ def sybil_proofness_condition(
     for profile in profiles:
         for idx, pid in enumerate(by_type):
             report.checked += 1
-            if not profile_harmful_for(pid, profile, instance, policy):
+            if not _profile_harmful_for(pid, profile, instance, policy):
                 continue
             preferred = preferred_recovery_sybils(
                 pid, profile, instance, policy, granularity, max_parts

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -258,6 +261,9 @@ def test_mutated_scenarios_keep_the_exit_code_contract(fuzz_dir, scenario):
         assert err.getvalue().startswith("scenario error:")
 
 
+SYBIL_REPORT = '{"suite": "sybil", "allpay_best_gain": "8/15", "problems": [], "ok": true}\n'
+
+
 class TestVerify:
     """Each suite's exact stdout at fixed options: its JSON is pinned byte for byte."""
 
@@ -281,9 +287,7 @@ class TestVerify:
     def test_sybil(self, capsys):
         code, out = run_cli(capsys, "verify", "sybil")
         assert code == 0
-        assert out == (
-            '{"suite": "sybil", "allpay_best_gain": "8/15", "problems": [], "ok": true}\n'
-        )
+        assert out == SYBIL_REPORT
 
     def test_oracle(self, capsys):
         code, out = run_cli(capsys, "verify", "oracle", "--instances", "25")
@@ -623,3 +627,85 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+EXAMPLE1_RUN = (
+    '{"scenario": "example1-myopic", "rounds": 5, "final_stakes": '
+    '{"1": "5", "2": "2", "3": "1"}, "min_d": 1, "max_d": 2}\n'
+)
+
+
+class TestSharedParser:
+    """One parser serves every main call in a process; no call leaks into the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_option_values_do_not_carry_over(self, capsys):
+        code, out = run_cli(capsys, "verify", "oracle", "--instances", "3")
+        assert (code, json.loads(out)["instances"]) == (0, 3)
+        code, out = run_cli(capsys, "verify", "oracle")
+        assert (code, json.loads(out)["instances"]) == (0, 200)
+
+    def test_flags_do_not_carry_over(self, capsys):
+        code, out = run_cli(capsys, "run", "example1-myopic", "--theta")
+        assert json.loads(out)["theta"] == "1"
+        code, out = run_cli(capsys, "run", "example1-myopic")
+        assert (code, out) == (0, EXAMPLE1_RUN)
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["verify", "nonsense"], 2),
+        (["run"], 2),
+        (["--help"], 0),
+        (["sweep", "--help"], 0),
+    ])
+    def test_good_call_after_an_exit(self, capsys, argv, exit_code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == exit_code
+        capsys.readouterr()
+        assert run_cli(capsys, "verify", "sybil") == (0, SYBIL_REPORT)
+        assert run_cli(capsys, "run", "example1-myopic") == (0, EXAMPLE1_RUN)
+
+    def test_interleaved_commands_match_fresh_parsers(self, capsys, tmp_path):
+        out_dir = tmp_path / "sweep"
+        calls = [
+            ["run", "example2-lookahead", "--theta"],
+            ["verify", "invariance", "--triples", "3", "--steps", "5", "--seed", "3"],
+            ["sweep", "example1-myopic", "--parameter", "epsilon", "--values", "0,1/10",
+             "--output-dir", str(out_dir)],
+            ["verify", "axioms", "--n-max", "3"],
+            ["run", "example3-muell"],
+        ]
+
+        def outputs(argv):
+            code, out = run_cli(capsys, *argv)
+            summary = (out_dir / "summary.csv").read_text() if argv[0] == "sweep" else None
+            return code, out, summary
+
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(outputs(argv))
+        interleaved = [outputs(argv) for argv in calls + calls[::-1]]
+        assert interleaved == alone + alone[::-1]
+
+    def test_argparse_memory_stops_growing(self):
+        def argparse_bytes():
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, argparse.__file__)]
+            )
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        held = {}
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                for call in range(1, 401):
+                    assert main(["run", "example1-myopic"]) == 0
+                    if call in (100, 400):
+                        held[call] = argparse_bytes()
+        finally:
+            tracemalloc.stop()
+        assert held[400] <= held[100] + 1024

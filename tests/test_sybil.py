@@ -20,7 +20,7 @@ from stakegame import (
 )
 from stakegame.cli import _sybil_fixture
 from stakegame.core import scalar
-from stakegame.sybil import SybilSplit
+from stakegame.sybil import SybilSplit, profile_harmful_for
 
 from conftest import make_instance
 
@@ -262,12 +262,18 @@ PROFILE_ENTRY_POINTS = {
         make_split(1, [(1, 1), (2, 2)]), stakes, inst, MuEll()),
     "preferred_recovery_sybils": lambda inst, stakes: preferred_recovery_sybils(
         1, stakes, inst, MuEll(), Fraction(1, 4), 3),
+    "profile_harmful_for": lambda inst, stakes: profile_harmful_for(
+        1, stakes, inst, MuEll()),
+    "is_recovery_sybils": lambda inst, stakes: is_recovery_sybils(
+        make_split(1, [(3, 3)]), stakes, inst, MuEll()),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(PROFILE_ENTRY_POINTS))
 @pytest.mark.parametrize("profile, problem", [
-    # the search used to price player 3 as present with no stake (a gain of 5)
+    # the search used to price player 3 as present with no stake (a gain of 5);
+    # the profile read as harmless for player 1 (harmful with player 3 at
+    # stake 1), and the identity split as a recovery
     ({1: 3, 2: 1}, "has no stake for players [3]"),
     ({1: 3, 2: 1, 3: 1, 4: 1}, "names unknown players [4]"),
     ({1: 3, 4: 1}, "has no stake for players [2, 3] and names unknown players [4]"),
