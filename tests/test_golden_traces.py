@@ -3,7 +3,9 @@
 They cover the paths the worked-example tables do not: sampled mode under
 ``MuAlpha`` and under ``MuStar`` with epsilon > 0 (fractional stakes, tied
 stakes, tau other than 1/2), ``MuAll`` in expected mode (several players
-paid per round, a costly player sitting out the first rounds), and one
+paid per round, a costly player sitting out the first rounds), ``MuAlpha``
+in expected mode (fractional types with coprime denominators, a budget of
+3/2, a costly dominant stake sitting out the first rounds), and one
 16-player lookahead trajectory shaped like the ``lookahead_n16`` benchmark
 workload.  A change to the solvers or the engine that is meant to be exact
 must leave every file unchanged.
@@ -57,6 +59,16 @@ def mu_all():
     return run(inst, MuAll(), rounds=12)
 
 
+def mu_alpha_expected():
+    inst = make_instance(
+        [Fraction(3, 2), Fraction(7, 3), 1, Fraction(5, 4), Fraction(11, 7)],
+        [6, Fraction(1, 2), Fraction(7, 3), 1, Fraction(1, 2)],
+        budget=Fraction(3, 2),
+        costs=[Fraction(3, 2), 0, 0, 0, 0],
+    )
+    return run(inst, MuAlpha(Fraction(3, 8)), rounds=12)
+
+
 def lookahead_n16():
     rng = random.Random(20240)
     types = [rng.randint(1, 32) for _ in range(16)]
@@ -69,6 +81,7 @@ GOLDEN = {
     "sampled_mu_star_epsilon.csv": sampled_mu_star_epsilon,
     "lookahead_n16.csv": lookahead_n16,
     "mu_all.csv": mu_all,
+    "mu_alpha_expected.csv": mu_alpha_expected,
 }
 
 
