@@ -128,14 +128,16 @@ class RankedProfile:
         over the common denominator ``unit``, ``worth`` is her cost-free
         worth (stake + B) * v[r], ``net`` that worth minus her cost (what
         participating gives her), and ``stake * v_scaled[k]`` her stake priced
-        at v[k].  B comes from one ``leader_budgets`` pass of the policy;
-        the budget's and the cost's denominators enter ``unit``.
+        at v[k].  B comes from one ``leader_budgets`` pass of the policy,
+        as the integer pair ``(b_num, b_den)`` it hands over, taken as is:
+        no ``Fraction`` is built and no gcd taken.  ``b_den`` and the cost's
+        denominator enter ``unit``.
         """
         budgets = policy.leader_budgets(self.instance, self.stakes, self.ranking)
         player, scale, prefix = self.instance.player, self.scale, self.prefix
         v_scaled, v_scale = self.v_scaled, self.v_scale
         for r in range(len(self.ranking), 0, -1):
-            b_num, b_den = budgets[r].as_integer_ratio()
+            b_num, b_den = budgets[r]
             c_num, c_den = player(self.ranking[r - 1]).cost.as_integer_ratio()
             stake = (prefix[r] - prefix[r - 1]) * b_den * c_den
             worth = (stake + b_num * scale * c_den) * v_scaled[r]

@@ -3,9 +3,9 @@
 * ``MuAlpha(alpha)``   -- winner proportional to the virtual stake
   ``alpha * type + (1 - alpha) * stake``; winner takes the whole budget.
 * ``MuStar(epsilon)``  -- the type-favoring policy: the highest-type
-  participant wins (ties by smallest id).  ``epsilon`` is the explicit
-  "negligible" mixing mass spread uniformly over the other participants;
-  the default 0 makes the policy deterministic.
+  participant wins (ties by smallest id).  ``epsilon`` in [0, 1] is the
+  explicit "negligible" mixing mass spread uniformly over the other
+  participants; the default 0 makes the policy deterministic.
 * ``MuAll``            -- highest type wins, but every participant receives
   an equal share of the budget.
 * ``MuEll``            -- simulates foresighted play: the winner at round
@@ -18,7 +18,13 @@ participant set (players who cannot win may be left out), ``member_budget``
 a member's expected reward B_i(Q) in any set Q, ``leader_budgets`` the same
 reward for the leader of every suffix of a ranking in one O(n) pass, on
 which the suffix solvers are built, and ``payout`` the rewards paid when the
-winner is drawn from a distribution.
+winner is drawn from a distribution.  ``leader_budgets`` works on integers:
+each B is an integer pair ``(num, den)``, built from the budget's, epsilon's,
+alpha's, the types' and the stakes' numerators and denominators, so the
+solvers price a stage without forming a ``Fraction``.  The other three
+methods return ``Fraction``s; :func:`type_favoring_share` is their one home
+of the type-favoring rule, and a property test checks every policy's pairs
+against :func:`expected_budget`.
 
 The top-type rule (largest type, ties to the smallest id, compared on the
 positions of :meth:`Instance.type_order`) lives here alone: in
@@ -30,7 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence
+from itertools import accumulate
+from math import lcm
+from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank, virtual_stake
 
@@ -38,8 +46,9 @@ from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank, virtual_sta
 Distribution = Dict[PlayerId, Fraction]
 # Indexed by rank r (1-based, entry 0 unused) of a ranking: the expected reward
 # B of suffix r's leader (the player at rank r) in suffix r, the set of the
-# players at rank r or below.
-LeaderBudgets = List[Fraction]
+# players at rank r or below, as an integer pair (num, den) with den > 0, not
+# necessarily in lowest terms.
+LeaderBudgets = List[Tuple[int, int]]
 
 
 class _WinnerTakesAll:
@@ -62,11 +71,12 @@ class _WinnerTakesAll:
         return instance.budget * self.distribution(instance, stakes, participants).get(i, ZERO)
 
 
-def _positive(total: Fraction) -> Fraction:
-    """A sum of virtual stakes, which must be positive to normalize by."""
-    if total <= 0:
+def _check_weights(least_total: Fraction | int, least_weight: Fraction | int) -> None:
+    """Reject virtual stakes with a total of at most zero, then any negative one."""
+    if least_total <= 0:
         raise ValueError("virtual stakes sum to zero; distribution undefined")
-    return total
+    if least_weight < 0:
+        raise ValueError("negative virtual stake; distribution undefined")
 
 
 @dataclass(frozen=True)
@@ -80,26 +90,44 @@ class MuAlpha(_WinnerTakesAll):
             pid: virtual_stake(self.alpha, instance.player(pid).type_, stakes[pid])
             for pid in participants
         }
-        total = _positive(sum(weights.values()))
+        total = sum(weights.values())
+        _check_weights(total, min(weights.values()))
         return {pid: w / total for pid, w in weights.items()}
 
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
-        """Each leader's weight over a running suffix total, from the last rank up."""
-        budgets = [ZERO] * (len(ranking) + 1)
-        total = ZERO
-        for r in range(len(ranking), 0, -1):
-            pid = ranking[r - 1]
-            weight = virtual_stake(self.alpha, instance.player(pid).type_, stakes[pid])
-            total += weight
-            budgets[r] = instance.budget * (weight / _positive(total))
-        return budgets
+        """Each leader's weight over its suffix's total, on integers.
+
+        With alpha = a/d, the weights are scaled by d and by the lcms ``lt``
+        and ``ls`` of the ranking's type and stake denominators, so leader
+        r's weight W_r and the suffix total T_r (summed from the last rank
+        up) are ints, and B = b/c gives ``(b * W_r, c * T_r)``.
+        """
+        a, d = self.alpha.numerator, self.alpha.denominator
+        types = [instance.player(pid).type_ for pid in ranking]
+        held = [stakes[pid] for pid in ranking]
+        lt = lcm(*[t.denominator for t in types])
+        ls = lcm(*[s.denominator for s in held])
+        at, bs = a * ls, (d - a) * lt
+        weights = [
+            at * t.numerator * (lt // t.denominator) + bs * s.numerator * (ls // s.denominator)
+            for t, s in zip(types, held)
+        ]
+        totals = list(accumulate(reversed(weights)))
+        totals.reverse()
+        _check_weights(min(totals), min(weights))
+        b, c = instance.budget.numerator, instance.budget.denominator
+        return [(0, 1)] + [(b * w, c * total) for w, total in zip(weights, totals)]
 
 
 @dataclass(frozen=True)
 class MuStar(_WinnerTakesAll):
     epsilon: Fraction = ZERO
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.epsilon <= 1:
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
     def distribution(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
@@ -124,19 +152,29 @@ class MuStar(_WinnerTakesAll):
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
-        """Each leader's share, from the last rank up.
+        """Each leader's share, from the last rank up, as :func:`type_favoring_share` gives it.
 
-        She is her suffix's top type when her ``type_order`` position is the least so far.
+        She is her suffix's top type when her ``type_order`` position is the
+        least so far.  For B = b/c and epsilon = p/q, the top of a suffix of
+        m gets ``(b * (q - p), c * q)`` and any other leader
+        ``(b * p, c * q * (m - 1))``; a lone leader, or epsilon 0, gives the
+        top ``(b, c)`` and the others ``(0, 1)``.
         """
         order = instance.type_order()
         n = len(ranking)
-        budgets = [ZERO] * (n + 1)
+        b, c = instance.budget.numerator, instance.budget.denominator
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        whole, zero = (b, c), (0, 1)
+        top, rest, rest_den = (b * (q - p), c * q), b * p, c * q
+        budgets = [zero] * (n + 1)
         best = len(order)
         for r in range(n, 0, -1):
             k = order[ranking[r - 1]]
             if k < best:
                 best = k
-            budgets[r] = type_favoring_share(self.epsilon, n - r + 1, k == best, instance.budget)
+                budgets[r] = top if p and r < n else whole
+            elif p:
+                budgets[r] = (rest, rest_den * (n - r))
         return budgets
 
 
@@ -160,7 +198,8 @@ class MuAll:
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
         n = len(ranking)
-        return [ZERO] + [instance.budget / (n - r + 1) for r in range(1, n + 1)]
+        b, c = instance.budget.numerator, instance.budget.denominator
+        return [(0, 1)] + [(b, c * (n - r + 1)) for r in range(1, n + 1)]
 
     def payout(
         self, instance: Instance, participants: Collection[PlayerId], dist: Distribution
@@ -198,7 +237,8 @@ class FixedWinner(_WinnerTakesAll):
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
-        return [ZERO] + [instance.budget if pid == self.winner else ZERO for pid in ranking]
+        whole = (instance.budget.numerator, instance.budget.denominator)
+        return [(0, 1)] + [whole if pid == self.winner else (0, 1) for pid in ranking]
 
 
 Policy = MuAlpha | MuStar | MuAll | MuEll | FixedWinner  # not typing.Union: see core.ValueFunction

@@ -7,6 +7,7 @@ import io
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,9 @@ from stakegame.cli import main
 from stakegame.measures import AxiomReport
 from stakegame.sybil import SybilConditionEntry, SybilConditionReport
 from stakegame.virtualstake import InvarianceReport
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -473,19 +477,35 @@ class TestSweep:
         out_dir = tmp_path / "sweep"
         code, _ = run_cli(
             capsys, "sweep", "example1-myopic",
-            "--parameter", "epsilon", "--values", "0,1/10",
+            "--parameter", "epsilon", "--values", "0,1/10,1",
             "--output-dir", str(out_dir),
         )
         assert code == 0
         with open(out_dir / "summary.csv") as fh:
             rows = list(csv.reader(fh))
-        # epsilon 0 is the builtin itself: final stakes 5, 2, 1
+        # epsilon 0 is the builtin itself: final stakes 5, 2, 1; at epsilon 1
+        # the top's share is zero and the others split each budget
         assert rows == [
             ["epsilon", "share_1", "share_2", "share_3", "min_d"],
             ["0", "5/8", "1/4", "1/8", "1"],
             ["1/10", "23/40", "21/80", "13/80", "1"],
+            ["1", "1/8", "7/16", "7/16", "2"],
         ]
         assert (out_dir / "trace_epsilon_1_10.csv").exists()
+
+    def test_alpha_sweep_over_fractional_types(self, capsys, tmp_path):
+        # the checked-in scenario is the golden mu_alpha_expected trajectory
+        out_dir = tmp_path / "sweep"
+        code, _ = run_cli(
+            capsys, "sweep", str(DATA / "scenarios" / "mu_alpha_fractional.json"),
+            "--parameter", "alpha", "--values", "0,3/8,1",
+            "--output-dir", str(out_dir),
+        )
+        assert code == 0
+        with open(out_dir / "summary.csv") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["alpha", "0", "3/8", "1"]
+        golden = (DATA / "mu_alpha_expected.csv").read_bytes()
+        assert (out_dir / "trace_alpha_3_8.csv").read_bytes() == golden
 
     def test_empty_values_rejected(self, capsys, tmp_path):
         code, _ = run_cli(

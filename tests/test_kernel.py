@@ -2,9 +2,9 @@
 
 The kernel (``RankedProfile``) evaluates every ranking suffix of a profile in
 one pass; each test compares it with the per-set reference functions, or the
-solvers with the brute-force oracle.  Stakes come from a small pool so that
-ties are common, and include fractions with coprime denominators; tau
-ranges over (0, 1).
+solvers with the brute-force oracle.  Stakes and types come from small
+pools so that ties are common, and include fractions with coprime
+denominators; tau ranges over (0, 1).
 """
 
 from fractions import Fraction
@@ -53,6 +53,11 @@ STAKES = st.sampled_from(
 TAUS = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)
 COSTS = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5)])
+# Tied types are common; the fractional ones have coprime denominators.
+TYPES = st.sampled_from(
+    [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(5, 7),
+     Fraction(3, 11), Fraction(10, 7)]
+)
 
 
 @st.composite
@@ -70,7 +75,7 @@ def value_functions(draw, n):
 def instances(draw, max_n=8, costs=None):
     """Random instances; ``costs`` draws each player's cost, else costs are 0."""
     n = draw(st.integers(1, max_n))
-    types = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    types = draw(st.lists(TYPES, min_size=n, max_size=n))
     stakes = draw(st.lists(STAKES, min_size=n, max_size=n))
     return make_instance(
         types,
@@ -83,7 +88,7 @@ def instances(draw, max_n=8, costs=None):
 
 
 POLICIES = st.one_of(
-    st.builds(MuStar, UNIT.filter(lambda e: e < 1)),
+    st.builds(MuStar, UNIT),
     st.just(MuAll()),
     st.builds(MuAlpha, UNIT),
     st.builds(FixedWinner, st.integers(1, 9)),
@@ -105,13 +110,6 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
         assert profile.v[r] == token_value(profile.d[r], inst.value_function)
     assert profile.suffix(n + 1) == frozenset()
     assert (profile.d[n + 1], profile.v[n + 1]) == stage_value(inst, stakes, frozenset())
-
-
-# Tied types are common; the fractional ones have coprime denominators.
-TYPES = st.sampled_from(
-    [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3), Fraction(5, 7),
-     Fraction(3, 11), Fraction(10, 7)]
-)
 
 
 @st.composite
@@ -141,7 +139,7 @@ def test_the_integer_type_order_matches_the_fraction_order(case, data):
     budgets = MuStar().leader_budgets(inst, inst.stakes(), ranking)
     for r, leader in enumerate(ranking, start=1):
         is_top = leader == reference_top(players, ranking[r - 1 :])
-        assert (budgets[r] == inst.budget) == is_top
+        assert (Fraction(*budgets[r]) == inst.budget) == is_top
     ids = data.draw(st.lists(st.sampled_from(sorted(inst.stakes())), min_size=1))
     assert top_type_participant(inst, iter(ids)) == reference_top(players, ids)
     with pytest.raises(ValueError, match="empty participant set"):
@@ -155,7 +153,9 @@ def test_a_changed_types_map_changes_no_top_type_decision():
     inst.types()[3] = Fraction(10)
     assert inst.types() == {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
     assert top_type_participant(inst, {1, 2, 3}) == 1
-    assert MuStar().leader_budgets(inst, stakes, ranking) == before == [0, 1, 1, 1]
+    after = MuStar().leader_budgets(inst, stakes, ranking)
+    assert after == before
+    assert [Fraction(*pair) for pair in after] == [0, 1, 1, 1]
     with pytest.raises(TypeError):
         inst.type_order()[3] = -1
 
@@ -180,7 +180,9 @@ def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
     assert len(budgets) == len(profile.ranking) + 1
     for r, leader in enumerate(profile.ranking, start=1):
         suffix = profile.suffix(r)
-        assert budgets[r] == expected_budget(policy, inst, stakes, leader, suffix)
+        num, den = budgets[r]
+        assert type(num) is type(den) is int and den > 0
+        assert Fraction(num, den) == expected_budget(policy, inst, stakes, leader, suffix)
 
 
 def reference_labels(inst, stakes, policy):

@@ -100,6 +100,27 @@ class TestWinnerDistribution:
         with pytest.raises(ValueError, match="virtual stakes sum to zero"):
             NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(3)))
 
+    @pytest.mark.parametrize("call", sorted(NONPOSITIVE_MU_ALPHA))
+    def test_mu_alpha_rejects_a_negative_weight(self, call):
+        # alpha = 3 weighs 3 * type - 2 * stake: -3 and 7 total 4 > 0, so
+        # the total passes its check and the negative weight is named
+        inst = make_instance([1, 3], [3, 1])
+        with pytest.raises(ValueError, match="negative virtual stake"):
+            NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(3)))
+
+    @pytest.mark.parametrize("epsilon", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_mu_star_rejects_an_epsilon_outside_the_unit_interval(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            MuStar(epsilon)
+
+    def test_mu_star_epsilon_one_gives_the_top_nothing(self, inst):
+        everyone = frozenset({1, 2, 3})
+        dist = winner_distribution(MuStar(Fraction(1)), inst, inst.stakes(), everyone)
+        assert dist == {1: 0, 2: Fraction(1, 2), 3: Fraction(1, 2)}
+        ranking = (1, 2, 3)
+        budgets = MuStar(Fraction(1)).leader_budgets(inst, inst.stakes(), ranking)
+        assert [Fraction(*pair) for pair in budgets] == [0, 0, 0, 1]
+
     def test_mu_all_top_type_wins(self):
         # the equal split does not hide who the recorded winner is
         inst = make_instance([1, 3, 2], [1, 1, 1])
