@@ -51,8 +51,8 @@ UNRESOLVED_MU_ELL = {
     "brute_force_equilibrium": lambda inst, stakes, q: brute_force_equilibrium(stakes, inst, MuEll()),
 }
 
-# MuAlpha with alpha > 1 can weigh a set at <= 0: the distribution and the
-# suffix solvers reject it alike.
+# MuAlpha with alpha > 1 can weigh a set at <= 0, or a player below 0: the
+# distribution and the suffix solvers reject either alike.
 NONPOSITIVE_MU_ALPHA = {
     "winner_distribution": lambda inst, mu: winner_distribution(
         mu, inst, inst.stakes(), frozenset({1, 2})
@@ -112,14 +112,6 @@ class TestWinnerDistribution:
     def test_mu_star_rejects_an_epsilon_outside_the_unit_interval(self, epsilon):
         with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
             MuStar(epsilon)
-
-    def test_mu_star_epsilon_one_gives_the_top_nothing(self, inst):
-        everyone = frozenset({1, 2, 3})
-        dist = winner_distribution(MuStar(Fraction(1)), inst, inst.stakes(), everyone)
-        assert dist == {1: 0, 2: Fraction(1, 2), 3: Fraction(1, 2)}
-        ranking = (1, 2, 3)
-        budgets = MuStar(Fraction(1)).leader_budgets(inst, inst.stakes(), ranking)
-        assert [Fraction(*pair) for pair in budgets] == [0, 0, 0, 1]
 
     def test_mu_all_top_type_wins(self):
         # the equal split does not hide who the recorded winner is
