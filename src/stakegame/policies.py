@@ -164,9 +164,8 @@ class MuStar(_WinnerTakesAll):
         n = len(ranking)
         b, c = instance.budget.numerator, instance.budget.denominator
         p, q = self.epsilon.numerator, self.epsilon.denominator
-        whole, zero = (b, c), (0, 1)
-        top, rest, rest_den = (b * (q - p), c * q), b * p, c * q
-        budgets = [zero] * (n + 1)
+        whole, top, rest, rest_den = (b, c), (b * (q - p), c * q), b * p, c * q
+        budgets = [(0, 1)] * (n + 1)
         best = len(order)
         for r in range(n, 0, -1):
             k = order[ranking[r - 1]]
