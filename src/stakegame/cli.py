@@ -28,11 +28,12 @@ from .equilibrium import (
     threshold,
 )
 from .measures import check_decentralization_axioms, tau_index_measure
-from .policies import MuAll, MuAlpha, MuEll, MuStar
+from .policies import MuAll, MuEll, MuStar
 from .scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
     ScenarioError,
+    _KINDS,
     _at_least_one,
     _number,
     _open_unit_interval,
@@ -250,17 +251,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-# How each sweep parameter's values are read: with the scenario file's checks.
-_SWEEP_VALUE = {
-    "alpha": _unit_interval,
-    "M": _number,
-    "rounds": _at_least_one,
-    "epsilon": _unit_interval,
+# parameter -> (how its values are read, with the scenario file's checks;
+# the policy kind it needs, or None)
+_SWEEP = {
+    "alpha": (_unit_interval, "mu_alpha"),
+    "M": (_number, "mu_alpha"),
+    "rounds": (_at_least_one, None),
+    "epsilon": (_unit_interval, "mu_star"),
 }
 
 
 def _sweep_values(parameter: str, raw: str) -> List[Fraction | int]:
-    parse = _SWEEP_VALUE[parameter]
+    parse = _SWEEP[parameter][0]
     values = [parse(v, f"sweep {parameter}") for v in raw.split(",") if v.strip()]
     if not values:
         raise ScenarioError("sweep: empty value list")
@@ -274,24 +276,19 @@ def _sweep_values(parameter: str, raw: str) -> List[Fraction | int]:
 def _scenario_for_value(
     scenario: Scenario, parameter: str, value: Fraction | int
 ) -> Scenario:
-    if parameter == "alpha":
-        if not isinstance(scenario.policy, MuAlpha):
-            raise ScenarioError("sweep alpha: scenario policy must be mu_alpha")
-        return replace(scenario, policy=MuAlpha(alpha=value))
-    if parameter == "epsilon":
-        if not isinstance(scenario.policy, MuStar):
-            raise ScenarioError("sweep epsilon: scenario policy must be mu_star")
-        return replace(scenario, policy=MuStar(epsilon=value))
+    kind = _SWEEP[parameter][1]
+    if kind is not None and not isinstance(scenario.policy, _KINDS["policy"][kind][0]):
+        raise ScenarioError(f"sweep {parameter}: scenario policy must be {kind}")
     if parameter == "rounds":
         return replace(scenario, rounds=value)
-    # parameter == "M": argparse admits only the keys of _SWEEP_VALUE
-    if not isinstance(scenario.policy, MuAlpha):
-        raise ScenarioError("sweep M: scenario policy must be mu_alpha")
-    try:
-        state = incumbent_gap_state(scenario.policy.alpha, scenario.instance.types(), value)
-    except ValueError as exc:  # M <= 0, alpha = 1 or a single player
-        raise ScenarioError(f"sweep M: {exc}") from None
-    return replace(scenario, instance=replace(scenario.instance, initial_stakes=state.stakes))
+    if parameter == "M":
+        try:
+            state = incumbent_gap_state(scenario.policy.alpha, scenario.instance.types(), value)
+        except ValueError as exc:  # M <= 0, alpha = 1 or a single player
+            raise ScenarioError(f"sweep M: {exc}") from None
+        return replace(scenario, instance=replace(scenario.instance, initial_stakes=state.stakes))
+    # a policy parameter: the policy's field of that name
+    return replace(scenario, policy=replace(scenario.policy, **{parameter: value}))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rerun a scenario over parameter values")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--parameter", required=True, choices=list(_SWEEP_VALUE))
+    p_sweep.add_argument("--parameter", required=True, choices=list(_SWEEP))
     p_sweep.add_argument("--values", required=True, help="comma separated values")
     p_sweep.add_argument("--output-dir", required=True)
     p_sweep.set_defaults(func=cmd_sweep)

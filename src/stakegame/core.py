@@ -77,7 +77,7 @@ class IdentityValue:
 
 @dataclass(frozen=True)
 class AffineValue:
-    """Token value ``slope * d + intercept`` with slope >= 0."""
+    """Token value ``slope * d + intercept``."""
 
     slope: Fraction
     intercept: Fraction
@@ -175,6 +175,16 @@ class Instance:
 
     def stakes(self) -> Dict[PlayerId, Fraction]:
         return dict(self.initial_stakes)
+
+    def check_profile(self, stakes: StakeProfile, name: str = "stake profile") -> None:
+        """Raise ValueError unless the profile stakes exactly this instance's players."""
+        found = {
+            "has no stake for players": self._by_id.keys() - stakes.keys(),
+            "names unknown players": stakes.keys() - self._by_id.keys(),
+        }
+        problems = [f"{problem} {sorted(pids)}" for problem, pids in found.items() if pids]
+        if problems:
+            raise ValueError(f"{name} {' and '.join(problems)}")
 
 
 @dataclass(frozen=True, slots=True)

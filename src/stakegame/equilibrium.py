@@ -12,6 +12,11 @@ Implements, with exact arithmetic throughout:
 There is one tie rule: a player indifferent between participating and
 abstaining participates.  The uniqueness of the suffix equilibrium depends
 on it.
+
+The public solvers raise ValueError unless the stake profile stakes exactly
+the instance's players (:meth:`Instance.check_profile`); the engine and the
+sybil searches, which build their own profiles, call the private unchecked
+workers.
 """
 
 from __future__ import annotations
@@ -274,6 +279,7 @@ def recovery_winner_labels(
     participates anyway.  Runs in O(n) with exactly one harmfulness decision
     per rank.
     """
+    instance.check_profile(stakes)
     profile = RankedProfile(stakes, instance)
     labels, _ = _labels(profile, policy)
     return {profile.ranking[r - 1]: label for r, label in labels.items()}
@@ -290,6 +296,7 @@ def myopic_equilibrium(
     first rank that is either non-harmful there or harmful without a recovery
     winner.
     """
+    instance.check_profile(stakes)
     profile = RankedProfile(stakes, instance)
     return profile.suffix(_myopic(profile, policy))
 
@@ -382,6 +389,7 @@ class LookaheadSolver:
         however many ranks' walks pass through it.  Nothing is kept between
         calls.
         """
+        self.instance.check_profile(stakes)
         profile, r = self._solve(stakes, {})
         return profile.suffix(r)
 
@@ -392,6 +400,7 @@ class LookaheadSolver:
 
         The plans share walk steps with the solve, as in :meth:`solve`.
         """
+        self.instance.check_profile(stakes)
         walked: Dict[tuple, tuple] = {}
         profile, r = self._solve(stakes, walked)
         participants = profile.suffix(r)
@@ -539,6 +548,7 @@ def brute_force_equilibrium(
     (:class:`RankedProfile`) is not used: the oracle is the independent
     reference the kernel-based solvers are checked against.
     """
+    instance.check_profile(stakes)
     ids = sorted(stakes)
     if len(ids) > 12:
         raise ValueError(f"brute force limited to 12 players, got {len(ids)}")

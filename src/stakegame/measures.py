@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ONE, AffineValue, Instance, ScalarLike, TableValue, ValueFunction, scalar
+from .core import ONE, ZERO, Instance, ScalarLike, ValueFunction, scalar
 
 # A measure maps a stake multiset (tuple of Fractions) to a positive integer.
 Measure = Callable[[Tuple[Fraction, ...]], int]
@@ -215,10 +215,13 @@ def validate_instance(instance: Instance) -> ValidationReport:
     """Check an instance against the model's structural requirements.
 
     Errors: types below 1, non-positive initial stakes, negative costs,
-    non-positive budget, a non-monotone value function, or a value table
-    that does not cover every reachable decentralization level.  Warnings:
-    value/budget alignment violations and boundary equalities at the
-    smallest initial stake (the framework's guarantees assume alignment).
+    non-positive budget, or a value function that is not defined,
+    non-negative and non-decreasing at every decentralization level 1..n.
+    That rule reads the values alone, whatever the function's kind: a value
+    table must cover those levels, and its entries outside them are not
+    read.  Warnings: value/budget alignment violations and boundary
+    equalities at the smallest initial stake (the framework's guarantees
+    assume alignment).
     """
     report = ValidationReport()
     ids = [p.id for p in instance.players]
@@ -242,17 +245,18 @@ def validate_instance(instance: Instance) -> ValidationReport:
     if not 0 < instance.tau_threshold < 1:
         report.errors.append(f"tau threshold {instance.tau_threshold} is not in (0, 1)")
 
-    vf = instance.value_function
-    if isinstance(vf, AffineValue) and vf.slope < 0:
-        report.errors.append("affine value function has negative slope")
-    elif isinstance(vf, TableValue):
-        levels = [level for level, _ in vf.values]
-        for d in range(1, instance.n + 1):
-            if d not in levels:
-                report.errors.append(f"value table misses decentralization level {d}")
-        values = [value for _, value in vf.values]
-        if any(a > b for a, b in zip(values, values[1:])):
-            report.errors.append("value table is not non-decreasing")
+    # (value, level) pairs in level order
+    values = []
+    for d in range(1, instance.n + 1):
+        try:
+            values.append((token_value(d, instance.value_function), d))
+        except ValueError:  # a value table has no entry for d
+            report.errors.append(f"value table misses decentralization level {d}")
+    if any(a > b for (a, _), (b, _) in zip(values, values[1:])):
+        report.errors.append(f"value function is not non-decreasing over levels 1..{instance.n}")
+    lowest, level = min(values, default=(ZERO, None))
+    if lowest < 0:
+        report.errors.append(f"value function is negative at level {level}")
 
     if report.errors:
         return report

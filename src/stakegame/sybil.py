@@ -130,18 +130,6 @@ def enumerate_splits(
     return results
 
 
-def _check_profile(instance: Instance, stakes: StakeProfile, name: str = "stake profile") -> None:
-    """Raise unless the profile stakes exactly the instance's players."""
-    ids = set(instance.ids)
-    found = {
-        "has no stake for players": ids - stakes.keys(),
-        "names unknown players": stakes.keys() - ids,
-    }
-    problems = [f"{problem} {sorted(pids)}" for problem, pids in found.items() if pids]
-    if problems:
-        raise ValueError(f"{name} {' and '.join(problems)}")
-
-
 def _stage(policy: Policy) -> Policy:
     # The lookahead-simulating policy pays like the type-favoring one within
     # a single stage, which is all the sybil definitions look at.
@@ -170,7 +158,7 @@ def profile_harmful_for(
     i: PlayerId, stakes: StakeProfile, instance: Instance, policy: Policy
 ) -> bool:
     """Harmfulness of the full-participation profile for player i."""
-    _check_profile(instance, stakes)
+    instance.check_profile(stakes)
     return _profile_harmful_for(i, stakes, instance, policy)
 
 
@@ -188,7 +176,7 @@ def is_recovery_sybils(
     policy: Policy,
 ) -> bool:
     """Whether the split profile stops being harmful for the top-type part."""
-    _check_profile(instance, stakes)
+    instance.check_profile(stakes)
     return _is_recovery_sybils(split, stakes, instance, policy)
 
 
@@ -223,7 +211,7 @@ def preferred_recovery_sybils(
     Raises when the owner's stake is not a positive multiple of the
     granularity (no full-stake split exists) and when no grid split recovers.
     """
-    _check_profile(instance, stakes)
+    instance.check_profile(stakes)
     candidates = enumerate_splits(
         owner, stakes, instance.types(), granularity, max_parts, full_stake=True
     )
@@ -284,7 +272,7 @@ def sybil_proofness_condition(
     if profiles is None:
         profiles = [instance.stakes()]
     for k, profile in enumerate(profiles):
-        _check_profile(instance, profile, f"stake profile {k}")
+        instance.check_profile(profile, f"stake profile {k}")
     order = instance.type_order()
     by_type = sorted(order, key=order.__getitem__)
     report = SybilConditionReport()
@@ -352,7 +340,7 @@ def sybil_gain(
     positive value exhibits a profitable split.  The identity split gains
     exactly zero.
     """
-    _check_profile(instance, stakes)
+    instance.check_profile(stakes)
     stage = _stage(policy)
     original = _original_utility(split.owner, stakes, instance, stage)
     return _parts_utility(split, stakes, instance, stage) - original
@@ -371,7 +359,7 @@ def max_sybil_gain(
     Equal to the first split reaching the maximum of :func:`sybil_gain` over
     the grid; the owner's unsplit utility is computed once for the search.
     """
-    _check_profile(instance, stakes)
+    instance.check_profile(stakes)
     splits = enumerate_splits(owner, stakes, instance.types(), granularity, max_parts)
     if not splits:
         raise ValueError("no splits on the grid")

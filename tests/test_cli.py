@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from stakegame import MuAll, MuEll, cli, make_split
 from stakegame.cli import main
 from stakegame.measures import AxiomReport
+from stakegame.scenarios import builtin_scenario, scenario_to_dict
 from stakegame.sybil import SybilConditionEntry, SybilConditionReport
 from stakegame.virtualstake import InvarianceReport
 
@@ -181,6 +182,22 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, case):
     assert captured.out == ""
     assert captured.err.startswith("scenario error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value_function", [
+    {"kind": "affine", "slope": "1", "intercept": "-5"},
+    {"kind": "table", "values": {"1": "-3", "2": "-2", "3": "-1"}},
+], ids=["affine", "table"])
+def test_negative_value_function_exits_2(capsys, tmp_path, value_function):
+    path = tmp_path / "sc.json"
+    builtin = scenario_to_dict(builtin_scenario("example1-myopic"))
+    path.write_text(json.dumps(dict(builtin, value_function=value_function)))
+    code = main(["run", str(path), "--theta"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "scenario error: invalid instance: value function is negative at level 1\n"
+    )
 
 
 @pytest.mark.parametrize("family", ["policy", "value_function"])
@@ -438,8 +455,11 @@ class TestSweep:
         assert code == 0
         with open(out_dir / "summary.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["rounds", "share_1", "share_2", "share_3", "min_d"]
-        assert len(rows) == 3
+        assert rows == [
+            ["rounds", "share_1", "share_2", "share_3", "min_d"],
+            ["2", "3/5", "1/5", "1/5", "2"],
+            ["4", "4/7", "2/7", "1/7", "2"],
+        ]
 
     def test_alpha_sweep_matches_longrun_share(self, capsys, tmp_path):
         from fractions import Fraction
@@ -502,10 +522,66 @@ class TestSweep:
             "--output-dir", str(out_dir),
         )
         assert code == 0
-        with open(out_dir / "summary.csv") as fh:
-            assert [row[0] for row in csv.reader(fh)] == ["alpha", "0", "3/8", "1"]
+        assert (out_dir / "summary.csv").read_bytes().decode() == (
+            "alpha,share_1,share_2,share_3,share_4,share_5,min_d\r\n"
+            "0,9/20,33/400,11/50,33/200,33/400,2\r\n"
+            "3/8,265932/639965,493447934211/3651272950090,509348119/2560499965,"
+            "262006329831/1825636475045,390226591491/3651272950090,2\r\n"
+            "1,17244/54655,5458275309/24470245910,4524331/28256635,"
+            "1778197719/12235122955,346998759/2224567810,2\r\n"
+        )
         golden = (DATA / "mu_alpha_expected.csv").read_bytes()
         assert (out_dir / "trace_alpha_3_8.csv").read_bytes() == golden
+
+    def test_m_sweep_over_fractional_types(self, capsys, tmp_path):
+        out_dir = tmp_path / "sweep"
+        code, _ = run_cli(
+            capsys, "sweep", str(DATA / "scenarios" / "mu_alpha_fractional.json"),
+            "--parameter", "M", "--values", "1,2",
+            "--output-dir", str(out_dir),
+        )
+        assert code == 0
+        assert (out_dir / "summary.csv").read_bytes().decode() == (
+            "M,share_1,share_2,share_3,share_4,share_5,min_d\r\n"
+            "1,714/3557,644/3557,756/3557,735/3557,708/3557,3\r\n"
+            "2,77/358,518/4117,1855/8234,1813/8234,1759/8234,3\r\n"
+        )
+
+    @pytest.mark.parametrize("parameter, scenario, kind", [
+        ("alpha", "example1-myopic", "mu_alpha"),
+        ("M", "example1-myopic", "mu_alpha"),
+        ("epsilon", str(DATA / "scenarios" / "mu_alpha_fractional.json"), "mu_star"),
+        ("alpha", "example3-muell", "mu_alpha"),
+        ("epsilon", "example3-muell", "mu_star"),
+    ], ids=lambda x: Path(x).name)
+    def test_wrong_policy_kind(self, capsys, tmp_path, parameter, scenario, kind):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", scenario, "--parameter", parameter, "--values", "1/2",
+                     "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"scenario error: sweep {parameter}: scenario policy must be {kind}\n"
+        assert not out_dir.exists()
+
+    def test_help(self, capsys, monkeypatch):
+        # wide enough that no argparse version wraps the usage line
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: stakegame sweep [-h] --parameter {alpha,M,rounds,epsilon} --values VALUES "
+            "--output-dir OUTPUT_DIR scenario\n"
+            "\n"
+            "positional arguments:\n"
+            "  scenario\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --parameter {alpha,M,rounds,epsilon}\n"
+            "  --values VALUES       comma separated values\n"
+            "  --output-dir OUTPUT_DIR\n"
+        )
 
     def test_empty_values_rejected(self, capsys, tmp_path):
         code, _ = run_cli(

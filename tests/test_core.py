@@ -114,6 +114,35 @@ class TestValidation:
         inst = make_instance([3, 2, 1], [1, 1, 1], vf=vf)
         assert any("non-decreasing" in e for e in validate_instance(inst).errors)
 
+    @pytest.mark.parametrize("vf, errors", [
+        (IdentityValue(), []),
+        (AffineValue(Fraction(1, 2), Fraction(1)), []),
+        (AffineValue(Fraction(-1), Fraction(5)),
+         ["value function is not non-decreasing over levels 1..3"]),
+        (AffineValue(Fraction(1), Fraction(-5)), ["value function is negative at level 1"]),
+        (AffineValue(Fraction(-1), Fraction(0)),
+         ["value function is not non-decreasing over levels 1..3",
+          "value function is negative at level 3"]),
+        (TableValue.from_mapping({1: 1, 2: 2, 3: 3}), []),
+        (TableValue.from_mapping({1: 2, 2: 1, 3: 3}),
+         ["value function is not non-decreasing over levels 1..3"]),
+        (TableValue.from_mapping({1: 1, 3: 3}), ["value table misses decentralization level 2"]),
+        (TableValue.from_mapping({1: -3, 2: -2, 3: -1}),
+         ["value function is negative at level 1"]),
+        # only levels 1..n are read: a drop at level 4 of three players passes
+        (TableValue.from_mapping({1: 1, 2: 2, 3: 3, 4: 0}), []),
+    ], ids=["identity", "affine", "affine decreasing", "affine negative",
+            "affine decreasing and negative", "table", "table decreasing", "table gap",
+            "table negative", "table decreasing past n"])
+    def test_value_function_rule(self, vf, errors):
+        inst = make_instance([3, 2, 1], [1, 1, 1], vf=vf)
+        assert validate_instance(inst).errors == errors
+
+    def test_one_level_is_never_out_of_order(self):
+        # one player reaches level 1 only, so a negative slope is no error
+        inst = make_instance([1], [1], vf=AffineValue(Fraction(-1), Fraction(5)))
+        assert validate_instance(inst).errors == []
+
     def test_duplicate_ids(self):
         players = (Player(id=1, type_=Fraction(2)), Player(id=1, type_=Fraction(1)))
         inst = Instance.build(players, {1: 1}, 1, Fraction(1, 2), IdentityValue())

@@ -331,3 +331,32 @@ def test_stage_utility_costs_subtract():
     d, v = stage_value(inst, inst.stakes(), frozenset({1, 2}))
     assert with_cost == (4 + 1) * v - 1
     assert free == 4 * v
+
+
+# The public solvers, each called on a three-player instance with a profile.
+SOLVER_ENTRY_POINTS = {
+    "myopic_equilibrium": lambda inst, stakes: myopic_equilibrium(stakes, inst, MuStar()),
+    "recovery_winner_labels": lambda inst, stakes: recovery_winner_labels(
+        stakes, inst, MuStar()),
+    "LookaheadSolver.solve": lambda inst, stakes: LookaheadSolver(inst, MuStar()).solve(stakes),
+    "LookaheadSolver.solve_with_plans": lambda inst, stakes: LookaheadSolver(
+        inst, MuStar()).solve_with_plans(stakes),
+    "brute_force_equilibrium": lambda inst, stakes: brute_force_equilibrium(
+        stakes, inst, MuStar()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOLVER_ENTRY_POINTS))
+@pytest.mark.parametrize("profile, problem", [
+    # the myopic solve used to answer {1, 2}, the equilibrium of a smaller game
+    ({1: 3, 2: 1}, "has no stake for players [3]"),
+    # and to end in a bare KeyError: 9
+    ({1: 3, 2: 1, 3: 1, 9: 1}, "names unknown players [9]"),
+    ({1: 3, 9: 1}, "has no stake for players [2, 3] and names unknown players [9]"),
+], ids=["missing", "unknown", "both"])
+def test_profile_must_stake_exactly_the_players(entry, profile, problem):
+    inst = make_instance([3, 2, 1], [1, 1, 1])
+    stakes = {pid: Fraction(s) for pid, s in profile.items()}
+    with pytest.raises(ValueError) as exc:
+        SOLVER_ENTRY_POINTS[entry](inst, stakes)
+    assert str(exc.value) == f"stake profile {problem}"
