@@ -66,15 +66,11 @@ from .scenarios import (
     builtin_scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 from .sybil import (
     SybilConditionReport,
     SybilSplit,
     enumerate_splits,
-    is_recovery_sybils,
-    make_split,
     max_sybil_gain,
     preferred_recovery_sybils,
     sybil_gain,
@@ -88,7 +84,6 @@ from .virtualstake import (
     incumbent_gap_state,
     sampled_win_frequencies,
     selection_probabilities,
-    theorem6_counterexample,
 )
 
 __version__ = "0.1.0"

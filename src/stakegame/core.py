@@ -142,14 +142,17 @@ class Instance:
         tau_threshold: ScalarLike,
         value_function: ValueFunction,
     ) -> "Instance":
+        """Raise ValueError unless the initial stakes name exactly the players."""
         stakes = tuple(sorted((pid, scalar(s)) for pid, s in initial_stakes.items()))
-        return Instance(
+        instance = Instance(
             players=tuple(players),
             initial_stakes=stakes,
             budget=scalar(budget),
             tau_threshold=scalar(tau_threshold),
             value_function=value_function,
         )
+        instance.check_profile(initial_stakes, "initial stake profile")
+        return instance
 
     @property
     def n(self) -> int:

@@ -76,6 +76,8 @@ class Runner:
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "sampled" and seed is None:
             raise ValueError("sampled mode requires a seed")
+        if horizon_cap < 1:
+            raise ValueError("horizon cap must be at least 1")
         self.instance = instance
         self.policy = policy
         self.behavior = behavior

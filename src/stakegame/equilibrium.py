@@ -414,6 +414,7 @@ class LookaheadSolver:
         self, i: PlayerId, without_i: frozenset, stakes: StakeProfile
     ) -> Fraction:
         """Value of abstaining when the round's other participants are given."""
+        self.instance.check_profile(stakes)
         return self._recovery(i, without_i, stakes, {}).terminal_value
 
     def _solve(
@@ -566,7 +567,7 @@ def brute_force_equilibrium(
     def abstain_value(i: PlayerId, others: frozenset) -> Fraction:
         if solver is None:
             return utility(i, others)
-        return solver.abstention_value(i, others, stakes)
+        return solver._recovery(i, others, stakes, {}).terminal_value
 
     equilibria: List[frozenset] = []
     for size in range(0, len(ids) + 1):

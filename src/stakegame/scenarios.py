@@ -118,7 +118,7 @@ def _value_table(values: Any, context: str) -> Tuple[Tuple[int, Fraction], ...]:
 
 # family -> kind -> (class, field -> reader).  The fields are the class's
 # dataclass fields in field order, under the same names in the file; a field
-# without a default is required, and the writer leaves out a field at its default.
+# without a default is required.
 _KINDS: Dict[str, Dict[str, Tuple[type, Dict[str, Callable[[Any, str], Any]]]]] = {
     "policy": {
         "mu_alpha": (MuAlpha, {"alpha": _unit_interval}),
@@ -150,20 +150,6 @@ def _from_dict(spec: Any, family: str) -> Any:
         name: read(spec[name], f"{context}: {name}")
         for name, read in readers.items() if name in spec
     })
-
-
-def _to_dict(obj: Any, family: str) -> Dict[str, Any]:
-    """The file spelling of a policy or value function: the inverse of :func:`_from_dict`."""
-    kind = next(kind for kind, (cls, _) in _KINDS[family].items() if type(obj) is cls)
-    out: Dict[str, Any] = {"kind": kind}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value != f.default:
-            if isinstance(value, tuple):  # a value table's (level, value) pairs
-                out[f.name] = {str(level): str(v) for level, v in value}
-            else:  # ids stay ints, numbers become exact strings
-                out[f.name] = value if isinstance(value, int) else str(value)
-    return out
 
 
 # required fields in the order a missing one is reported, then the optional ones
@@ -235,34 +221,6 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    instance = scenario.instance
-    stakes = instance.stakes()
-    out: Dict[str, Any] = {
-        "name": scenario.name,
-        "players": [
-            {
-                "id": p.id,
-                "type": str(p.type_),
-                "stake": str(stakes[p.id]),
-                "cost": str(p.cost),
-            }
-            for p in instance.players
-        ],
-        "policy": _to_dict(scenario.policy, "policy"),
-        "behavior": scenario.behavior,
-        "tau_threshold": str(instance.tau_threshold),
-        "value_function": _to_dict(instance.value_function, "value_function"),
-        "budget": str(instance.budget),
-        "rounds": scenario.rounds,
-        "mode": scenario.mode,
-        "horizon_cap": scenario.horizon_cap,
-    }
-    if scenario.seed is not None:
-        out["seed"] = scenario.seed
-    return out
-
-
 def load_scenario(path: str) -> Scenario:
     """Read a scenario file: JSON text, so UTF-8 whatever the locale's codec."""
     with open(path, encoding="utf-8") as fh:
@@ -273,12 +231,6 @@ def load_scenario(path: str) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_scenario(data, name=path)
-
-
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
 
 
 # The worked three-player setup every builtin runs on.

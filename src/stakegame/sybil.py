@@ -33,8 +33,10 @@ from .policies import MuEll, MuStar, Policy
 class SybilSplit:
     """A partition of one player into (stake, type) parts.
 
-    Parts are kept sorted by descending type, then descending stake, so two
-    splits differing only by part order compare equal.
+    ``parts`` are in the order :func:`enumerate_splits` builds them: by
+    descending type, then descending stake.  That order is canonical, so two
+    splits with the same parts compare equal, and :attr:`top_part` relies on
+    it.  A split built by hand must list its parts in that order.
     """
 
     owner: PlayerId
@@ -44,26 +46,6 @@ class SybilSplit:
     def top_part(self) -> Tuple[Fraction, Fraction]:
         """The part with the largest type; ties go to the larger stake."""
         return self.parts[0]
-
-
-def _sorted_parts(
-    parts: Sequence[Tuple[ScalarLike, ScalarLike]]
-) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    converted = [(scalar(s), scalar(t)) for s, t in parts]
-    return tuple(sorted(converted, key=lambda part: (-part[1], -part[0])))
-
-
-def make_split(owner: PlayerId, parts: Sequence[Tuple[ScalarLike, ScalarLike]]) -> SybilSplit:
-    """Validate and normalize a split given as (stake, type) pairs."""
-    if not parts:
-        raise ValueError("a split needs at least one part")
-    normalized = _sorted_parts(parts)
-    for s, t in normalized:
-        if s <= 0:
-            raise ValueError(f"part stake {s} is not positive")
-        if t < 1:
-            raise ValueError(f"part type {t} is below 1")
-    return SybilSplit(owner=owner, parts=normalized)
 
 
 def enumerate_splits(
@@ -167,17 +149,6 @@ def _profile_harmful_for(
 ) -> bool:
     everyone = frozenset(stakes)
     return is_harmful(i, everyone, stakes, instance, _stage(policy)).harmful
-
-
-def is_recovery_sybils(
-    split: SybilSplit,
-    stakes: StakeProfile,
-    instance: Instance,
-    policy: Policy,
-) -> bool:
-    """Whether the split profile stops being harmful for the top-type part."""
-    instance.check_profile(stakes)
-    return _is_recovery_sybils(split, stakes, instance, policy)
 
 
 def _is_recovery_sybils(

@@ -6,7 +6,7 @@ probabilities at their round-1 values forever: stakes grow by exactly their
 own weight, so each round rescales all weights by the same factor.  That
 invariance is the reason interpolating between type- and stake-proportional
 selection cannot shake off a large incumbent stake; the counterexample
-constructor below makes this quantitative.
+constructor below, :func:`incumbent_gap_state`, makes this quantitative.
 
 All of this assumes full participation, as the interpolating policy gives no
 abstention incentive to analyze.
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .core import IdentityValue, Instance, Player, PlayerId, ScalarLike, rank, scalar, virtual_stake
+from .core import PlayerId, ScalarLike, rank, scalar, virtual_stake
 
 
 @dataclass(frozen=True)
@@ -160,25 +160,6 @@ def incumbent_gap_state(
         for pid in ts
     }
     return VirtualStakeState.build(a, ts, stakes)
-
-
-def theorem6_counterexample(
-    alpha: ScalarLike, types: Dict[PlayerId, ScalarLike], M: ScalarLike
-) -> Tuple[Instance, VirtualStakeState]:
-    """A full game instance on the gap construction, plus its dynamics state.
-
-    The instance has budget 1, tau 1/2 and the identity value function.
-    """
-    state = incumbent_gap_state(alpha, types, M)
-    players = tuple(Player(id=pid, type_=t) for pid, t in state.types)
-    instance = Instance.build(
-        players=players,
-        initial_stakes=state.stake_dict(),
-        budget=1,
-        tau_threshold=Fraction(1, 2),
-        value_function=IdentityValue(),
-    )
-    return instance, state
 
 
 def sampled_win_frequencies(

@@ -48,3 +48,31 @@ def make_instance(types, stakes, budget=1, tau=Fraction(1, 2), vf=None, costs=No
         tau_threshold=tau,
         value_function=vf if vf is not None else IdentityValue(),
     )
+
+
+def _builtin(name, policy, behavior, rounds):
+    """A builtin's full declaration: the shared three-player instance plus its run."""
+    return {
+        "name": name,
+        "players": [
+            {"id": 1, "type": "3", "stake": "1", "cost": "0"},
+            {"id": 2, "type": "2", "stake": "1", "cost": "0"},
+            {"id": 3, "type": "1", "stake": "1", "cost": "0"},
+        ],
+        "policy": policy,
+        "behavior": behavior,
+        "tau_threshold": "1/2",
+        "value_function": {"kind": "identity"},
+        "budget": "1",
+        "rounds": rounds,
+        "mode": "expected",
+        "horizon_cap": 50,
+    }
+
+
+# Each builtin scenario written out as a scenario file would spell it.
+BUILTIN_DECLARATIONS = {
+    "example1-myopic": _builtin("example1-myopic", {"kind": "mu_star"}, "myopic", 5),
+    "example2-lookahead": _builtin("example2-lookahead", {"kind": "mu_star"}, "lookahead", 10),
+    "example3-muell": _builtin("example3-muell", {"kind": "mu_ell"}, "myopic", 10),
+}

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stakegame import MuAll, MuEll, cli, make_split
+from stakegame import MuAll, MuEll, cli
 from stakegame.cli import main
 from stakegame.measures import AxiomReport
-from stakegame.scenarios import builtin_scenario, scenario_to_dict
-from stakegame.sybil import SybilConditionEntry, SybilConditionReport
+from stakegame.sybil import SybilConditionEntry, SybilConditionReport, SybilSplit
 from stakegame.virtualstake import InvarianceReport
+
+from conftest import BUILTIN_DECLARATIONS
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -190,7 +191,7 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, case):
 ], ids=["affine", "table"])
 def test_negative_value_function_exits_2(capsys, tmp_path, value_function):
     path = tmp_path / "sc.json"
-    builtin = scenario_to_dict(builtin_scenario("example1-myopic"))
+    builtin = BUILTIN_DECLARATIONS["example1-myopic"]
     path.write_text(json.dumps(dict(builtin, value_function=value_function)))
     code = main(["run", str(path), "--theta"])
     captured = capsys.readouterr()
@@ -385,7 +386,7 @@ class TestVerifyFailures:
 
     def test_sybil_condition_violated(self, capsys, monkeypatch):
         def condition(*args, **kwargs):
-            entry = SybilConditionEntry(1, (), make_split(1, [(3, 3)]), 2, satisfied=False)
+            entry = SybilConditionEntry(1, (), SybilSplit(1, ((Fraction(3), Fraction(3)),)), 2, satisfied=False)
             return SybilConditionReport(checked=1, entries=[entry])
 
         monkeypatch.setattr(cli, "sybil_proofness_condition", condition)
@@ -397,7 +398,8 @@ class TestVerifyFailures:
 
         def search(owner, stakes, instance, policy, granularity, max_parts):
             if isinstance(policy, MuEll) and owner == 2:
-                return Fraction(1, 3), make_split(2, [(Fraction(1, 2), 1), (Fraction(1, 2), 1)])
+                half = (Fraction(1, 2), Fraction(1))
+                return Fraction(1, 3), SybilSplit(2, (half, half))
             return real(owner, stakes, instance, policy, granularity, max_parts)
 
         monkeypatch.setattr(cli, "max_sybil_gain", search)
@@ -413,7 +415,7 @@ class TestVerifyFailures:
 
         def search(owner, stakes, instance, policy, granularity, max_parts):
             if isinstance(policy, MuAll):
-                return Fraction(0), make_split(owner, [(stakes[owner], 1)])
+                return Fraction(0), SybilSplit(owner, ((stakes[owner], Fraction(1)),))
             return real(owner, stakes, instance, policy, granularity, max_parts)
 
         monkeypatch.setattr(cli, "max_sybil_gain", search)

@@ -148,6 +148,17 @@ class TestValidation:
         inst = Instance.build(players, {1: 1}, 1, Fraction(1, 2), IdentityValue())
         assert not validate_instance(inst).ok
 
+    @pytest.mark.parametrize("stakes, problem", [
+        # validation used to pass it, and a run ended in a bare KeyError: 9
+        ({1: 1, 2: 1, 9: 5}, "names unknown players [9]"),
+        ({1: 1}, "has no stake for players [2]"),
+    ], ids=["unknown", "missing"])
+    def test_build_rejects_stakes_off_the_players(self, stakes, problem):
+        players = [Player(id=1, type_=Fraction(2)), Player(id=2, type_=Fraction(1))]
+        with pytest.raises(ValueError) as exc:
+            Instance.build(players, stakes, 1, Fraction(1, 2), IdentityValue())
+        assert str(exc.value) == f"initial stake profile {problem}"
+
 
 def test_instance_accessors(three_player_instance):
     inst = three_player_instance

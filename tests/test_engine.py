@@ -70,6 +70,13 @@ class TestRunner:
         with pytest.raises(ValueError):
             Runner(three_player_instance, MuStar(), mode="guess")
 
+    @pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_a_horizon_cap_below_one(self, three_player_instance, behavior, cap):
+        # lookahead used to fail at the first step, and myopic play never
+        with pytest.raises(ValueError, match="^horizon cap must be at least 1$"):
+            Runner(three_player_instance, MuStar(), behavior=behavior, horizon_cap=cap)
+
     def test_mu_ell_skipped_winner_pays_nothing(self):
         # the simulating policy's designated winner may be sitting out; the
         # round's budget then stays unallocated

@@ -341,6 +341,9 @@ SOLVER_ENTRY_POINTS = {
     "LookaheadSolver.solve": lambda inst, stakes: LookaheadSolver(inst, MuStar()).solve(stakes),
     "LookaheadSolver.solve_with_plans": lambda inst, stakes: LookaheadSolver(
         inst, MuStar()).solve_with_plans(stakes),
+    # a missing player 3 used to give 3, a value in a smaller game
+    "LookaheadSolver.abstention_value": lambda inst, stakes: LookaheadSolver(
+        inst, MuStar()).abstention_value(1, frozenset({2}), stakes),
     "brute_force_equilibrium": lambda inst, stakes: brute_force_equilibrium(
         stakes, inst, MuStar()),
 }

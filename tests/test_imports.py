@@ -1,4 +1,4 @@
-"""The package's imports sit at module level and its module graph has no cycle.
+"""The package's imports sit at module level, each is used, and its module graph has no cycle.
 
 A function-local import is how a module cycle stays hidden: it defers the
 import past the point where the cycle would fail.
@@ -50,3 +50,22 @@ def test_module_graph_is_acyclic():
 
     for module in sorted(imports):
         visit(module, ())
+
+
+
+# __init__.py imports only to re-export, so it is left out
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name}: unused imports (line, name) {unused}"

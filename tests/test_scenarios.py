@@ -1,23 +1,27 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from stakegame import (
+    AffineValue,
     FixedWinner,
+    IdentityValue,
     MuAll,
     MuAlpha,
     MuEll,
     MuStar,
     BUILTIN_SCENARIOS,
     ScenarioError,
+    TableValue,
     builtin_scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 from stakegame.scenarios import _KINDS
+
+from conftest import BUILTIN_DECLARATIONS
 
 
 def minimal_scenario_dict():
@@ -111,29 +115,44 @@ class TestParse:
         assert str(exc.value) == f"value_function table: {message}"
 
 
-# A case per kind, and for each field a case off its default.
+# A case per kind, and for each field a case off its default: the file
+# spelling, then the object the reader builds from it.
 POLICIES = [
-    MuAlpha(alpha=Fraction(3, 8)),
-    MuStar(),
-    MuStar(epsilon=Fraction(1, 10)),
-    MuAll(),
-    MuEll(),
-    FixedWinner(winner=2),
+    ({"kind": "mu_alpha", "alpha": "3/8"}, MuAlpha(alpha=Fraction(3, 8))),
+    ({"kind": "mu_star"}, MuStar()),
+    ({"kind": "mu_star", "epsilon": "1/10"}, MuStar(epsilon=Fraction(1, 10))),
+    ({"kind": "mu_all"}, MuAll()),
+    ({"kind": "mu_ell"}, MuEll()),
+    ({"kind": "fixed_winner", "winner": 2}, FixedWinner(winner=2)),
 ]
 VALUE_FUNCTIONS = {
-    "identity": {"kind": "identity"},
-    "affine": {"kind": "affine", "slope": "3/2", "intercept": "1/4"},
-    "table": {"kind": "table", "values": {"1": "1", "2": "5/2"}},
-    "table-3-levels": {"kind": "table", "values": {"1": "1/2", "2": "1/2", "3": "7"}},
+    "identity": ({"kind": "identity"}, IdentityValue()),
+    "affine": (
+        {"kind": "affine", "slope": "3/2", "intercept": "1/4"},
+        AffineValue(slope=Fraction(3, 2), intercept=Fraction(1, 4)),
+    ),
+    "table": (
+        {"kind": "table", "values": {"1": "1", "2": "5/2"}},
+        TableValue(((1, Fraction(1)), (2, Fraction(5, 2)))),
+    ),
+    "table-3-levels": (
+        {"kind": "table", "values": {"1": "1/2", "2": "1/2", "3": "7"}},
+        TableValue(((1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, Fraction(7)))),
+    ),
 }
+
+
+def write_json(tmp_path, data):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestRoundTrip:
     def test_every_kind_and_field_has_a_case(self):
-        base = parse_scenario(minimal_scenario_dict())
         written = {
-            "policy": [scenario_to_dict(replace(base, policy=p))["policy"] for p in POLICIES],
-            "value_function": list(VALUE_FUNCTIONS.values()),
+            "policy": [spec for spec, _ in POLICIES],
+            "value_function": [spec for spec, _ in VALUE_FUNCTIONS.values()],
         }
         for family, kinds in _KINDS.items():
             for kind, (_, readers) in kinds.items():
@@ -144,33 +163,28 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", ["example1-myopic", "example2-lookahead", "example3-muell"])
     def test_builtin_round_trip(self, name, tmp_path):
         sc = builtin_scenario(name)
-        path = tmp_path / "sc.json"
-        save_scenario(sc, str(path))
-        loaded = load_scenario(str(path))
-        assert scenario_to_dict(loaded) == scenario_to_dict(sc)
+        loaded = load_scenario(write_json(tmp_path, BUILTIN_DECLARATIONS[name]))
+        assert loaded == sc
         assert loaded.instance == sc.instance
         assert loaded.policy == sc.policy
 
-    @pytest.mark.parametrize("policy", POLICIES, ids=repr)
-    def test_every_policy_round_trips(self, policy):
-        sc = replace(parse_scenario(minimal_scenario_dict()), policy=policy)
-        loaded = parse_scenario(scenario_to_dict(sc))
-        assert loaded == sc
+    @pytest.mark.parametrize("spec, policy", POLICIES, ids=[repr(p) for _, p in POLICIES])
+    def test_every_policy_round_trips(self, spec, policy):
+        base = parse_scenario(minimal_scenario_dict())
+        loaded = parse_scenario(dict(minimal_scenario_dict(), policy=spec))
+        assert loaded == replace(base, policy=policy)
         assert loaded.policy == policy
 
     @pytest.mark.parametrize(
-        "value_function", VALUE_FUNCTIONS.values(), ids=list(VALUE_FUNCTIONS)
+        "spec, value_function", VALUE_FUNCTIONS.values(), ids=list(VALUE_FUNCTIONS)
     )
-    def test_seeded_sampled_scenario_round_trips(self, value_function, tmp_path):
+    def test_seeded_sampled_scenario_round_trips(self, spec, value_function, tmp_path):
         data = dict(minimal_scenario_dict(), name="seeded", mode="sampled", seed=11,
-                    value_function=value_function)
+                    value_function=spec)
         sc = parse_scenario(data)
-        assert parse_scenario(scenario_to_dict(sc)) == sc
-        path = tmp_path / "sc.json"
-        save_scenario(sc, str(path))
-        assert load_scenario(str(path)) == sc
-        assert scenario_to_dict(sc)["seed"] == 11
-        assert scenario_to_dict(sc)["value_function"] == value_function
+        assert (sc.name, sc.mode, sc.seed) == ("seeded", "sampled", 11)
+        assert sc.instance.value_function == value_function
+        assert load_scenario(write_json(tmp_path, data)) == sc
 
     def test_bad_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -191,33 +205,6 @@ def test_builtin_names_in_order():
     assert BUILTIN_SCENARIOS == ("example1-myopic", "example2-lookahead", "example3-muell")
 
 
-def _builtin(name, policy, behavior, rounds):
-    """A builtin's full declaration: the shared three-player instance plus its run."""
-    return {
-        "name": name,
-        "players": [
-            {"id": 1, "type": "3", "stake": "1", "cost": "0"},
-            {"id": 2, "type": "2", "stake": "1", "cost": "0"},
-            {"id": 3, "type": "1", "stake": "1", "cost": "0"},
-        ],
-        "policy": policy,
-        "behavior": behavior,
-        "tau_threshold": "1/2",
-        "value_function": {"kind": "identity"},
-        "budget": "1",
-        "rounds": rounds,
-        "mode": "expected",
-        "horizon_cap": 50,
-    }
-
-
-BUILTIN_DECLARATIONS = {
-    "example1-myopic": _builtin("example1-myopic", {"kind": "mu_star"}, "myopic", 5),
-    "example2-lookahead": _builtin("example2-lookahead", {"kind": "mu_star"}, "lookahead", 10),
-    "example3-muell": _builtin("example3-muell", {"kind": "mu_ell"}, "myopic", 10),
-}
-
-
 @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
 def test_builtin_declaration(name):
-    assert scenario_to_dict(builtin_scenario(name)) == BUILTIN_DECLARATIONS[name]
+    assert parse_scenario(BUILTIN_DECLARATIONS[name]) == builtin_scenario(name)

@@ -11,8 +11,6 @@ from stakegame import (
     MuEll,
     MuStar,
     enumerate_splits,
-    is_recovery_sybils,
-    make_split,
     max_sybil_gain,
     preferred_recovery_sybils,
     sybil_gain,
@@ -20,9 +18,16 @@ from stakegame import (
 )
 from stakegame.cli import _sybil_fixture
 from stakegame.core import scalar
-from stakegame.sybil import SybilSplit, profile_harmful_for
+from stakegame.sybil import SybilSplit, _is_recovery_sybils, profile_harmful_for
 
 from conftest import make_instance
+
+
+def canonical_split(owner, *parts):
+    """A split of ``owner`` from (stake, type) parts listed in canonical order."""
+    parts = tuple((Fraction(s), Fraction(t)) for s, t in parts)
+    assert list(parts) == sorted(parts, key=lambda part: (-part[1], -part[0]))
+    return SybilSplit(owner, parts)
 
 
 def small_gap_instance(stakes=(3, 1, 1)):
@@ -74,11 +79,8 @@ class TestEnumeration:
             )
 
     def test_top_part_is_the_largest_type_then_stake(self):
-        # top_part reads parts[0]: both constructors keep the canonical order
-        splits = [
-            make_split(1, parts)
-            for parts in ([(1, 1), (2, 2), (1, 2)], [(3, 1), (1, 1)], [(1, 3), (2, 1)])
-        ]
+        # top_part reads parts[0]: the enumeration builds the canonical order
+        splits = []
         for full_stake in (False, True):
             splits += enumerate_splits(
                 1, {1: Fraction(3)}, {1: Fraction(4)}, Fraction(1, 2), 3, full_stake=full_stake
@@ -94,25 +96,17 @@ class TestEnumeration:
         # 6 stakes (1/2 .. 3) and 4 types (1 .. 5/2), each built once
         assert len(objects) == 10
 
-    def test_make_split_validates(self):
-        with pytest.raises(ValueError):
-            make_split(1, [])
-        with pytest.raises(ValueError):
-            make_split(1, [(1, Fraction(1, 2))])
-        with pytest.raises(ValueError):
-            make_split(1, [(0, 1)])
-
 
 class TestRecoverySplits:
     def test_identity_split_stays_harmful(self):
         inst = small_gap_instance()
-        identity = make_split(1, [(3, 3)])
-        assert not is_recovery_sybils(identity, inst.stakes(), inst, MuEll())
+        identity = canonical_split(1, (3, 3))
+        assert not _is_recovery_sybils(identity, inst.stakes(), inst, MuEll())
 
     def test_even_split_recovers(self):
         inst = small_gap_instance()
-        even = make_split(1, [(1, 1), (1, 1), (1, 1)])
-        assert is_recovery_sybils(even, inst.stakes(), inst, MuEll())
+        even = canonical_split(1, (1, 1), (1, 1), (1, 1))
+        assert _is_recovery_sybils(even, inst.stakes(), inst, MuEll())
 
     def test_preferred_max_type(self):
         # recovering demands shedding at least a unit of stake off the top
@@ -120,7 +114,7 @@ class TestRecoverySplits:
         inst = small_gap_instance()
         pref = preferred_recovery_sybils(1, inst.stakes(), inst, MuEll(), Fraction(1, 4), 3)
         assert pref.top_part[1] == 2
-        assert is_recovery_sybils(pref, inst.stakes(), inst, MuEll())
+        assert _is_recovery_sybils(pref, inst.stakes(), inst, MuEll())
 
     def test_off_grid_stake_is_named_as_such(self):
         # no full-stake split exists when 2 does not divide the stake 3
@@ -219,21 +213,22 @@ class TestProofnessCondition:
 class TestGain:
     def test_identity_split_zero(self):
         inst = small_gap_instance(stakes=(1, 1, 1))
-        identity = make_split(1, [(1, 3)])
+        identity = canonical_split(1, (1, 3))
         assert sybil_gain(identity, inst.stakes(), inst, MuEll()) == 0
 
     @pytest.mark.parametrize("policy", [MuStar(), MuAll()])
     def test_identity_split_of_a_costly_owner_gains_zero(self, policy):
         # the part participates as the owner did, so it pays her cost
         inst = make_instance([3, 2, 1], [3, 3, 3], costs=[Fraction(1, 10), 0, 0])
-        identity = make_split(1, [(3, 3)])
+        identity = canonical_split(1, (3, 3))
         assert sybil_gain(identity, inst.stakes(), inst, policy) == 0
 
     def test_all_pay_two_parts_gain_extra_share(self):
         inst = make_instance([3, 2, 1], [1, 1, 1])
-        split = make_split(1, [(Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(3, 2))])
+        half = (Fraction(1, 2), Fraction(3, 2))
+        halves = canonical_split(1, half, half)
         # two quarter-shares of the budget instead of one third, at value 2
-        assert sybil_gain(split, inst.stakes(), inst, MuAll()) == Fraction(1, 3)
+        assert sybil_gain(halves, inst.stakes(), inst, MuAll()) == Fraction(1, 3)
 
     def test_all_pay_positive_gain_found(self):
         inst = make_instance([3, 2, 1], [1, 1, 1])
@@ -248,9 +243,9 @@ class TestGain:
 
     def test_mu_star_matches_mu_ell_stage(self):
         inst = small_gap_instance(stakes=(1, 1, 1))
-        split = make_split(1, [(Fraction(1, 2), 1), (Fraction(1, 2), 2)])
-        a = sybil_gain(split, inst.stakes(), inst, MuEll())
-        b = sybil_gain(split, inst.stakes(), inst, MuStar())
+        halves = canonical_split(1, (Fraction(1, 2), 2), (Fraction(1, 2), 1))
+        a = sybil_gain(halves, inst.stakes(), inst, MuEll())
+        b = sybil_gain(halves, inst.stakes(), inst, MuStar())
         assert a == b
 
 
@@ -259,21 +254,19 @@ PROFILE_ENTRY_POINTS = {
     "max_sybil_gain": lambda inst, stakes: max_sybil_gain(
         1, stakes, inst, MuEll(), Fraction(1, 4), 3),
     "sybil_gain": lambda inst, stakes: sybil_gain(
-        make_split(1, [(1, 1), (2, 2)]), stakes, inst, MuEll()),
+        canonical_split(1, (2, 2), (1, 1)), stakes, inst, MuEll()),
     "preferred_recovery_sybils": lambda inst, stakes: preferred_recovery_sybils(
         1, stakes, inst, MuEll(), Fraction(1, 4), 3),
     "profile_harmful_for": lambda inst, stakes: profile_harmful_for(
         1, stakes, inst, MuEll()),
-    "is_recovery_sybils": lambda inst, stakes: is_recovery_sybils(
-        make_split(1, [(3, 3)]), stakes, inst, MuEll()),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(PROFILE_ENTRY_POINTS))
 @pytest.mark.parametrize("profile, problem", [
-    # the search used to price player 3 as present with no stake (a gain of 5);
-    # the profile read as harmless for player 1 (harmful with player 3 at
-    # stake 1), and the identity split as a recovery
+    # the search used to price player 3 as present with no stake (a gain of 5),
+    # and the profile read as harmless for player 1 (harmful with player 3 at
+    # stake 1)
     ({1: 3, 2: 1}, "has no stake for players [3]"),
     ({1: 3, 2: 1, 3: 1, 4: 1}, "names unknown players [4]"),
     ({1: 3, 4: 1}, "has no stake for players [2, 3] and names unknown players [4]"),
@@ -436,7 +429,7 @@ def reference_preferred(owner, stakes, inst, policy, granularity, max_parts):
         owner, stakes, inst.types(), granularity, max_parts, full_stake=True
     )
     best = max(
-        (split for split in candidates if is_recovery_sybils(split, stakes, inst, policy)),
+        (split for split in candidates if _is_recovery_sybils(split, stakes, inst, policy)),
         key=lambda split: (split.top_part[1], split.top_part[0], split.parts),
         default=None,
     )

@@ -18,7 +18,6 @@ from stakegame import (
     incumbent_gap_state,
     sampled_win_frequencies,
     selection_probabilities,
-    theorem6_counterexample,
     validate_instance,
 )
 
@@ -116,7 +115,15 @@ class TestGapConstruction:
             incumbent_gap_state(1, {1: 3, 2: 1}, 10)
 
     def test_instance_wrapper_valid(self):
-        inst, s = theorem6_counterexample(Fraction(1, 2), {1: 3, 2: 1}, 10)
+        # the gap construction as a full game: budget 1, tau 1/2, identity value
+        s = incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, 10)
+        inst = Instance.build(
+            players=[Player(id=pid, type_=t) for pid, t in s.types],
+            initial_stakes=s.stake_dict(),
+            budget=1,
+            tau_threshold=Fraction(1, 2),
+            value_function=IdentityValue(),
+        )
         assert validate_instance(inst).ok
         assert inst.stakes() == s.stake_dict()
 
