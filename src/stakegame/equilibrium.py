@@ -90,8 +90,13 @@ class RankedProfile:
         if smallest < 0:
             raise ValueError("negative stake")
         if smallest == 0:
-            # the last suffix holds only the smallest stake
-            raise ValueError("all stakes are zero; fraction of total is undefined")
+            if prefix[n] == 0:
+                raise ValueError("all stakes are zero; fraction of total is undefined")
+            # the last suffix holds only the smallest stake: its index is undefined
+            raise ValueError(
+                f"player {ranking[-1]} has zero stake; the suffix kernel needs every stake "
+                "to be positive"
+            )
 
         vf = instance.value_function
         level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
@@ -545,9 +550,13 @@ def brute_force_equilibrium(
 
     Each distinct subset's token value is computed once per call, with
     :func:`stage_value` over that subset's stakes, and reused by every member
-    and outsider check that meets the subset.  The suffix kernel
-    (:class:`RankedProfile`) is not used: the oracle is the independent
-    reference the kernel-based solvers are checked against.
+    and outsider check that meets the subset.  Myopic mode does not use the
+    suffix kernel (:class:`RankedProfile`): there the oracle is the
+    independent reference the kernel-based solvers are checked against.  A
+    lookahead abstention is priced by the solver's own recovery walk, which
+    does use the kernel, and all walks of one call share one memo of walked
+    profiles, as the walks of one :meth:`LookaheadSolver.solve` do.  That
+    walk's independent check is the unshared reference walk in the tests.
     """
     instance.check_profile(stakes)
     ids = sorted(stakes)
@@ -557,6 +566,7 @@ def brute_force_equilibrium(
         raise ValueError(f"unknown behavior {behavior!r}")
     solver = LookaheadSolver(instance, policy, horizon_cap) if behavior == "lookahead" else None
     values: Dict[frozenset, Fraction] = {}
+    walked: Dict[tuple, tuple] = {}
 
     def utility(i: PlayerId, subset: frozenset) -> Fraction:
         v = values.get(subset)
@@ -567,7 +577,7 @@ def brute_force_equilibrium(
     def abstain_value(i: PlayerId, others: frozenset) -> Fraction:
         if solver is None:
             return utility(i, others)
-        return solver._recovery(i, others, stakes, {}).terminal_value
+        return solver._recovery(i, others, stakes, walked).terminal_value
 
     equilibria: List[frozenset] = []
     for size in range(0, len(ids) + 1):

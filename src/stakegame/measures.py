@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ONE, ZERO, Instance, ScalarLike, ValueFunction, scalar
+from .core import ZERO, Instance, ScalarLike, ValueFunction, scalar
 
 # A measure maps a stake multiset (tuple of Fractions) to a positive integer.
 Measure = Callable[[Tuple[Fraction, ...]], int]
@@ -98,6 +98,11 @@ def check_decentralization_axioms(
     the whole enumeration.  Condition 2: whenever removing a maximum-stake
     player does not raise the measure, removing any other player must not
     raise it either.
+
+    The measure is called exactly once per multiset, in enumeration order:
+    sizes ascending, and within a size ``combinations_with_replacement``
+    order over the sorted grid.  A ``ValueError`` from it leaves that
+    multiset out of both conditions (it is not counted in ``checked``).
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -105,34 +110,28 @@ def check_decentralization_axioms(
     if not grid:
         raise ValueError("empty stake grid")
     report = AxiomReport()
-
-    def evaluate(multiset: Tuple[Fraction, ...]) -> Optional[int]:
-        try:
-            return measure(multiset)
-        except ValueError:
-            return None  # e.g. all-zero submultisets; nothing to check
-
-    all_values = []
-    singleton_values = []
+    # each multiset's measure, or None where the measure raises ValueError
+    # (e.g. an all-zero submultiset: nothing to check); sizes ascend and each
+    # multiset is sorted, so every submultiset read below is already here
+    values: Dict[Tuple[Fraction, ...], Optional[int]] = {}
     for size in range(1, n_max + 1):
         for multiset in combinations_with_replacement(grid, size):
-            d = evaluate(multiset)
-            if d is None:
+            try:
+                d = values[multiset] = measure(multiset)
+            except ValueError:
+                values[multiset] = None
                 continue
             report.checked += 1
-            all_values.append((multiset, d))
             if size == 1:
-                singleton_values.append((multiset, d))
                 continue
             top = multiset[-1]  # combinations are sorted ascending
-            without_top = evaluate(multiset[:-1])
+            without_top = values[multiset[:-1]]
             if without_top is None or d < without_top:
                 continue
             for idx in range(size - 1):
                 if multiset[idx] == top:
                     continue
-                reduced = multiset[:idx] + multiset[idx + 1 :]
-                d_reduced = evaluate(reduced)
+                d_reduced = values[multiset[:idx] + multiset[idx + 1 :]]
                 if d_reduced is not None and d < d_reduced:
                     report.removal_violations.append(
                         f"d({', '.join(map(str, multiset))}) = {d} "
@@ -140,11 +139,12 @@ def check_decentralization_axioms(
                         f"but d(minus {multiset[idx]}) = {d_reduced}"
                     )
     # default: no multiset could be evaluated (e.g. an all-zero grid)
-    minimum = min((d for _, d in all_values), default=None)
-    for multiset, d in singleton_values:
-        if d > minimum:
+    minimum = min((d for d in values.values() if d is not None), default=None)
+    for s in grid:
+        d = values[(s,)]
+        if d is not None and d > minimum:
             report.singleton_violations.append(
-                f"singleton ({multiset[0]}) has value {d} > enumeration minimum {minimum}"
+                f"singleton ({s}) has value {d} > enumeration minimum {minimum}"
             )
     return report
 
@@ -214,14 +214,15 @@ class ValidationReport:
 def validate_instance(instance: Instance) -> ValidationReport:
     """Check an instance against the model's structural requirements.
 
-    Errors: types below 1, non-positive initial stakes, negative costs,
-    non-positive budget, or a value function that is not defined,
-    non-negative and non-decreasing at every decentralization level 1..n.
-    That rule reads the values alone, whatever the function's kind: a value
-    table must cover those levels, and its entries outside them are not
-    read.  Warnings: value/budget alignment violations and boundary
-    equalities at the smallest initial stake (the framework's guarantees
-    assume alignment).
+    Errors: initial stakes that do not name exactly the players (the rule
+    of :meth:`Instance.check_profile`), types below 1, non-positive initial
+    stakes, negative costs, non-positive budget, or a value function that is
+    not defined, non-negative and non-decreasing at every decentralization
+    level 1..n.  That rule reads the values alone, whatever the function's
+    kind: a value table must cover those levels, and its entries outside
+    them are not read.  Warnings: value/budget alignment violations and
+    boundary equalities at the smallest initial stake (the framework's
+    guarantees assume alignment).
     """
     report = ValidationReport()
     ids = [p.id for p in instance.players]
@@ -231,14 +232,16 @@ def validate_instance(instance: Instance) -> ValidationReport:
     if len(set(ids)) != len(ids):
         report.errors.append("player ids are not unique")
     stake_map = instance.stakes()
+    try:
+        instance.check_profile(stake_map, "initial stake profile")
+    except ValueError as exc:
+        report.errors.append(str(exc))
     for p in instance.players:
         if p.type_ < 1:
             report.errors.append(f"player {p.id}: type {p.type_} is below 1")
         if p.cost < 0:
             report.errors.append(f"player {p.id}: negative cost {p.cost}")
-        if p.id not in stake_map:
-            report.errors.append(f"player {p.id}: no initial stake")
-        elif stake_map[p.id] <= 0:
+        if p.id in stake_map and stake_map[p.id] <= 0:
             report.errors.append(f"player {p.id}: initial stake {stake_map[p.id]} is not positive")
     if instance.budget <= 0:
         report.errors.append(f"budget {instance.budget} is not positive")
@@ -261,9 +264,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
     if report.errors:
         return report
 
-    positive = [s for s in stake_map.values() if s > 0]
-    bound = min(positive) if positive else ONE
-    alignment = check_alignment(instance, bound)
+    # every initial stake now belongs to a player and is positive
+    alignment = check_alignment(instance, min(stake_map.values()))
     for v1, v2, needed in alignment.violations:
         report.warnings.append(
             f"value/budget misaligned for values {v1} < {v2}: requires stake > {needed}"

@@ -148,16 +148,26 @@ class TestValidation:
         inst = Instance.build(players, {1: 1}, 1, Fraction(1, 2), IdentityValue())
         assert not validate_instance(inst).ok
 
-    @pytest.mark.parametrize("stakes, problem", [
+    stakes_off_the_players = pytest.mark.parametrize("stakes, problem", [
         # validation used to pass it, and a run ended in a bare KeyError: 9
         ({1: 1, 2: 1, 9: 5}, "names unknown players [9]"),
         ({1: 1}, "has no stake for players [2]"),
     ], ids=["unknown", "missing"])
+
+    @stakes_off_the_players
     def test_build_rejects_stakes_off_the_players(self, stakes, problem):
         players = [Player(id=1, type_=Fraction(2)), Player(id=2, type_=Fraction(1))]
         with pytest.raises(ValueError) as exc:
             Instance.build(players, stakes, 1, Fraction(1, 2), IdentityValue())
         assert str(exc.value) == f"initial stake profile {problem}"
+
+    @stakes_off_the_players
+    def test_validation_rejects_stakes_off_the_players(self, stakes, problem):
+        # the constructor, unlike Instance.build, takes any stakes
+        players = (Player(id=1, type_=Fraction(2)), Player(id=2, type_=Fraction(1)))
+        stakes = tuple((pid, Fraction(s)) for pid, s in stakes.items())
+        inst = Instance(players, stakes, Fraction(1), Fraction(1, 2), IdentityValue())
+        assert validate_instance(inst).errors == [f"initial stake profile {problem}"]
 
 
 def test_instance_accessors(three_player_instance):

@@ -128,7 +128,9 @@ class TestMyopicEquilibrium:
     (Fraction(1), {1: 1, 2: 1}, r"tau must lie in \(0, 1\), got 1"),
     (Fraction(1, 2), {1: -1, 2: 2}, "negative stake"),
     (Fraction(1, 2), {1: 0, 2: 0}, "all stakes are zero"),
-], ids=["tau 1", "negative stake", "all stakes zero"])
+    # the index of {5, 0} is defined, but the last suffix holds the 0 alone
+    (Fraction(1, 2), {1: 5, 2: 0}, "^player 2 has zero stake; the suffix kernel needs"),
+], ids=["tau 1", "negative stake", "all stakes zero", "one stake zero"])
 def test_solvers_reject_a_profile_with_no_index(solve, tau, stakes, message):
     inst = make_instance([2, 1], [1, 1], tau=tau)
     with pytest.raises(ValueError, match=message):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stakegame import (
+    AxiomReport,
     check_alignment,
     check_decentralization_axioms,
     max_attainable_index,
@@ -196,6 +198,106 @@ class TestAxioms:
         report = check_decentralization_axioms(tau_index_measure("1/2"), 3, [0])
         assert report.ok
         assert report.checked == 0
+
+
+def reference_axioms(measure, n_max, stake_grid):
+    """The axiom checker that calls the measure at every lookup: a reference."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    grid = sorted({scalar(s) for s in stake_grid})
+    if not grid:
+        raise ValueError("empty stake grid")
+    report = AxiomReport()
+
+    def evaluate(multiset):
+        try:
+            return measure(multiset)
+        except ValueError:
+            return None  # e.g. all-zero submultisets; nothing to check
+
+    all_values = []
+    singleton_values = []
+    for size in range(1, n_max + 1):
+        for multiset in combinations_with_replacement(grid, size):
+            d = evaluate(multiset)
+            if d is None:
+                continue
+            report.checked += 1
+            all_values.append((multiset, d))
+            if size == 1:
+                singleton_values.append((multiset, d))
+                continue
+            top = multiset[-1]  # combinations are sorted ascending
+            without_top = evaluate(multiset[:-1])
+            if without_top is None or d < without_top:
+                continue
+            for idx in range(size - 1):
+                if multiset[idx] == top:
+                    continue
+                reduced = multiset[:idx] + multiset[idx + 1 :]
+                d_reduced = evaluate(reduced)
+                if d_reduced is not None and d < d_reduced:
+                    report.removal_violations.append(
+                        f"d({', '.join(map(str, multiset))}) = {d} "
+                        f">= d(minus max) = {without_top} "
+                        f"but d(minus {multiset[idx]}) = {d_reduced}"
+                    )
+    # default: no multiset could be evaluated (e.g. an all-zero grid)
+    minimum = min((d for _, d in all_values), default=None)
+    for multiset, d in singleton_values:
+        if d > minimum:
+            report.singleton_violations.append(
+                f"singleton ({multiset[0]}) has value {d} > enumeration minimum {minimum}"
+            )
+    return report
+
+
+def integer_total_index(stakes):
+    """The Nakamoto index, undefined wherever the stakes sum to a non-integer."""
+    if sum(stakes).denominator != 1:
+        raise ValueError("total is not an integer")
+    return tau_decentralization_index(stakes, "1/2")
+
+
+axiom_measures = st.one_of(
+    open_unit.map(tau_index_measure),
+    st.just(lambda ms: 2 if len(ms) == 1 else 1),  # singletons miss the minimum
+    st.just(lambda ms: 1 if min(ms) == 1 else 2),  # removing a 1 raises it
+    st.just(integer_total_index),
+)
+
+
+class TestAxiomTable:
+    @given(
+        measure=axiom_measures,
+        grid=st.lists(
+            st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)]),
+            min_size=1, max_size=4,
+        ).map(lambda rest: [0, *rest]),
+        n_max=st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_table_matches_the_reference(self, measure, grid, n_max):
+        got = check_decentralization_axioms(measure, n_max, grid)
+        expected = reference_axioms(measure, n_max, grid)
+        assert got.checked == expected.checked
+        assert got.singleton_violations == expected.singleton_violations
+        assert got.removal_violations == expected.removal_violations
+
+    def test_the_measure_is_called_once_per_multiset_in_order(self):
+        grid = [Fraction(0), Fraction(1), Fraction(2)]
+        calls = []
+
+        def counting(ms):
+            calls.append(ms)
+            return tau_decentralization_index(ms, "1/2")
+
+        report = check_decentralization_axioms(counting, 4, [2, 0, 1, 1])
+        assert calls == [
+            ms for size in range(1, 5) for ms in combinations_with_replacement(grid, size)
+        ]
+        # 34 multisets, of which the four all-zero ones are undefined
+        assert (len(calls), report.checked) == (34, 30)
 
 
 class TestAlignment:

@@ -1,11 +1,12 @@
 """The lookahead solver against a recovery walk that shares no steps.
 
 Within one ``solve`` or ``solve_with_plans`` call the solver solves and
-prices each expected stake profile its walks reach once.  The reference
-below walks every plan on its own, calling the per-set functions at every
-step, so equal results show that sharing changes nothing: the participant
-set, each plan's steps and terminal value, and which player's plan overruns
-the horizon cap.
+prices each expected stake profile its walks reach once, and so does one
+lookahead ``brute_force_equilibrium`` call for its abstention walks.  The
+reference below walks every plan on its own, calling the per-set functions
+at every step, so equal results show that sharing changes nothing: the
+participant set, each plan's steps and terminal value, and which player's
+plan overruns the horizon cap.
 """
 
 import csv
@@ -25,6 +26,7 @@ from stakegame import (
     MuAlpha,
     MuStar,
     TableValue,
+    brute_force_equilibrium,
     expected_rewards,
     myopic_equilibrium,
     rank,
@@ -203,3 +205,39 @@ def test_one_solve_solves_each_walked_profile_once(monkeypatch):
     walk_calls = calls[1:]
     assert len(walk_calls) == len(set(walk_calls)) == len(distinct) < len(stakes) <= len(walked)
     assert set(walk_calls) == distinct
+
+
+def test_one_lookahead_oracle_call_solves_each_walked_profile_once(monkeypatch):
+    inst = make_instance([4, 3, 2, 1, 5], [3, 1, 2, 6, 1])
+    stakes = inst.stakes()
+    solver = LookaheadSolver(inst, MuStar())
+
+    # record the abstention walks the oracle starts, and count kernel passes
+    starts, calls = [], []
+    recovery = LookaheadSolver._recovery
+
+    def recording_recovery(self, i, participants, *args):
+        starts.append((i, participants))
+        return recovery(self, i, participants, *args)
+
+    class CountingProfile(equilibrium.RankedProfile):
+        __slots__ = ()
+
+        def __init__(self, stakes, *args, **kwargs):
+            calls.append(tuple(sorted(stakes.items())))
+            super().__init__(stakes, *args, **kwargs)
+
+    monkeypatch.setattr(LookaheadSolver, "_recovery", recording_recovery)
+    monkeypatch.setattr(equilibrium, "RankedProfile", CountingProfile)
+    found = brute_force_equilibrium(stakes, inst, MuStar(), behavior="lookahead")
+    monkeypatch.undo()
+
+    assert found
+    walked = [
+        key
+        for i, participants in starts
+        for *_, key in reference_recovery(solver, i, participants, stakes).steps
+    ]
+    # every kernel pass is a walk step, and no walked profile is solved twice
+    assert len(calls) == len(set(calls)) == len(set(walked)) < len(walked)
+    assert set(calls) == set(walked)
