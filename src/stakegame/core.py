@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, str, float, Fraction]
 
@@ -53,6 +54,48 @@ StakeProfile = Mapping[PlayerId, Fraction]
 def virtual_stake(alpha: Fraction, type_: Fraction, stake: Fraction) -> Fraction:
     """The interpolated selection weight ``alpha * type + (1 - alpha) * stake``."""
     return alpha * type_ + (1 - alpha) * stake
+
+
+def virtual_stake_weights(
+    alpha: Fraction, pairs: Sequence[Tuple[Fraction, Fraction]]
+) -> Tuple[List[int], int]:
+    """Each (type, stake) pair's :func:`virtual_stake` as an int, and 1 - alpha, on one scale.
+
+    With alpha = a/d and ``lt`` and ``ls`` the lcms of the type and the
+    stake denominators, every weight is multiplied by ``d * lt * ls``, a
+    positive factor, so ratios and signs are kept.  The second value is the
+    weight one unit of stake adds, ``(d - a) * lt * ls``.
+    """
+    lt = lcm(*[t.denominator for t, _ in pairs])
+    ls = lcm(*[s.denominator for _, s in pairs])
+    at, bs = alpha.numerator * ls, (alpha.denominator - alpha.numerator) * lt
+    weights = [
+        at * t.numerator * (lt // t.denominator) + bs * s.numerator * (ls // s.denominator)
+        for t, s in pairs
+    ]
+    return weights, bs * ls
+
+
+def check_virtual_stakes(least_total: int, weights: Iterable[int]) -> None:
+    """Reject virtual stakes with a total of at most zero, then any negative one."""
+    if least_total <= 0:
+        raise ValueError("virtual stakes sum to zero; distribution undefined")
+    if min(weights) < 0:
+        raise ValueError("negative virtual stake; distribution undefined")
+
+
+def virtual_stake_lottery(
+    alpha: Fraction, players: Mapping[PlayerId, Tuple[Fraction, Fraction]]
+) -> Dict[PlayerId, Fraction]:
+    """id -> winning probability, each player's virtual stake over the total.
+
+    ``players`` maps id -> (type, stake).  Raises ValueError when the total
+    is not positive or a virtual stake is negative.
+    """
+    weights, _ = virtual_stake_weights(alpha, list(players.values()))
+    total = sum(weights)
+    check_virtual_stakes(total, weights)
+    return {pid: Fraction(w, total) for pid, w in zip(players, weights)}
 
 
 def rank(stakes: StakeProfile) -> Tuple[PlayerId, ...]:
@@ -114,7 +157,8 @@ class Instance:
     """Immutable game setup: players, initial stakes, budget, value function.
 
     ``tau_threshold`` parameterizes the decentralization index (tau = 1/2 is
-    the Nakamoto index).  The budget is constant across rounds.
+    the Nakamoto index).  The budget is constant across rounds.  Player ids
+    must be unique: the constructor raises ValueError on a repeated one.
     """
 
     players: Tuple[Player, ...]
@@ -122,14 +166,14 @@ class Instance:
     budget: Fraction
     tau_threshold: Fraction
     value_function: ValueFunction
-    # id -> Player (first occurrence wins) and id -> type order, built once.
+    # id -> Player and id -> type order, built once.
     _by_id: Dict[PlayerId, Player] = field(init=False, repr=False, compare=False)
     _order: Dict[PlayerId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_id: Dict[PlayerId, Player] = {}
-        for p in self.players:
-            by_id.setdefault(p.id, p)
+        by_id = {p.id: p for p in self.players}
+        if len(by_id) < len(self.players):
+            raise ValueError("player ids are not unique")
         object.__setattr__(self, "_by_id", by_id)
         order = rank({pid: p.type_ for pid, p in by_id.items()}) if by_id else ()
         object.__setattr__(self, "_order", {pid: k for k, pid in enumerate(order)})

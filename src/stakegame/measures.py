@@ -225,12 +225,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
     guarantees assume alignment).
     """
     report = ValidationReport()
-    ids = [p.id for p in instance.players]
-    if not ids:
+    if not instance.players:
         report.errors.append("instance has no players")
         return report
-    if len(set(ids)) != len(ids):
-        report.errors.append("player ids are not unique")
     stake_map = instance.stakes()
     try:
         instance.check_profile(stake_map, "initial stake profile")

@@ -29,7 +29,12 @@ against :func:`expected_budget`.
 The top-type rule (largest type, ties to the smallest id, compared on the
 positions of :meth:`Instance.type_order`) lives here alone: in
 :func:`top_type_participant` for one set, and in ``MuStar.leader_budgets``
-for every suffix of a ranking.
+for every suffix of a ranking.  The virtual-stake lottery lives in
+:mod:`stakegame.core`, beside :func:`virtual_stake`, and the analysis in
+:mod:`stakegame.virtualstake` shares it: ``MuAlpha.distribution`` is
+:func:`virtual_stake_lottery`, and ``MuAlpha.leader_budgets`` takes its
+weights from :func:`virtual_stake_weights` and rejects them by
+:func:`check_virtual_stakes`.
 """
 
 from __future__ import annotations
@@ -37,10 +42,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ONE, ZERO, Instance, PlayerId, StakeProfile, rank, virtual_stake
+from .core import (
+    ONE,
+    ZERO,
+    Instance,
+    PlayerId,
+    StakeProfile,
+    check_virtual_stakes,
+    rank,
+    virtual_stake_lottery,
+    virtual_stake_weights,
+)
 
 
 Distribution = Dict[PlayerId, Fraction]
@@ -71,52 +85,36 @@ class _WinnerTakesAll:
         return instance.budget * self.distribution(instance, stakes, participants).get(i, ZERO)
 
 
-def _check_weights(least_total: Fraction | int, least_weight: Fraction | int) -> None:
-    """Reject virtual stakes with a total of at most zero, then any negative one."""
-    if least_total <= 0:
-        raise ValueError("virtual stakes sum to zero; distribution undefined")
-    if least_weight < 0:
-        raise ValueError("negative virtual stake; distribution undefined")
-
-
 @dataclass(frozen=True)
 class MuAlpha(_WinnerTakesAll):
     alpha: Fraction
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+
     def distribution(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
-        weights = {
-            pid: virtual_stake(self.alpha, instance.player(pid).type_, stakes[pid])
-            for pid in participants
-        }
-        total = sum(weights.values())
-        _check_weights(total, min(weights.values()))
-        return {pid: w / total for pid, w in weights.items()}
+        return virtual_stake_lottery(
+            self.alpha, {pid: (instance.player(pid).type_, stakes[pid]) for pid in participants}
+        )
 
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
         """Each leader's weight over its suffix's total, on integers.
 
-        With alpha = a/d, the weights are scaled by d and by the lcms ``lt``
-        and ``ls`` of the ranking's type and stake denominators, so leader
-        r's weight W_r and the suffix total T_r (summed from the last rank
-        up) are ints, and B = b/c gives ``(b * W_r, c * T_r)``.
+        The weights are :func:`virtual_stake_weights`, so leader r's weight
+        W_r and the suffix total T_r (summed from the last rank up) are ints,
+        and B = b/c gives ``(b * W_r, c * T_r)``.
         """
-        a, d = self.alpha.numerator, self.alpha.denominator
-        types = [instance.player(pid).type_ for pid in ranking]
-        held = [stakes[pid] for pid in ranking]
-        lt = lcm(*[t.denominator for t in types])
-        ls = lcm(*[s.denominator for s in held])
-        at, bs = a * ls, (d - a) * lt
-        weights = [
-            at * t.numerator * (lt // t.denominator) + bs * s.numerator * (ls // s.denominator)
-            for t, s in zip(types, held)
-        ]
+        weights, _ = virtual_stake_weights(
+            self.alpha, [(instance.player(pid).type_, stakes[pid]) for pid in ranking]
+        )
         totals = list(accumulate(reversed(weights)))
         totals.reverse()
-        _check_weights(min(totals), min(weights))
+        check_virtual_stakes(min(totals), weights)
         b, c = instance.budget.numerator, instance.budget.denominator
         return [(0, 1)] + [(b * w, c * total) for w, total in zip(weights, totals)]
 

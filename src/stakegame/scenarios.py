@@ -192,16 +192,21 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
         seed = _integer(seed, "seed")
     rounds = _at_least_one(data["rounds"], "rounds")
 
-    instance = Instance.build(
-        players=players,
-        initial_stakes=stakes,
-        budget=_number(data["budget"], "budget"),
-        tau_threshold=_number(data["tau_threshold"], "tau_threshold"),
-        value_function=(
-            _from_dict(data["value_function"], "value_function")
-            if "value_function" in data else IdentityValue()
-        ),
-    )
+    try:
+        instance = Instance.build(
+            players=players,
+            initial_stakes=stakes,
+            budget=_number(data["budget"], "budget"),
+            tau_threshold=_number(data["tau_threshold"], "tau_threshold"),
+            value_function=(
+                _from_dict(data["value_function"], "value_function")
+                if "value_function" in data else IdentityValue()
+            ),
+        )
+    except ScenarioError:  # a field the file spells wrong, already named
+        raise
+    except ValueError as exc:  # a repeated player id
+        raise ScenarioError(f"invalid instance: {exc}") from None
     report = validate_instance(instance)
     if not report.ok:
         raise ScenarioError("invalid instance: " + "; ".join(report.errors))

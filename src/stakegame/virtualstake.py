@@ -10,6 +10,13 @@ constructor below, :func:`incumbent_gap_state`, makes this quantitative.
 
 All of this assumes full participation, as the interpolating policy gives no
 abstention incentive to analyze.
+
+The lottery itself lives in :mod:`stakegame.core`, shared with
+:class:`~stakegame.policies.MuAlpha`: :func:`selection_probabilities` is
+:func:`~stakegame.core.virtual_stake_lottery`, and the sampler walks the
+integer weights of :func:`~stakegame.core.virtual_stake_weights`.  Both
+reject a non-positive total or a negative virtual stake with the policy's
+messages.
 """
 
 from __future__ import annotations
@@ -17,10 +24,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Tuple
 
-from .core import PlayerId, ScalarLike, rank, scalar, virtual_stake
+from .core import (
+    PlayerId,
+    ScalarLike,
+    check_virtual_stakes,
+    rank,
+    scalar,
+    virtual_stake,
+    virtual_stake_lottery,
+    virtual_stake_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -62,17 +77,11 @@ class VirtualStakeState:
     def stake_dict(self) -> Dict[PlayerId, Fraction]:
         return dict(self.stakes)
 
-    def weights(self) -> Dict[PlayerId, Fraction]:
-        s = self.stake_dict()
-        return {pid: virtual_stake(self.alpha, t, s[pid]) for pid, t in self.types}
-
 
 def selection_probabilities(state: VirtualStakeState) -> Dict[PlayerId, Fraction]:
-    """w_i = p_i / W; exact, sums to 1."""
-    total = state.total_weight
-    if total <= 0:
-        raise ValueError("total virtual stake must be positive")
-    return {pid: p / total for pid, p in state.weights().items()}
+    """w_i = p_i / W by :func:`virtual_stake_lottery`, each type paired with its stake by id."""
+    stakes = state.stake_dict()
+    return virtual_stake_lottery(state.alpha, {pid: (t, stakes[pid]) for pid, t in state.types})
 
 
 def expected_step(state: VirtualStakeState) -> VirtualStakeState:
@@ -177,25 +186,22 @@ def sampled_win_frequencies(
     winner is the first whose partial weight sum S has u < S / W, W being
     the total weight.  Since W > 0, that is u * W < S, so the walk compares
     with running weights and never divides.  The walk runs on integers: the
-    weights, W and the growth below are held over one common denominator,
-    and with u = num / u_den the test is ``num * W < S * u_den``.  A win
-    adds 1 to the winner's stake, so her weight and W both grow by
-    1 - alpha; W never falls, and checking it once up front covers every
-    round.
+    weights and the growth below come from :func:`virtual_stake_weights`,
+    the one integer weighting ``MuAlpha`` prices its stages with, and
+    with u = num / u_den the test is ``num * W < S * u_den``.  A win adds 1
+    to the winner's stake, so her weight and W both grow by 1 - alpha;
+    neither a weight nor W ever falls, and checking them once up front
+    covers every round.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    start = state.weights()
-    order = sorted(start)
-    weights = [start[pid] for pid in order]
-    total = state.total_weight
-    if total <= 0:
-        raise ValueError("total virtual stake must be positive")
-    growth = 1 - state.alpha
-    den = lcm(total.denominator, growth.denominator, *[w.denominator for w in weights])
-    total, growth, *weights = (
-        x.numerator * (den // x.denominator) for x in (total, growth, *weights)
+    types, stakes = dict(state.types), state.stake_dict()
+    order = sorted(types)
+    weights, growth = virtual_stake_weights(
+        state.alpha, [(types[pid], stakes[pid]) for pid in order]
     )
+    total = sum(weights)
+    check_virtual_stakes(total, weights)
     rng = random.Random(seed)
     wins = [0] * len(order)
     last = len(order) - 1

@@ -201,6 +201,22 @@ def test_negative_value_function_exits_2(capsys, tmp_path, value_function):
     )
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({}, "invalid instance: player ids are not unique"),
+    # a field parsed on the way to the instance still names itself
+    ({"budget": "x"}, "budget: not a number: 'x'"),
+], ids=["repeat", "repeat and bad budget"])
+def test_repeated_player_id_exits_2(capsys, tmp_path, fields, error):
+    scenario = dict(copy.deepcopy(TWO_PLAYERS), **fields)
+    scenario["players"][1]["id"] = 1
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"scenario error: {error}\n"
+
+
 @pytest.mark.parametrize("family", ["policy", "value_function"])
 @pytest.mark.parametrize("kind", [["mu_star"], {"kind": "mu_star"}, None], ids=repr)
 def test_non_string_kind_exits_2(capsys, tmp_path, family, kind):

@@ -144,9 +144,13 @@ class TestValidation:
         assert validate_instance(inst).errors == []
 
     def test_duplicate_ids(self):
+        # a repeated id used to build, and a run went on with its first entry's type
         players = (Player(id=1, type_=Fraction(2)), Player(id=1, type_=Fraction(1)))
-        inst = Instance.build(players, {1: 1}, 1, Fraction(1, 2), IdentityValue())
-        assert not validate_instance(inst).ok
+        stakes = ((1, Fraction(1)),)
+        with pytest.raises(ValueError, match="^player ids are not unique$"):
+            Instance(players, stakes, Fraction(1), Fraction(1, 2), IdentityValue())
+        with pytest.raises(ValueError, match="^player ids are not unique$"):
+            Instance.build(players, {1: 1}, 1, Fraction(1, 2), IdentityValue())
 
     stakes_off_the_players = pytest.mark.parametrize("stakes, problem", [
         # validation used to pass it, and a run ended in a bare KeyError: 9

@@ -114,21 +114,16 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
 
 @st.composite
 def typed_instances(draw):
-    """Players in any order, ids not 1..n, and at times one id given twice."""
+    """Players in any order, ids not 1..n (a repeated id is rejected at construction)."""
     ids = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
     players = [Player(id=pid, type_=draw(TYPES)) for pid in ids]
-    if draw(st.booleans()):
-        twin = Player(id=draw(st.sampled_from(ids)), type_=draw(TYPES))
-        players.insert(draw(st.integers(0, len(players))), twin)
     stakes = {pid: draw(STAKES) for pid in ids}
     return players, Instance.build(players, stakes, 1, Fraction(1, 2), IdentityValue())
 
 
 def reference_top(players, ids):
-    """The Fraction order: largest type, then smallest id; a twin's first entry counts."""
-    types = {}
-    for p in players:
-        types.setdefault(p.id, p.type_)
+    """The Fraction order: largest type, then smallest id."""
+    types = {p.id: p.type_ for p in players}
     return max(ids, key=lambda pid: (types[pid], -pid))
 
 

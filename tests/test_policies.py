@@ -51,8 +51,9 @@ UNRESOLVED_MU_ELL = {
     "brute_force_equilibrium": lambda inst, stakes, q: brute_force_equilibrium(stakes, inst, MuEll()),
 }
 
-# MuAlpha with alpha > 1 can weigh a set at <= 0, or a player below 0: the
-# distribution and the suffix solvers reject either alike.
+# MuAlpha(1) weighs players by type alone, and Instance.build takes any type,
+# so a set can weigh <= 0, or a player below 0: the distribution and the
+# suffix solvers reject either alike.
 NONPOSITIVE_MU_ALPHA = {
     "winner_distribution": lambda inst, mu: winner_distribution(
         mu, inst, inst.stakes(), frozenset({1, 2})
@@ -93,25 +94,30 @@ class TestWinnerDistribution:
 
     @pytest.mark.parametrize("call", sorted(NONPOSITIVE_MU_ALPHA))
     def test_mu_alpha_rejects_a_nonpositive_weight_total(self, call):
-        # alpha = 3 weighs 3 * type - 2 * stake: suffix {2} totals 1, but the
-        # whole set totals -6 + 1, so the suffix solvers' running total must
-        # fail there as the distribution does
-        inst = make_instance([0, 1], [3, 1])
+        # suffix {2} weighs 1, but the whole set totals -6 + 1, so the suffix
+        # solvers' running total must fail there as the distribution does
+        inst = make_instance([-6, 1], [3, 1])
         with pytest.raises(ValueError, match="virtual stakes sum to zero"):
-            NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(3)))
+            NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(1)))
 
     @pytest.mark.parametrize("call", sorted(NONPOSITIVE_MU_ALPHA))
     def test_mu_alpha_rejects_a_negative_weight(self, call):
-        # alpha = 3 weighs 3 * type - 2 * stake: -3 and 7 total 4 > 0, so
-        # the total passes its check and the negative weight is named
-        inst = make_instance([1, 3], [3, 1])
+        # -3 and 7 total 4 > 0, so the total passes its check and the
+        # negative weight is named
+        inst = make_instance([-3, 7], [3, 1])
         with pytest.raises(ValueError, match="negative virtual stake"):
-            NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(3)))
+            NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(1)))
 
     @pytest.mark.parametrize("epsilon", [Fraction(-1, 2), Fraction(3, 2)])
     def test_mu_star_rejects_an_epsilon_outside_the_unit_interval(self, epsilon):
         with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
             MuStar(epsilon)
+
+    @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(2)])
+    def test_mu_alpha_rejects_an_alpha_outside_the_unit_interval(self, alpha):
+        # MuAlpha(2) used to run, and MuAlpha(-1/2) gave a player probability 0
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
+            MuAlpha(alpha)
 
     def test_mu_all_top_type_wins(self):
         # the equal split does not hide who the recorded winner is

@@ -20,6 +20,7 @@ from stakegame import (
     selection_probabilities,
     validate_instance,
 )
+from stakegame.core import virtual_stake, virtual_stake_weights
 
 
 def state(alpha, types, stakes):
@@ -46,6 +47,23 @@ class TestSelectionProbabilities:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             state(2, {1: 1}, {1: 1})
+
+
+# Player 1's virtual stake is 1/2 - 3/2 < 0 though the total, 2, is positive:
+# the selection probabilities, the dynamics and the sampler used to run on it.
+NEGATIVE_STAKE = {
+    "selection_probabilities": selection_probabilities,
+    "check_invariance": lambda s: check_invariance(s, 3),
+    "expected_step": expected_step,
+    "sampled_win_frequencies": lambda s: sampled_win_frequencies(s, 100, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEGATIVE_STAKE))
+def test_a_negative_virtual_stake_is_rejected(call):
+    s = state(Fraction(1, 2), {1: 1, 2: 1}, {1: -3, 2: 5})
+    with pytest.raises(ValueError, match="negative virtual stake"):
+        NEGATIVE_STAKE[call](s)
 
 
 class TestExpectedStep:
@@ -220,14 +238,14 @@ def test_sampler_matches_the_per_round_loop(state_, rounds, seed):
 
 
 def test_sampler_rejects_a_zero_total_weight():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="virtual stakes sum to zero"):
         sampled_win_frequencies(state(0, {1: 1, 2: 1}, {1: 0, 2: 0}), 3, seed=1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sampler_states())
 def test_the_lottery_and_the_policy_weigh_alike(state_):
-    # the analysis state and the stage policy are two homes of one weight
+    # a state and an Instance given the same alpha, types and stakes
     stakes = state_.stake_dict()
     inst = Instance.build(
         players=[Player(id=pid, type_=t) for pid, t in state_.types],
@@ -243,3 +261,20 @@ def test_the_lottery_and_the_policy_weigh_alike(state_):
     assert expected_step(state_).stake_dict() == {
         pid: s + rewards[pid] for pid, s in stakes.items()
     }
+
+
+POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1, max_size=6),
+)
+def test_the_integer_weighting_scales_the_virtual_stakes(alpha, pairs):
+    weights, unit = virtual_stake_weights(alpha, pairs)
+    exact = [virtual_stake(alpha, t, s) for t, s in pairs]
+    assert all(isinstance(w, int) for w in weights)
+    for w, v in zip(weights, exact):
+        assert F(w, sum(weights)) == v / sum(exact)
+        assert F(unit, w) == (1 - alpha) / v
