@@ -9,11 +9,12 @@ the equilibrium logic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, str, float, Fraction]
 
@@ -51,29 +52,74 @@ class Player:
 StakeProfile = Mapping[PlayerId, Fraction]
 
 
+class ScaledProfile(Mapping):
+    """An id -> value map held as int numerators ``nums`` over one denominator ``den`` > 0.
+
+    It reads as a map of ``Fraction``s, built one per lookup, so any code
+    that takes a stake profile takes it.  :func:`scaled_profile` hands its
+    ints back without building any.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Dict[PlayerId, int], den: int):
+        self.nums = nums
+        self.den = den
+
+    def __getitem__(self, pid: PlayerId) -> Fraction:
+        return Fraction(self.nums[pid], self.den)
+
+    def __iter__(self) -> Iterator[PlayerId]:
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+def scaled_profile(values: Mapping[PlayerId, Fraction]) -> ScaledProfile:
+    """The values as ints over their least common denominator.
+
+    The one conversion from ``Fraction`` values to the integer form that the
+    suffix kernel and the virtual-stake weighting work on; a
+    :class:`ScaledProfile` passes through as it is.  Values must be ints or
+    ``Fraction``s (anything else raises ``TypeError``).  With the least
+    denominator the ints have no common factor with it, so equal maps give
+    equal ints.
+    """
+    if isinstance(values, ScaledProfile):
+        return values
+    try:
+        den = lcm(*[x.denominator for x in values.values()])
+    except AttributeError:
+        raise TypeError("stakes must be int or Fraction") from None
+    return ScaledProfile(
+        {pid: x.numerator * (den // x.denominator) for pid, x in values.items()}, den
+    )
+
+
 def virtual_stake(alpha: Fraction, type_: Fraction, stake: Fraction) -> Fraction:
     """The interpolated selection weight ``alpha * type + (1 - alpha) * stake``."""
     return alpha * type_ + (1 - alpha) * stake
 
 
 def virtual_stake_weights(
-    alpha: Fraction, pairs: Sequence[Tuple[Fraction, Fraction]]
+    alpha: Fraction,
+    types: Mapping[PlayerId, Fraction],
+    stakes: StakeProfile,
+    ids: Iterable[PlayerId],
 ) -> Tuple[List[int], int]:
-    """Each (type, stake) pair's :func:`virtual_stake` as an int, and 1 - alpha, on one scale.
+    """Each id's :func:`virtual_stake` as an int, and 1 - alpha, on one scale.
 
-    With alpha = a/d and ``lt`` and ``ls`` the lcms of the type and the
-    stake denominators, every weight is multiplied by ``d * lt * ls``, a
-    positive factor, so ratios and signs are kept.  The second value is the
-    weight one unit of stake adds, ``(d - a) * lt * ls``.
+    Types and stakes come through :func:`scaled_profile`, as ints over
+    denominators ``lt`` and ``ls``.  With alpha = a/d every weight is
+    multiplied by ``d * lt * ls``, a positive factor, so ratios and signs are
+    kept.  The second value is the weight one unit of stake adds,
+    ``(d - a) * lt * ls``.
     """
-    lt = lcm(*[t.denominator for t, _ in pairs])
-    ls = lcm(*[s.denominator for _, s in pairs])
-    at, bs = alpha.numerator * ls, (alpha.denominator - alpha.numerator) * lt
-    weights = [
-        at * t.numerator * (lt // t.denominator) + bs * s.numerator * (ls // s.denominator)
-        for t, s in pairs
-    ]
-    return weights, bs * ls
+    t, s = scaled_profile(types), scaled_profile(stakes)
+    at, bs = alpha.numerator * s.den, (alpha.denominator - alpha.numerator) * t.den
+    t_nums, s_nums = t.nums, s.nums
+    return [at * t_nums[pid] + bs * s_nums[pid] for pid in ids], bs * s.den
 
 
 def check_virtual_stakes(least_total: int, weights: Iterable[int]) -> None:
@@ -85,17 +131,20 @@ def check_virtual_stakes(least_total: int, weights: Iterable[int]) -> None:
 
 
 def virtual_stake_lottery(
-    alpha: Fraction, players: Mapping[PlayerId, Tuple[Fraction, Fraction]]
+    alpha: Fraction,
+    types: Mapping[PlayerId, Fraction],
+    stakes: StakeProfile,
+    ids: Collection[PlayerId],
 ) -> Dict[PlayerId, Fraction]:
-    """id -> winning probability, each player's virtual stake over the total.
+    """id -> winning probability for each of ``ids``, its virtual stake over their total.
 
-    ``players`` maps id -> (type, stake).  Raises ValueError when the total
-    is not positive or a virtual stake is negative.
+    Raises ValueError when the total is not positive or a virtual stake is
+    negative.
     """
-    weights, _ = virtual_stake_weights(alpha, list(players.values()))
+    weights, _ = virtual_stake_weights(alpha, types, stakes, ids)
     total = sum(weights)
     check_virtual_stakes(total, weights)
-    return {pid: Fraction(w, total) for pid, w in zip(players, weights)}
+    return {pid: Fraction(w, total) for pid, w in zip(ids, weights)}
 
 
 def rank(stakes: StakeProfile) -> Tuple[PlayerId, ...]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import ONE, ZERO, Instance, PlayerId, RoundRecord
+from .core import ONE, ZERO, Instance, PlayerId, RoundRecord, scaled_profile
 from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _myopic
 from .measures import tau_decentralization_index
 from .policies import (
@@ -109,7 +109,7 @@ class Runner:
     ) -> Tuple[RankedProfile, int]:
         """The round's kernel and equilibrium rank: the set is its suffix r."""
         if self.behavior == "myopic":
-            profile = RankedProfile(stakes, self.instance)
+            profile = RankedProfile(scaled_profile(stakes), self.instance)
             return profile, _myopic(profile, stage)
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
@@ -130,8 +130,9 @@ class Runner:
                 v = last.v
 
         # A fixed winner who sits the round out is still the certain winner
-        # the record names; the payout pays nobody.
-        dist = stage.distribution(self.instance, stakes, participants)
+        # the record names; the payout pays nobody.  A policy that reads
+        # stakes reads the kernel's integers.
+        dist = stage.distribution(self.instance, profile.stakes, participants)
         winner = point_mass_winner(dist)
         if winner is None and self.mode == "sampled":
             winner = draw_winner(dist, stakes, Fraction(self._rng.random()))

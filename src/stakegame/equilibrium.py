@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import Instance, PlayerId, StakeProfile, rank
+from .core import Instance, PlayerId, ScaledProfile, StakeProfile, rank, scaled_profile
 from .measures import tau_decentralization_index, token_value
 from .policies import FixedWinner, MuEll, Policy, expected_budget
 
@@ -45,17 +45,19 @@ class RankedProfile:
     ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
     level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
     tau-index ``d`` and token value ``v``; entry 0 of each list is unused.
-    Building it reads only the stakes, tau and the value function.  Stakes
-    must be ints or ``Fraction``s (anything else raises ``TypeError``).
+    Building it reads only the stakes, tau and the value function.
 
     The solvers rest on one identity: the top-ranked player of suffix r is
     the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
     her participate-vs-abstain comparison are read from adjacent entries.
 
-    The kernel works on integers: every stake is scaled by the common
-    denominator ``scale`` of the profile (the lcm of the stakes'
-    denominators), and ``prefix`` (P below) holds the prefix sums of the
-    scaled stakes over the ranking.  With tau = p/q, the d-prefix of suffix
+    The kernel works on integers, and takes its stakes in one form: a
+    :class:`~stakegame.core.ScaledProfile`, the stakes as ints over one
+    common denominator ``scale``.  A ``Fraction`` profile gets that form from
+    :func:`~stakegame.core.scaled_profile` (ints or ``Fraction``s only;
+    anything else raises ``TypeError``); a recovery walk hands over its own
+    state as it is.  ``prefix`` (P below) holds the prefix sums of the scaled
+    stakes over the ranking.  With tau = p/q, the d-prefix of suffix
     r ends at the first e with
     ``q * P[e] > p * (P[n] - P[r - 1]) + q * P[r - 1]``: the test
     stake > tau * total + above, multiplied through by q and by the
@@ -71,15 +73,11 @@ class RankedProfile:
         "instance", "stakes", "ranking", "d", "v", "scale", "prefix", "v_scaled", "v_scale",
     )
 
-    def __init__(self, stakes: StakeProfile, instance: Instance):
+    def __init__(self, stakes: ScaledProfile, instance: Instance):
         tau = instance.tau_threshold
         if not 0 < tau < 1:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
-        try:
-            den = lcm(*[s.denominator for s in stakes.values()])
-        except AttributeError:
-            raise TypeError("stakes must be int or Fraction") from None
-        scaled = {pid: s.numerator * (den // s.denominator) for pid, s in stakes.items()}
+        scaled = stakes.nums
         # the scaling keeps every order, so this is rank(stakes)
         ranking = rank(scaled)
         n = len(ranking)
@@ -122,7 +120,7 @@ class RankedProfile:
         self.ranking = ranking
         self.d = d
         self.v = [level_value[level] for level in d]
-        self.scale = den
+        self.scale = stakes.den
         self.prefix = prefix
         self.v_scaled = [level_scaled[level] for level in d]
         self.v_scale = v_scale
@@ -285,7 +283,7 @@ def recovery_winner_labels(
     per rank.
     """
     instance.check_profile(stakes)
-    profile = RankedProfile(stakes, instance)
+    profile = RankedProfile(scaled_profile(stakes), instance)
     labels, _ = _labels(profile, policy)
     return {profile.ranking[r - 1]: label for r, label in labels.items()}
 
@@ -302,7 +300,7 @@ def myopic_equilibrium(
     winner.
     """
     instance.check_profile(stakes)
-    profile = RankedProfile(stakes, instance)
+    profile = RankedProfile(scaled_profile(stakes), instance)
     return profile.suffix(_myopic(profile, policy))
 
 
@@ -312,7 +310,7 @@ def _myopic(profile: RankedProfile, policy: Policy) -> int:
 
 
 def _priced_myopic(
-    stakes: StakeProfile, instance: Instance, policy: Policy
+    stakes: ScaledProfile, instance: Instance, policy: Policy
 ) -> Tuple[frozenset, Fraction]:
     """The myopic equilibrium and its token value, from one kernel pass."""
     profile = RankedProfile(stakes, instance)
@@ -391,8 +389,9 @@ class LookaheadSolver:
         The walks share their steps: within this call, each expected stake
         profile a walk reaches gets one kernel pass (:class:`RankedProfile`),
         which gives both its myopic equilibrium and that set's token value,
-        however many ranks' walks pass through it.  Nothing is kept between
-        calls.
+        however many ranks' walks pass through it.  The walks step on
+        integers and build no plan: each rank is decided on the walk's
+        integer terminal value.  Nothing is kept between calls.
         """
         self.instance.check_profile(stakes)
         profile, r = self._solve(stakes, {})
@@ -403,24 +402,50 @@ class LookaheadSolver:
     ) -> Tuple[frozenset, Dict[PlayerId, RecoveryPlan]]:
         """Equilibrium set plus the recovery plan of every excluded player.
 
-        The plans share walk steps with the solve, as in :meth:`solve`.
+        The plans share walk steps with the solve, as in :meth:`solve`.  Only the
+        excluded players' walks become plans (:class:`RecoveryPlan`), and
+        only here are their expected stakes and terminal values built as
+        ``Fraction`` values, from the walks' integers.
         """
         self.instance.check_profile(stakes)
         walked: Dict[tuple, tuple] = {}
         profile, r = self._solve(stakes, walked)
-        participants = profile.suffix(r)
+        participants, start = profile.suffix(r), profile.stakes
         plans: Dict[PlayerId, RecoveryPlan] = {}
         for pid in stakes:
             if pid not in participants:
-                plans[pid] = self._recovery(pid, participants, stakes, walked)
+                num, den, steps = self._recovery(pid, participants, start, walked)
+                plans[pid] = RecoveryPlan(
+                    owner=pid,
+                    steps=tuple(
+                        (offset, future, tuple(sorted(
+                            (i, Fraction(s, key[0])) for i, s in zip(start.nums, key[1:])
+                        )))
+                        for offset, (future, key) in enumerate(steps, start=1)
+                    ),
+                    terminal_value=Fraction(num, den),
+                )
         return participants, plans
 
     def abstention_value(
         self, i: PlayerId, without_i: frozenset, stakes: StakeProfile
     ) -> Fraction:
-        """Value of abstaining when the round's other participants are given."""
+        """Value for player i of abstaining when the round's other participants are ``without_i``.
+
+        Raises ValueError unless the profile stakes exactly the instance's
+        players, i is one of them, and ``without_i`` names only players other
+        than i.
+        """
         self.instance.check_profile(stakes)
-        return self._recovery(i, without_i, stakes, {}).terminal_value
+        if i not in stakes:
+            raise ValueError(f"no player with id {i}")
+        unknown = set(without_i) - stakes.keys()
+        if unknown:
+            raise ValueError(f"participant set names unknown players {sorted(unknown)}")
+        if i in without_i:
+            raise ValueError(f"player {i} is in the participant set it abstains from")
+        num, den, _ = self._recovery(i, without_i, scaled_profile(stakes), {})
+        return Fraction(num, den)
 
     def _solve(
         self, stakes: StakeProfile, walked: Dict[tuple, tuple]
@@ -428,18 +453,19 @@ class LookaheadSolver:
         """The profile's kernel and the equilibrium's rank r.
 
         The set is ``profile.suffix(r)``, with index d[r] and token value
-        v[r].  Each rank's leader is harmful when her net worth from
-        :meth:`RankedProfile.leaders` is below her plan's terminal value for
-        leaving to suffix r + 1, decided on integers.  The walks share their
+        v[r].  Each rank's leader is harmful when her net worth ``net /
+        unit`` from :meth:`RankedProfile.leaders` is below her walk's terminal
+        value ``num / den`` for leaving to suffix r + 1, decided on integers.
+        The walks start from the kernel's own scaled stakes and share their
         steps through ``walked``.
         """
-        profile = RankedProfile(stakes, self.instance)
+        profile = RankedProfile(scaled_profile(stakes), self.instance)
         chosen = len(profile.ranking)
         for r, _, net, _, unit in profile.leaders(self.policy):
-            abstain = self._recovery(
+            num, den, _ = self._recovery(
                 profile.ranking[r - 1], profile.suffix(r + 1), profile.stakes, walked
-            ).terminal_value
-            if net * abstain.denominator >= abstain.numerator * unit:
+            )
+            if net * den >= num * unit:
                 chosen = r
         return profile, chosen
 
@@ -447,45 +473,69 @@ class LookaheadSolver:
         self,
         i: PlayerId,
         participants_now: frozenset,
-        stakes: StakeProfile,
+        stakes: ScaledProfile,
         walked: Dict[tuple, tuple],
-    ) -> RecoveryPlan:
-        """Follow future myopic equilibria until i re-enters.
+    ) -> Tuple[int, int, List[Tuple[frozenset, tuple]]]:
+        """Follow future myopic equilibria from ``stakes`` until i re-enters.
 
-        The first advance uses the hypothesized current-round set; later ones
-        use each future round's own equilibrium.  A step adds only the rewards
-        the policy pays to a copy of the expected stakes.  The walk advances
-        offset by offset for its owner.  ``walked`` holds the steps of one
-        solve call, keyed by expected stake profile: the profile's myopic
-        equilibrium and that set's token value, both from one kernel pass, and
-        the profile as sorted ``(pid, stake)`` pairs.  All three depend on the
-        profile alone, so a profile that several walks reach is solved and
-        priced once, and every plan is the one a walk of its own finds.  The
-        key is each stake's numerator and denominator in the profile's order,
-        which every walk of one solve shares: ints hash faster than ``Fraction``.
+        Returns i's terminal value, her stake priced at the re-entry round's
+        token value, as an integer pair ``(num, den)`` with den > 0, and the
+        walk's steps: one ``(participants, key)`` per offset from 1.  The
+        first advance uses the hypothesized current-round set; later ones use
+        each future round's own equilibrium.
+
+        A walk keeps its expected stakes as ints over one common denominator
+        (a :class:`~stakegame.core.ScaledProfile`), starting from the
+        kernel's own.  Each step (:meth:`_advance`) leaves them in lowest
+        terms, so ``key = (den, *nums)``, the nums in the start profile's id
+        order, names the profile canonically: two walks of one call reach the
+        same key exactly when they reach the same profile.  ``walked`` holds
+        the steps of one solve call by key: the profile's myopic equilibrium
+        and that set's token value, both from one kernel pass, which takes
+        the walk's ints as they are.  Both depend on the profile alone, so a
+        profile that several walks reach is solved and priced once, and every
+        walk is the one it would find on its own.  No ``Fraction`` stake is
+        built; :meth:`solve_with_plans` builds them for the plans it returns.
         """
-        current = dict(stakes)
-        participants = participants_now
-        steps: List[Tuple[int, frozenset, Tuple[Tuple[PlayerId, Fraction], ...]]] = []
-        for offset in range(1, self.horizon_cap + 1):
+        current, participants = stakes, participants_now
+        steps: List[Tuple[frozenset, tuple]] = []
+        for _ in range(self.horizon_cap):
             if participants:
-                dist = self.policy.distribution(self.instance, current, participants)
-                current = dict(current)
-                for pid, reward in self.policy.payout(self.instance, participants, dist).items():
-                    current[pid] += reward
-            key = tuple([s.as_integer_ratio() for s in current.values()])
+                current = self._advance(current, participants)
+            key = (current.den, *current.nums.values())
             step = walked.get(key)
             if step is None:
-                step = walked[key] = (
-                    *_priced_myopic(current, self.instance, self.policy),
-                    tuple(sorted(current.items())),
-                )
-            future, value, profile = step
-            steps.append((offset, future, profile))
+                step = walked[key] = _priced_myopic(current, self.instance, self.policy)
+            future, value = step
+            steps.append((future, key))
             if i in future:
-                return RecoveryPlan(owner=i, steps=tuple(steps), terminal_value=current[i] * value)
+                return current.nums[i] * value.numerator, current.den * value.denominator, steps
             participants = future
         raise LookaheadHorizonError(i, stakes, self.horizon_cap)
+
+    def _advance(self, current: ScaledProfile, participants: frozenset) -> ScaledProfile:
+        """The expected stakes after a round in which ``participants`` play.
+
+        The policy's ``distribution`` and ``payout`` give the rewards as
+        ``Fraction`` values, and they are folded into the ints: the common
+        denominator grows by at most one factor, the one the rewards'
+        denominators need, and one gcd brings the profile back to lowest
+        terms.
+        """
+        dist = self.policy.distribution(self.instance, current, participants)
+        paid = self.policy.payout(self.instance, participants, dist)
+        den, nums = current.den, current.nums
+        grow = lcm(den, *[reward.denominator for reward in paid.values()]) // den
+        den *= grow
+        # a copy: other walks of the call share the start and every earlier step
+        nums = dict(nums) if grow == 1 else {pid: s * grow for pid, s in nums.items()}
+        for pid, reward in paid.items():
+            nums[pid] += reward.numerator * (den // reward.denominator)
+        common = gcd(den, *nums.values())
+        if common > 1:
+            den //= common
+            nums = {pid: s // common for pid, s in nums.items()}
+        return ScaledProfile(nums, den)
 
 
 @dataclass(frozen=True)
@@ -523,7 +573,7 @@ def threshold(trace) -> Threshold:
         stage = trace.policy
         if isinstance(stage, MuEll):
             stage = FixedWinner(record.winner)
-        profile = RankedProfile(dict(record.stakes_before), instance)
+        profile = RankedProfile(scaled_profile(dict(record.stakes_before)), instance)
         v_full = profile.v[1]
         for r in _labels(profile, stage)[0]:
             pid = profile.ranking[r - 1]
@@ -565,6 +615,7 @@ def brute_force_equilibrium(
     if behavior not in ("myopic", "lookahead"):
         raise ValueError(f"unknown behavior {behavior!r}")
     solver = LookaheadSolver(instance, policy, horizon_cap) if behavior == "lookahead" else None
+    start = scaled_profile(stakes)
     values: Dict[frozenset, Fraction] = {}
     walked: Dict[tuple, tuple] = {}
 
@@ -577,7 +628,8 @@ def brute_force_equilibrium(
     def abstain_value(i: PlayerId, others: frozenset) -> Fraction:
         if solver is None:
             return utility(i, others)
-        return solver._recovery(i, others, stakes, walked).terminal_value
+        num, den, _ = solver._recovery(i, others, start, walked)
+        return Fraction(num, den)
 
     equilibria: List[frozenset] = []
     for size in range(0, len(ids) + 1):

@@ -96,9 +96,7 @@ class MuAlpha(_WinnerTakesAll):
     def distribution(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
-        return virtual_stake_lottery(
-            self.alpha, {pid: (instance.player(pid).type_, stakes[pid]) for pid in participants}
-        )
+        return virtual_stake_lottery(self.alpha, instance.types(), stakes, participants)
 
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
@@ -109,9 +107,7 @@ class MuAlpha(_WinnerTakesAll):
         W_r and the suffix total T_r (summed from the last rank up) are ints,
         and B = b/c gives ``(b * W_r, c * T_r)``.
         """
-        weights, _ = virtual_stake_weights(
-            self.alpha, [(instance.player(pid).type_, stakes[pid]) for pid in ranking]
-        )
+        weights, _ = virtual_stake_weights(self.alpha, instance.types(), stakes, ranking)
         totals = list(accumulate(reversed(weights)))
         totals.reverse()
         check_virtual_stakes(min(totals), weights)

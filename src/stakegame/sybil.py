@@ -24,7 +24,7 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar
+from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar, scaled_profile
 from .equilibrium import _priced_myopic, _priced_utility, is_harmful
 from .policies import MuEll, MuStar, Policy
 
@@ -280,7 +280,7 @@ def _original_utility(
     owner: PlayerId, stakes: StakeProfile, instance: Instance, stage: Policy
 ) -> Fraction:
     """The owner's stage utility at the unsplit profile's myopic equilibrium."""
-    eq, v = _priced_myopic(stakes, instance, stage)
+    eq, v = _priced_myopic(scaled_profile(stakes), instance, stage)
     return _priced_utility(instance, stakes, stage, owner, eq, v)
 
 
@@ -292,7 +292,7 @@ def _parts_utility(
     Every part is priced at the one token value of that equilibrium.
     """
     new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
-    split_eq, v = _priced_myopic(new_stakes, new_instance, stage)
+    split_eq, v = _priced_myopic(scaled_profile(new_stakes), new_instance, stage)
     return sum(
         _priced_utility(new_instance, new_stakes, stage, pid, split_eq, v)
         for pid in part_ids

@@ -80,8 +80,8 @@ class VirtualStakeState:
 
 def selection_probabilities(state: VirtualStakeState) -> Dict[PlayerId, Fraction]:
     """w_i = p_i / W by :func:`virtual_stake_lottery`, each type paired with its stake by id."""
-    stakes = state.stake_dict()
-    return virtual_stake_lottery(state.alpha, {pid: (t, stakes[pid]) for pid, t in state.types})
+    types = dict(state.types)
+    return virtual_stake_lottery(state.alpha, types, state.stake_dict(), types)
 
 
 def expected_step(state: VirtualStakeState) -> VirtualStakeState:
@@ -197,9 +197,7 @@ def sampled_win_frequencies(
         raise ValueError("need at least one round")
     types, stakes = dict(state.types), state.stake_dict()
     order = sorted(types)
-    weights, growth = virtual_stake_weights(
-        state.alpha, [(types[pid], stakes[pid]) for pid in order]
-    )
+    weights, growth = virtual_stake_weights(state.alpha, types, stakes, order)
     total = sum(weights)
     check_virtual_stakes(total, weights)
     rng = random.Random(seed)

@@ -12,6 +12,7 @@ from stakegame import (
     scalar,
     validate_instance,
 )
+from stakegame.core import scaled_profile
 from stakegame.equilibrium import RankedProfile
 
 from conftest import make_instance
@@ -54,7 +55,9 @@ class TestRank:
             rank({})
 
     def test_suffix_set(self):
-        profile = RankedProfile({1: 1, 2: 5, 3: 3}, make_instance([1, 1, 1], [1, 5, 3]))
+        profile = RankedProfile(
+            scaled_profile({1: 1, 2: 5, 3: 3}), make_instance([1, 1, 1], [1, 5, 3])
+        )
         assert profile.ranking == (2, 3, 1)
         assert profile.suffix(1) == frozenset({1, 2, 3})
         assert profile.suffix(3) == frozenset({1})

@@ -351,6 +351,22 @@ SOLVER_ENTRY_POINTS = {
 }
 
 
+@pytest.mark.parametrize("i, others, problem", [
+    # used to return 4: an "abstention" in which player 1 participates and is paid
+    (1, {1, 2, 3}, "player 1 is in the participant set it abstains from"),
+    # used to end in a bare KeyError: 9
+    (1, {2, 9}, "participant set names unknown players [9]"),
+    # used to walk 50 rounds, then raise LookaheadHorizonError for player 7
+    (7, {2}, "no player with id 7"),
+], ids=["owner in the set", "unknown player in the set", "unknown owner"])
+def test_abstention_value_checks_its_owner_and_set(i, others, problem):
+    inst = make_instance([3, 2, 1], [3, 2, 1])
+    solver = LookaheadSolver(inst, MuStar())
+    with pytest.raises(ValueError) as exc:
+        solver.abstention_value(i, frozenset(others), inst.stakes())
+    assert str(exc.value) == problem
+
+
 @pytest.mark.parametrize("entry", sorted(SOLVER_ENTRY_POINTS))
 @pytest.mark.parametrize("profile, problem", [
     # the myopic solve used to answer {1, 2}, the equilibrium of a smaller game

@@ -5,10 +5,12 @@ They cover the paths the worked-example tables do not: sampled mode under
 stakes, tau other than 1/2), ``MuAll`` in expected mode (several players
 paid per round, a costly player sitting out the first rounds), ``MuAlpha``
 in expected mode (fractional types with coprime denominators, a budget of
-3/2, a costly dominant stake sitting out the first rounds), and one
-16-player lookahead trajectory shaped like the ``lookahead_n16`` benchmark
-workload.  A change to the solvers or the engine that is meant to be exact
-must leave every file unchanged.
+3/2, a costly dominant stake sitting out the first rounds), the same
+``MuAll`` and ``MuAlpha`` instances with lookahead players (exclusions in
+the first rounds, so recovery walks run past one step), and one 16-player
+lookahead trajectory shaped like the ``lookahead_n16`` benchmark workload.
+A change to the solvers or the engine that is meant to be exact must leave
+every file unchanged.
 
 Regenerate the files only when trajectories are meant to change::
 
@@ -50,23 +52,37 @@ def sampled_mu_star_epsilon():
     )
 
 
-def mu_all():
-    inst = make_instance(
+def mu_all_instance():
+    return make_instance(
         [5, 3, 5, 1, 5],
         [2, Fraction(1, 2), 7, 1, 1],
         costs=[0, 0, Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)],
     )
-    return run(inst, MuAll(), rounds=12)
 
 
-def mu_alpha_expected():
-    inst = make_instance(
+def mu_all():
+    return run(mu_all_instance(), MuAll(), rounds=12)
+
+
+def mu_all_lookahead():
+    return run(mu_all_instance(), MuAll(), behavior="lookahead", rounds=12)
+
+
+def mu_alpha_instance():
+    return make_instance(
         [Fraction(3, 2), Fraction(7, 3), 1, Fraction(5, 4), Fraction(11, 7)],
         [6, Fraction(1, 2), Fraction(7, 3), 1, Fraction(1, 2)],
         budget=Fraction(3, 2),
         costs=[Fraction(3, 2), 0, 0, 0, 0],
     )
-    return run(inst, MuAlpha(Fraction(3, 8)), rounds=12)
+
+
+def mu_alpha_expected():
+    return run(mu_alpha_instance(), MuAlpha(Fraction(3, 8)), rounds=12)
+
+
+def mu_alpha_lookahead():
+    return run(mu_alpha_instance(), MuAlpha(Fraction(3, 8)), behavior="lookahead", rounds=12)
 
 
 def lookahead_n16():
@@ -82,6 +98,8 @@ GOLDEN = {
     "lookahead_n16.csv": lookahead_n16,
     "mu_all.csv": mu_all,
     "mu_alpha_expected.csv": mu_alpha_expected,
+    "mu_all_lookahead.csv": mu_all_lookahead,
+    "mu_alpha_lookahead.csv": mu_alpha_lookahead,
 }
 
 

@@ -33,6 +33,7 @@ from stakegame import (
     tau_decentralization_index,
     token_value,
 )
+from stakegame.core import scaled_profile
 from stakegame.equilibrium import (
     PAR,
     RankedProfile,
@@ -98,7 +99,7 @@ POLICIES = st.one_of(
 @given(instances())
 def test_kernel_matches_the_reference_on_every_suffix(inst):
     stakes = inst.stakes()
-    profile = RankedProfile(stakes, inst)
+    profile = RankedProfile(scaled_profile(stakes), inst)
     ranking = rank(stakes)
     n = len(ranking)
     assert profile.ranking == ranking
@@ -170,7 +171,7 @@ def test_expected_rewards_match_expected_budget(inst, policy, data):
 @given(instances(), POLICIES)
 def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
     stakes = inst.stakes()
-    profile = RankedProfile(stakes, inst)
+    profile = RankedProfile(scaled_profile(stakes), inst)
     budgets = policy.leader_budgets(inst, stakes, profile.ranking)
     assert len(budgets) == len(profile.ranking) + 1
     for r, leader in enumerate(profile.ranking, start=1):

@@ -3,15 +3,16 @@
 Within one ``solve`` or ``solve_with_plans`` call the solver solves and
 prices each expected stake profile its walks reach once, and so does one
 lookahead ``brute_force_equilibrium`` call for its abstention walks.  The
-reference below walks every plan on its own, calling the per-set functions
-at every step, so equal results show that sharing changes nothing: the
-participant set, each plan's steps and terminal value, and which player's
-plan overruns the horizon cap.
+reference below walks every plan on its own, in ``Fraction``s, calling the
+per-set functions at every step, so equal results show that sharing and the
+walk's integer steps change nothing: the participant set, each plan's steps
+and terminal value, and which player's plan overruns the horizon cap.
 """
 
 import csv
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from stakegame import (
     rank,
 )
 from stakegame import equilibrium
+from stakegame.core import scaled_profile
 from stakegame.equilibrium import RecoveryPlan, stage_utility, stage_value
 
 from conftest import make_instance
@@ -43,6 +45,15 @@ STAKES = st.sampled_from(
 )
 TAUS = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+def policies(n, epsilons=UNIT):
+    return st.one_of(
+        st.builds(MuStar, epsilons),
+        st.just(MuAll()),
+        st.builds(MuAlpha, UNIT),
+        st.builds(FixedWinner, st.integers(1, n)),
+    )
 
 
 def reference_recovery(solver, i, participants, stakes):
@@ -129,12 +140,7 @@ def lookahead_cases(draw, caps, steep=False):
         tau=draw(TAUS),
         vf=draw(value_functions(n, steep)),
     )
-    policy = draw(st.one_of(
-        st.builds(MuStar, UNIT.filter(lambda e: e < 1)),
-        st.just(MuAll()),
-        st.builds(MuAlpha, UNIT),
-        st.builds(FixedWinner, st.integers(1, n)),
-    ))
+    policy = draw(policies(n, UNIT.filter(lambda e: e < 1)))
     solver = LookaheadSolver(inst, policy, horizon_cap=draw(caps))
     return solver, inst.stakes()
 
@@ -156,6 +162,37 @@ def test_solve_matches_the_unshared_walk(case):
 @given(lookahead_cases(st.integers(1, 3), steep=True))
 def test_horizon_errors_match_the_unshared_walk(case):
     assert_matches_the_reference(*case)
+
+
+# Fractional types, stakes and budgets with coprime denominators.
+RATIONALS = st.fractions(min_value=1, max_value=9, max_denominator=7)
+
+
+@st.composite
+def step_cases(draw):
+    """A solver and a non-empty start set, often not a suffix of the ranking."""
+    n = draw(st.integers(1, 7))
+    inst = make_instance(
+        draw(st.lists(RATIONALS, min_size=n, max_size=n)),
+        draw(st.lists(RATIONALS, min_size=n, max_size=n)),
+        budget=draw(RATIONALS),
+    )
+    start = frozenset(draw(st.sets(st.integers(1, n), min_size=1)))
+    return LookaheadSolver(inst, draw(policies(n))), start
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_an_integer_step_adds_the_expected_rewards(case):
+    solver, start = case
+    stakes = solver.instance.stakes()
+    step = solver._advance(scaled_profile(stakes), start)
+    rewards = expected_rewards(solver.policy, solver.instance, stakes, start)
+    want = {pid: s + rewards[pid] for pid, s in stakes.items()}
+    assert dict(step) == want
+    # in lowest terms, so the walk key (den, *nums) names the profile alone
+    assert list(step.nums) == list(stakes)
+    assert step.den == lcm(*[s.denominator for s in want.values()])
 
 
 def test_a_small_cap_raises_for_the_same_player():
@@ -192,7 +229,9 @@ def test_one_solve_solves_each_walked_profile_once(monkeypatch):
         __slots__ = ()
 
         def __init__(self, stakes, *args, **kwargs):
-            calls.append(tuple(sorted(stakes.items())))
+            # the kernel's input: ints over one common denominator
+            den = stakes.den
+            calls.append(tuple(sorted((pid, Fraction(s, den)) for pid, s in stakes.nums.items())))
             super().__init__(stakes, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "RankedProfile", CountingProfile)
@@ -224,7 +263,9 @@ def test_one_lookahead_oracle_call_solves_each_walked_profile_once(monkeypatch):
         __slots__ = ()
 
         def __init__(self, stakes, *args, **kwargs):
-            calls.append(tuple(sorted(stakes.items())))
+            # the kernel's input: ints over one common denominator
+            den = stakes.den
+            calls.append(tuple(sorted((pid, Fraction(s, den)) for pid, s in stakes.nums.items())))
             super().__init__(stakes, *args, **kwargs)
 
     monkeypatch.setattr(LookaheadSolver, "_recovery", recording_recovery)

@@ -272,7 +272,9 @@ POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
     st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1, max_size=6),
 )
 def test_the_integer_weighting_scales_the_virtual_stakes(alpha, pairs):
-    weights, unit = virtual_stake_weights(alpha, pairs)
+    types = dict(enumerate(t for t, _ in pairs))
+    stakes = dict(enumerate(s for _, s in pairs))
+    weights, unit = virtual_stake_weights(alpha, types, stakes, types)
     exact = [virtual_stake(alpha, t, s) for t, s in pairs]
     assert all(isinstance(w, int) for w in weights)
     for w, v in zip(weights, exact):
