@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import ONE, ZERO, Instance, PlayerId, RoundRecord, scaled_profile
+from .core import ZERO, Instance, PlayerId, RoundRecord, scaled_profile
 from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _myopic
 from .measures import tau_decentralization_index
 from .policies import (
@@ -129,18 +129,22 @@ class Runner:
             if v == last.v:
                 v = last.v
 
-        # A fixed winner who sits the round out is still the certain winner
-        # the record names; the payout pays nobody.  A policy that reads
-        # stakes reads the kernel's integers.
+        # The record names a point-mass winner, even a fixed winner who sits
+        # the round out, whom the rewards rule then pays nothing.  A winner
+        # drawn in sampled mode takes the whole budget; otherwise the rule's
+        # expected rewards are paid, one Fraction per paid player.  A policy
+        # that reads stakes reads the kernel's integers.
         dist = stage.distribution(self.instance, profile.stakes, participants)
         winner = point_mass_winner(dist)
         if winner is None and self.mode == "sampled":
             winner = draw_winner(dist, stakes, Fraction(self._rng.random()))
-            dist = {winner: ONE}
-        paid = stage.payout(self.instance, participants, dist)
-        rewards = tuple(sorted(paid.items()))
+            rewards = ((winner, self.instance.budget),)
+        else:
+            nums, den = stage.rewards(self.instance, profile.stakes, participants)
+            rewards = tuple(sorted((pid, Fraction(num, den)) for pid, num in nums.items()))
         if last is not None and rewards == last.rewards:
             rewards = last.rewards
+        paid = dict(rewards)
         # an unpaid player's pair carries over as it is
         after = before
         if paid:

@@ -516,21 +516,22 @@ class LookaheadSolver:
     def _advance(self, current: ScaledProfile, participants: frozenset) -> ScaledProfile:
         """The expected stakes after a round in which ``participants`` play.
 
-        The policy's ``distribution`` and ``payout`` give the rewards as
-        ``Fraction`` values, and they are folded into the ints: the common
-        denominator grows by at most one factor, the one the rewards'
-        denominators need, and one gcd brings the profile back to lowest
-        terms.
+        The policy's ``rewards`` rule reads the walk's ints and pays each
+        paid participant an int over one denominator.  One rescale puts the
+        stakes and the rewards over the lcm of the two denominators, so the
+        stakes' denominator grows by at most the factor the rewards need, and
+        one gcd brings the sum back to lowest terms.  No ``Fraction`` is
+        built.
         """
-        dist = self.policy.distribution(self.instance, current, participants)
-        paid = self.policy.payout(self.instance, participants, dist)
+        paid, paid_den = self.policy.rewards(self.instance, current, participants)
         den, nums = current.den, current.nums
-        grow = lcm(den, *[reward.denominator for reward in paid.values()]) // den
+        shared = gcd(den, paid_den)
+        grow, lift = paid_den // shared, den // shared
         den *= grow
         # a copy: other walks of the call share the start and every earlier step
         nums = dict(nums) if grow == 1 else {pid: s * grow for pid, s in nums.items()}
         for pid, reward in paid.items():
-            nums[pid] += reward.numerator * (den // reward.denominator)
+            nums[pid] += reward * lift
         common = gcd(den, *nums.values())
         if common > 1:
             den //= common

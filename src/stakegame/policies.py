@@ -17,13 +17,24 @@ A stage policy's ``distribution`` is the winner's exact distribution over a
 participant set (players who cannot win may be left out), ``member_budget``
 a member's expected reward B_i(Q) in any set Q, ``leader_budgets`` the same
 reward for the leader of every suffix of a ranking in one O(n) pass, on
-which the suffix solvers are built, and ``payout`` the rewards paid when the
-winner is drawn from a distribution.  ``leader_budgets`` works on integers:
-each B is an integer pair ``(num, den)``, built from the budget's, epsilon's,
-alpha's, the types' and the stakes' numerators and denominators, so the
-solvers price a stage without forming a ``Fraction``.  The other three
-methods return ``Fraction``s; :func:`type_favoring_share` is their one home
-of the type-favoring rule, and a property test checks every policy's pairs
+which the suffix solvers are built, and ``rewards`` every participant's
+expected reward in one set, by which stakes advance.  The last two work on
+integers, built from the budget's, epsilon's, alpha's, the types' and the
+stakes' numerators and denominators, so no ``Fraction`` is formed per
+reward: each B of ``leader_budgets`` is an integer pair ``(num, den)``, and
+``rewards`` gives ``(nums, den)``, an int for each paid participant over one
+positive denominator, leaving out the participants whose winning chance or
+share is zero.
+
+``rewards`` is the one rule that pays a round; there is no separate payout
+step.  A recovery walk adds its ints to the walk's scaled stakes
+(:class:`~stakegame.core.ScaledProfile`), and
+:meth:`~stakegame.engine.Runner.step` records them, building a ``Fraction``
+only for each paid player's entry; a winner drawn in sampled mode takes the
+whole budget instead.  ``distribution`` names the recorded point-mass winner
+and feeds the draw.  ``distribution`` and ``member_budget`` return
+``Fraction``s; :func:`type_favoring_share` is their one home of the
+type-favoring rule, and property tests check every policy's integer pairs
 against :func:`expected_budget`.
 
 The top-type rule (largest type, ties to the smallest id, compared on the
@@ -63,16 +74,14 @@ Distribution = Dict[PlayerId, Fraction]
 # players at rank r or below, as an integer pair (num, den) with den > 0, not
 # necessarily in lowest terms.
 LeaderBudgets = List[Tuple[int, int]]
+# The expected reward of each paid participant of one set, as ints ``nums``
+# (id -> int) over one denominator ``den`` > 0, not necessarily in lowest
+# terms; a participant whose winning chance or share is zero is left out.
+Rewards = Tuple[Dict[PlayerId, int], int]
 
 
 class _WinnerTakesAll:
     """The whole budget goes to the winner; a member's budget follows from that."""
-
-    def payout(
-        self, instance: Instance, participants: Collection[PlayerId], dist: Distribution
-    ) -> Dict[PlayerId, Fraction]:
-        """Budget times winning probability for each participant; zeros left out."""
-        return {pid: instance.budget * p for pid, p in dist.items() if p and pid in participants}
 
     def member_budget(
         self,
@@ -113,6 +122,19 @@ class MuAlpha(_WinnerTakesAll):
         check_virtual_stakes(min(totals), weights)
         b, c = instance.budget.numerator, instance.budget.denominator
         return [(0, 1)] + [(b * w, c * total) for w, total in zip(weights, totals)]
+
+    def rewards(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Rewards:
+        """Each participant's weight over the set's total: ``b * W`` over ``c * T``.
+
+        A participant whose virtual stake is zero is left out.
+        """
+        weights, _ = virtual_stake_weights(self.alpha, instance.types(), stakes, participants)
+        total = sum(weights)
+        check_virtual_stakes(total, weights)
+        b, c = instance.budget.numerator, instance.budget.denominator
+        return {pid: b * w for pid, w in zip(participants, weights) if w}, c * total
 
 
 @dataclass(frozen=True)
@@ -170,6 +192,28 @@ class MuStar(_WinnerTakesAll):
                 budgets[r] = (rest, rest_den * (n - r))
         return budgets
 
+    def rewards(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Rewards:
+        """The shares of :meth:`leader_budgets` for one set of m, over ``c * q * (m - 1)``.
+
+        The others get ``b * p`` each and the top ``b * (q - p) * (m - 1)``,
+        left out at epsilon 1; a lone participant, or epsilon 0, pays the top
+        ``b`` over ``c`` and nobody else.
+        """
+        top = top_type_participant(instance, participants)
+        b, c = instance.budget.numerator, instance.budget.denominator
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        size = len(participants)
+        if size == 1 or not p:
+            return {top: b}, c
+        nums = dict.fromkeys(participants, b * p)
+        if p == q:
+            del nums[top]
+        else:
+            nums[top] = b * (q - p) * (size - 1)
+        return nums, c * q * (size - 1)
+
 
 @dataclass(frozen=True)
 class MuAll:
@@ -194,11 +238,12 @@ class MuAll:
         b, c = instance.budget.numerator, instance.budget.denominator
         return [(0, 1)] + [(b, c * (n - r + 1)) for r in range(1, n + 1)]
 
-    def payout(
-        self, instance: Instance, participants: Collection[PlayerId], dist: Distribution
-    ) -> Dict[PlayerId, Fraction]:
+    def rewards(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Rewards:
         """An equal share for every participant, whoever wins."""
-        return dict.fromkeys(participants, instance.budget / len(participants))
+        b, c = instance.budget.numerator, instance.budget.denominator
+        return dict.fromkeys(participants, b), c * len(participants)
 
 
 @dataclass(frozen=True)
@@ -208,7 +253,7 @@ class MuEll:
     def _unresolved(self, *args: Any) -> Any:
         raise TypeError("MuEll needs its shadow trajectory; resolve it to FixedWinner first")
 
-    distribution = member_budget = leader_budgets = payout = _unresolved
+    distribution = member_budget = leader_budgets = rewards = _unresolved
 
 
 @dataclass(frozen=True)
@@ -232,6 +277,14 @@ class FixedWinner(_WinnerTakesAll):
     ) -> LeaderBudgets:
         whole = (instance.budget.numerator, instance.budget.denominator)
         return [(0, 1)] + [whole if pid == self.winner else (0, 1) for pid in ranking]
+
+    def rewards(
+        self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
+    ) -> Rewards:
+        """The whole budget to the winner; nobody is paid while she sits out."""
+        if self.winner not in participants:
+            return {}, 1
+        return {self.winner: instance.budget.numerator}, instance.budget.denominator
 
 
 Policy = MuAlpha | MuStar | MuAll | MuEll | FixedWinner  # not typing.Union: see core.ValueFunction
@@ -293,16 +346,13 @@ def expected_rewards(
     stakes: StakeProfile,
     participants: frozenset,
 ) -> Dict[PlayerId, Fraction]:
-    """Expected reward for every player (non-participants receive 0).
+    """:func:`expected_budget` for every player (non-participants receive 0).
 
-    The winner distribution is built once for all players.  An empty
-    participant set, or a fixed winner who sits out, pays nobody.
+    The ``Fraction`` member rule, player by player: it does not use the
+    policy's integer ``rewards`` rule, so it is that rule's reference.  An
+    empty participant set, or a fixed winner who sits out, pays nobody.
     """
-    rewards = dict.fromkeys(stakes, ZERO)
-    if participants:
-        dist = policy.distribution(instance, stakes, participants)
-        rewards.update(policy.payout(instance, participants, dist))
-    return rewards
+    return {pid: expected_budget(policy, instance, stakes, pid, participants) for pid in stakes}
 
 
 def point_mass_winner(dist: Distribution) -> Optional[PlayerId]:

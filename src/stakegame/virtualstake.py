@@ -42,6 +42,8 @@ from .core import (
 class VirtualStakeState:
     """Snapshot of the interpolated dynamics: alpha, fixed types, current stakes.
 
+    The constructor raises ValueError unless alpha lies in [0, 1], no id
+    repeats in ``types`` or ``stakes``, and the two name the same players.
     The stake and weight totals are summed once, when the state is built.
     """
 
@@ -52,9 +54,16 @@ class VirtualStakeState:
     total_weight: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        stakes = sum(s for _, s in self.stakes)
-        weight = virtual_stake(self.alpha, sum(t for _, t in self.types), stakes)
-        object.__setattr__(self, "total_stakes", stakes)
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        types, stakes = dict(self.types), dict(self.stakes)
+        if len(types) < len(self.types) or len(stakes) < len(self.stakes):
+            raise ValueError("player ids are not unique")
+        if types.keys() != stakes.keys():
+            raise ValueError("types and stakes must cover the same players")
+        total = sum(stakes.values())
+        weight = virtual_stake(self.alpha, sum(types.values()), total)
+        object.__setattr__(self, "total_stakes", total)
         object.__setattr__(self, "total_weight", weight)
 
     @staticmethod
@@ -63,13 +72,8 @@ class VirtualStakeState:
         types: Dict[PlayerId, ScalarLike],
         stakes: Dict[PlayerId, ScalarLike],
     ) -> "VirtualStakeState":
-        a = scalar(alpha)
-        if not 0 <= a <= 1:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
-        if set(types) != set(stakes):
-            raise ValueError("types and stakes must cover the same players")
         return VirtualStakeState(
-            alpha=a,
+            alpha=scalar(alpha),
             types=tuple(sorted((pid, scalar(t)) for pid, t in types.items())),
             stakes=tuple(sorted((pid, scalar(s)) for pid, s in stakes.items())),
         )

@@ -31,6 +31,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+LOOKAHEAD_MU_STAR_EPSILON_STDOUT = (
+    '{"scenario": "lookahead-mu-star-epsilon", "rounds": 100, '
+    '"final_stakes": {"1": "687/10", "2": "4033/150", "3": "36583/13650", '
+    '"4": "36583/13650", "5": "36583/13650", "6": "50233/13650", "7": "63883/13650", '
+    '"8": "36583/13650", "9": "63883/13650", "10": "36583/13650", "11": "63883/13650", '
+    '"12": "63883/13650", "13": "22933/13650", "14": "50233/13650", "15": "50233/13650", '
+    '"16": "4801/1050"}, "min_d": 2, "max_d": 7, "theta": "2", "rounds_below_theta": []}\n'
+)
+
+
 class TestRun:
     def test_builtin_writes_golden_trace(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"
@@ -102,6 +112,19 @@ class TestRun:
         path.write_text('{"players": []}')
         code, _ = run_cli(capsys, "run", str(path))
         assert code == 2
+
+    def test_lookahead_walks_that_pay_every_player(self, capsys, tmp_path):
+        # 16 lookahead players under MuStar(1/10): every step of every
+        # recovery walk pays all participants; stdout and trace pinned byte
+        # for byte
+        out_path = tmp_path / "t.csv"
+        code, out = run_cli(
+            capsys, "run", str(DATA / "scenarios" / "lookahead_mu_star_epsilon.json"),
+            "--theta", "-o", str(out_path),
+        )
+        assert code == 0
+        assert out == LOOKAHEAD_MU_STAR_EPSILON_STDOUT
+        assert out_path.read_bytes() == (DATA / "lookahead_mu_star_epsilon.csv").read_bytes()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--parameter", "rounds",
                                                     "--values", "1"]])

@@ -6,12 +6,14 @@ import pytest
 
 from stakegame import (
     FixedWinner,
+    MuAll,
     MuAlpha,
     MuEll,
     MuStar,
     Runner,
     monitor_properties,
     run,
+    tau_decentralization_index,
     trace_rows,
     write_trace,
 )
@@ -96,6 +98,12 @@ class TestRunner:
         assert rec.rewards == ()
         assert dict(rec.stakes_after) == inst.stakes()
 
+    def test_mu_all_pays_equal_shares_in_sampled_mode(self, three_player_instance):
+        # the top type is MuAll's point-mass winner, so nothing is drawn
+        rec = Runner(three_player_instance, MuAll(), mode="sampled", seed=0).step()
+        assert rec.winner == 1
+        assert rec.rewards == tuple((pid, Fraction(1, 3)) for pid in (1, 2, 3))
+
     def test_records_store_only_what_was_paid(self, three_player_instance):
         inst = three_player_instance
         records = run(inst, MuStar(), rounds=2).records
@@ -123,6 +131,20 @@ class TestMonitors:
         # rounds 3, 5, 7, 9 each exclude at least one prior participant
         assert report.exclusion_rounds == 4
         assert report.good_recovery
+
+    def test_a_flat_index_through_an_exclusion_round_is_clean(self):
+        # round 2 excludes players 2 and 3, and the full index stays at 1:
+        # only a drop is a violation
+        inst = make_instance([8, 5, 6], [1, 3, 7])
+        trace = run(inst, MuStar(), behavior="lookahead", rounds=2)
+        rec = trace.records[1]
+        assert rec.participants == frozenset({1})
+        for stakes in (rec.stakes_before, rec.stakes_after):
+            assert tau_decentralization_index([s for _, s in stakes], inst.tau_threshold) == 1
+        report = monitor_properties(trace)
+        assert report.exclusion_rounds == 1
+        assert report.recovery_violations == []
+        assert report.good_recovery and report.ok
 
     def test_index_drop_during_exclusion_is_a_recovery_violation(self, three_player_instance):
         trace = run(three_player_instance, MuStar(), behavior="lookahead", rounds=4)

@@ -17,9 +17,11 @@ from stakegame import (
     brute_force_equilibrium,
     is_harmful,
     myopic_equilibrium,
+    rank,
     recovery_winner_labels,
     run,
     threshold,
+    token_value,
 )
 from stakegame.equilibrium import (
     RankedProfile,
@@ -212,6 +214,27 @@ class TestThreshold:
         inst = make_instance([3, 2, 1], [4, 4, 4])
         th = threshold(run(inst, MuStar(), rounds=3))
         assert th.theta is None
+
+    def test_a_theta_above_the_value_floor_matches_a_by_hand_minimum(self):
+        # Chosen by one rule: the first of 300 instances drawn with
+        # random.Random(3) (3-6 players, types and stakes 1-8, one of
+        # MuStar(), MuStar(1/10), MuAll() and MuAlpha(3/8), 30 myopic rounds)
+        # whose theta exceeds v(1), the value of a lone player's set.
+        inst = make_instance([5, 5, 6, 1, 7, 6], [1, 7, 3, 1, 6, 8])
+        trace = run(inst, MuAll(), rounds=30)
+        want = {}
+        for rec in trace.records:
+            stakes = dict(rec.stakes_before)
+            _, v_full = stage_value(inst, stakes, frozenset(stakes))
+            ranking = rank(stakes)
+            for r, pid in enumerate(ranking):
+                suffix = frozenset(ranking[r:])
+                if is_harmful(pid, suffix, stakes, inst, MuAll()).harmful:
+                    want[pid] = min(want.get(pid, v_full), v_full)
+        th = threshold(trace)
+        assert th.per_player == tuple((pid, want.get(pid)) for pid in sorted(inst.stakes()))
+        assert th.theta == min(want.values()) == 2
+        assert th.theta > token_value(1, inst.value_function)
 
 
 class TestBruteForce:

@@ -23,6 +23,7 @@ from stakegame import (
     MuAlpha,
     MuStar,
     Player,
+    Runner,
     TableValue,
     brute_force_equilibrium,
     expected_budget,
@@ -41,7 +42,7 @@ from stakegame.equilibrium import (
     stage_utility,
     stage_value,
 )
-from stakegame.policies import top_type_participant
+from stakegame.policies import point_mass_winner, top_type_participant
 
 from conftest import make_instance
 
@@ -179,6 +180,54 @@ def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
         num, den = budgets[r]
         assert type(num) is type(den) is int and den > 0
         assert Fraction(num, den) == expected_budget(policy, inst, stakes, leader, suffix)
+
+
+# The rewards rules' edges: epsilon 1 (the top's share is zero), epsilon 0,
+# and alpha at both ends of [0, 1].
+ENDS = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), UNIT)
+RULE_POLICIES = st.one_of(
+    st.builds(MuStar, ENDS),
+    st.just(MuAll()),
+    st.builds(MuAlpha, ENDS),
+    st.builds(FixedWinner, st.integers(1, 9)),
+)
+
+
+@given(instances(), RULE_POLICIES, st.data())
+def test_the_integer_rewards_rule_matches_expected_budget(inst, policy, data):
+    stakes = inst.stakes()
+    participants = frozenset(data.draw(st.sets(st.sampled_from(sorted(stakes)), min_size=1)))
+    # the walk and the engine hand over the kernel's scaled stakes
+    given_stakes = data.draw(st.sampled_from([stakes, scaled_profile(stakes)]))
+    nums, den = policy.rewards(inst, given_stakes, participants)
+    assert type(den) is int and den > 0
+    assert nums.keys() <= participants
+    for pid in stakes:
+        want = expected_budget(policy, inst, stakes, pid, participants)
+        if pid in nums:
+            assert type(nums[pid]) is int and nums[pid] != 0
+            assert Fraction(nums[pid], den) == want
+        else:
+            assert want == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), RULE_POLICIES, st.integers(0, 2**32))
+def test_one_step_records_the_rules_rewards(inst, policy, seed):
+    record = Runner(inst, policy).step()
+    want = expected_rewards(policy, inst, inst.stakes(), record.participants)
+    assert record.rewards == tuple(sorted((pid, r) for pid, r in want.items() if r))
+    assert dict(record.stakes_after) == {pid: s + want[pid] for pid, s in inst.stakes().items()}
+    # a sampled step draws only from a mixed distribution, and the winner it
+    # draws takes the whole budget
+    sampled = Runner(inst, policy, mode="sampled", seed=seed).step()
+    assert sampled.participants == record.participants
+    dist = policy.distribution(inst, inst.stakes(), record.participants)
+    if point_mass_winner(dist) is None:
+        assert dist[sampled.winner] > 0
+        assert sampled.rewards == ((sampled.winner, inst.budget),)
+    else:
+        assert sampled == record
 
 
 def reference_labels(inst, stakes, policy):

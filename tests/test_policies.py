@@ -45,6 +45,7 @@ UNRESOLVED_MU_ELL = {
     "winner_distribution": lambda inst, stakes, q: winner_distribution(MuEll(), inst, stakes, q),
     "expected_budget": lambda inst, stakes, q: expected_budget(MuEll(), inst, stakes, 1, q),
     "expected_rewards": lambda inst, stakes, q: expected_rewards(MuEll(), inst, stakes, q),
+    "rewards": lambda inst, stakes, q: MuEll().rewards(inst, stakes, q),
     "myopic_equilibrium": lambda inst, stakes, q: myopic_equilibrium(stakes, inst, MuEll()),
     "LookaheadSolver.solve": lambda inst, stakes, q: LookaheadSolver(inst, MuEll()).solve(stakes),
     "is_harmful": lambda inst, stakes, q: is_harmful(1, q, stakes, inst, MuEll()),
@@ -135,18 +136,43 @@ class TestWinnerDistribution:
             UNRESOLVED_MU_ELL[call](inst, inst.stakes(), frozenset({1, 2, 3}))
 
 
+def paid(policy, inst, participants):
+    """The policy's integer rewards rule over the initial stakes, as Fractions."""
+    nums, den = policy.rewards(inst, inst.stakes(), frozenset(participants))
+    return {pid: Fraction(num, den) for pid, num in nums.items()}
+
+
 class TestBudget:
     def test_winner_takes_all(self, inst):
-        everyone = frozenset({1, 2, 3})
-        dist = winner_distribution(MuStar(), inst, inst.stakes(), everyone)
-        assert MuStar().payout(inst, everyone, dist) == {1: Fraction(1)}
+        assert paid(MuStar(), inst, {1, 2, 3}) == {1: Fraction(1)}
 
     def test_all_pay_equal_shares(self, inst):
-        everyone = frozenset({1, 2, 3})
-        dist = winner_distribution(MuAll(), inst, inst.stakes(), everyone)
-        rewards = MuAll().payout(inst, everyone, dist)
+        rewards = paid(MuAll(), inst, {1, 2, 3})
         assert rewards == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
         assert sum(rewards.values()) == inst.budget
+
+    def test_epsilon_one_leaves_the_top_type_out(self, inst):
+        # the top's share 1 - epsilon is zero, so she is not paid at all
+        assert paid(MuStar(Fraction(1)), inst, {1, 2, 3}) == {2: Fraction(1, 2), 3: Fraction(1, 2)}
+
+    def test_epsilon_shares_over_one_denominator(self, inst):
+        nums, den = MuStar(Fraction(1, 10)).rewards(inst, inst.stakes(), frozenset({1, 2, 3}))
+        assert (nums, den) == ({1: 18, 2: 1, 3: 1}, 20)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 10), Fraction(1)])
+    def test_a_lone_participant_takes_the_whole_budget(self, inst, epsilon):
+        assert paid(MuStar(epsilon), inst, {3}) == {3: inst.budget}
+
+    def test_epsilon_zero_gives_the_top_the_whole_budget(self, inst):
+        assert MuStar().rewards(inst, inst.stakes(), frozenset({2, 3})) == ({2: 1}, 1)
+
+    def test_a_zero_virtual_stake_is_left_out(self):
+        # MuAlpha(1) weighs by type alone, and player 1's type is 0
+        inst = make_instance([0, 2], [1, 1])
+        assert paid(MuAlpha(Fraction(1)), inst, {1, 2}) == {2: Fraction(1)}
+
+    def test_fixed_winner_pays_the_budget_to_a_participating_winner(self, inst):
+        assert paid(FixedWinner(2), inst, {2, 3}) == {2: inst.budget}
 
     def test_expected_budget_nonparticipant_is_zero(self, inst):
         assert expected_budget(MuStar(), inst, inst.stakes(), 1, frozenset({2, 3})) == 0
@@ -157,6 +183,7 @@ class TestBudget:
     def test_fixed_winner_absent_pays_nobody(self, inst):
         rewards = expected_rewards(FixedWinner(1), inst, inst.stakes(), frozenset({2, 3}))
         assert all(v == 0 for v in rewards.values())
+        assert paid(FixedWinner(1), inst, {2, 3}) == {}
 
 
 class TestDrawWinner:

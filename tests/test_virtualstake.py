@@ -23,6 +23,9 @@ from stakegame import (
 from stakegame.core import virtual_stake, virtual_stake_weights
 
 
+F = Fraction
+
+
 def state(alpha, types, stakes):
     return VirtualStakeState.build(alpha, types, stakes)
 
@@ -47,6 +50,37 @@ class TestSelectionProbabilities:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             state(2, {1: 1}, {1: 1})
+
+
+# The constructor checks what build checks.  Each of these states used to be
+# built: alpha 2 gave probabilities {1: 5/6, 2: 1/6} and a clean invariance
+# report, types without player 2 dropped her silently, stakes without
+# player 2 ended in a bare KeyError, and a repeated id kept its last entry.
+MALFORMED_STATES = {
+    "alpha above 1": (
+        dict(alpha=F(2), types=((1, F(3)), (2, F(1))), stakes=((1, F(1)), (2, F(1)))),
+        r"^alpha must lie in \[0, 1\], got 2$",
+    ),
+    "types omit a staked id": (
+        dict(alpha=F(1, 2), types=((1, F(3)),), stakes=((1, F(1)), (2, F(1)))),
+        "^types and stakes must cover the same players$",
+    ),
+    "stakes omit a typed id": (
+        dict(alpha=F(1, 2), types=((1, F(3)), (2, F(1))), stakes=((1, F(1)),)),
+        "^types and stakes must cover the same players$",
+    ),
+    "repeated id": (
+        dict(alpha=F(1, 2), types=((1, F(3)), (1, F(1))), stakes=((1, F(1)), (1, F(2)))),
+        "^player ids are not unique$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STATES))
+def test_the_constructor_rejects_a_malformed_state(case):
+    fields, message = MALFORMED_STATES[case]
+    with pytest.raises(ValueError, match=message):
+        VirtualStakeState(**fields)
 
 
 # Player 1's virtual stake is 1/2 - 3/2 < 0 though the total, 2, is positive:
@@ -189,7 +223,6 @@ def per_round_frequencies(state_, rounds, seed):
     return {pid: Fraction(wins[pid], rounds) for pid in wins}
 
 
-F = Fraction
 # (alpha, types, stakes, seed) -> frequencies over 120 rounds, recorded with
 # the per-round sampler above.
 PINNED_SAMPLES = [
