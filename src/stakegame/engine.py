@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import ZERO, Instance, PlayerId, RoundRecord, scaled_profile
-from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _myopic
+from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _labels
 from .measures import tau_decentralization_index
 from .policies import (
     FixedWinner,
@@ -110,7 +110,7 @@ class Runner:
         """The round's kernel and equilibrium rank: the set is its suffix r."""
         if self.behavior == "myopic":
             profile = RankedProfile(scaled_profile(stakes), self.instance)
-            return profile, _myopic(profile, stage)
+            return profile, _labels(profile, stage)[1]
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
         return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(stakes, {})

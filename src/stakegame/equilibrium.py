@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import Instance, PlayerId, ScaledProfile, StakeProfile, rank, scaled_profile
 from .measures import tau_decentralization_index, token_value
@@ -53,7 +53,7 @@ class RankedProfile:
 
     The kernel works on integers, and takes its stakes in one form: a
     :class:`~stakegame.core.ScaledProfile`, the stakes as ints over one
-    common denominator ``scale``.  A ``Fraction`` profile gets that form from
+    common denominator ``stakes.den``.  A ``Fraction`` profile gets that form from
     :func:`~stakegame.core.scaled_profile` (ints or ``Fraction``s only;
     anything else raises ``TypeError``); a recovery walk hands over its own
     state as it is.  ``prefix`` (P below) holds the prefix sums of the scaled
@@ -65,12 +65,12 @@ class RankedProfile:
     grows upward, so the end never moves right and one pointer serves every
     suffix.  The token values are scaled the same way: ``v_scaled[r]`` is
     ``v[r] * v_scale``, with ``v_scale`` the lcm of their denominators.
-    :meth:`leaders` prices every suffix leader on these integers.  All
+    :meth:`leaders` prices suffix leaders on these integers.  All
     arithmetic is exact.
     """
 
     __slots__ = (
-        "instance", "stakes", "ranking", "d", "v", "scale", "prefix", "v_scaled", "v_scale",
+        "instance", "stakes", "ranking", "d", "v", "prefix", "v_scaled", "v_scale",
     )
 
     def __init__(self, stakes: ScaledProfile, instance: Instance):
@@ -120,7 +120,6 @@ class RankedProfile:
         self.ranking = ranking
         self.d = d
         self.v = [level_value[level] for level in d]
-        self.scale = stakes.den
         self.prefix = prefix
         self.v_scaled = [level_scaled[level] for level in d]
         self.v_scale = v_scale
@@ -129,28 +128,34 @@ class RankedProfile:
         """The participant set of suffix r (r = n + 1 gives the empty set)."""
         return frozenset(self.ranking[r - 1 :])
 
-    def leaders(self, policy: Policy) -> Iterator[Tuple[int, int, int, int, int]]:
-        """Price every suffix leader on integers, from rank n up to rank 1.
+    def leaders(self, policy: Policy) -> Callable[[int], Tuple[int, int, int, int]]:
+        """Price suffix leaders on integers, one rank at a time, in any order.
 
-        Yields ``(r, worth, net, stake, unit)`` for the leader i of suffix r:
-        over the common denominator ``unit``, ``worth`` is her cost-free
-        worth (stake + B) * v[r], ``net`` that worth minus her cost (what
-        participating gives her), and ``stake * v_scaled[k]`` her stake priced
-        at v[k].  B comes from one ``leader_budgets`` pass of the policy,
-        as the integer pair ``(b_num, b_den)`` it hands over, taken as is:
-        no ``Fraction`` is built and no gcd taken.  ``b_den`` and the cost's
-        denominator enter ``unit``.
+        Runs the policy's one ``leader_budgets`` pass and returns ``price``:
+        ``price(r)`` gives ``(worth, net, stake, unit)`` for the leader i of
+        suffix r.  Over the common denominator ``unit``, ``worth`` is her
+        cost-free worth (stake + B) * v[r], ``net`` that worth minus her
+        cost (what participating gives her), and ``stake * v_scaled[k]`` her
+        stake priced at v[k].  B is the integer pair ``(b_num, b_den)`` the
+        pass hands over, taken as is: no ``Fraction`` is built and no gcd
+        taken.  ``b_den`` and the cost's denominator enter ``unit``.  Each
+        caller prices only the ranks it reads, in its own order: the
+        labeling every rank from n up, the lookahead solve from rank 1 down
+        to the decisive rank.
         """
         budgets = policy.leader_budgets(self.instance, self.stakes, self.ranking)
-        player, scale, prefix = self.instance.player, self.scale, self.prefix
-        v_scaled, v_scale = self.v_scaled, self.v_scale
-        for r in range(len(self.ranking), 0, -1):
+        player, ranking, scale = self.instance.player, self.ranking, self.stakes.den
+        prefix, v_scaled, v_scale = self.prefix, self.v_scaled, self.v_scale
+
+        def price(r: int) -> Tuple[int, int, int, int]:
             b_num, b_den = budgets[r]
-            c_num, c_den = player(self.ranking[r - 1]).cost.as_integer_ratio()
+            c_num, c_den = player(ranking[r - 1]).cost.as_integer_ratio()
             stake = (prefix[r] - prefix[r - 1]) * b_den * c_den
             worth = (stake + b_num * scale * c_den) * v_scaled[r]
             net = worth - c_num * scale * b_den * v_scale
-            yield r, worth, net, stake, scale * b_den * c_den * v_scale
+            return worth, net, stake, scale * b_den * c_den * v_scale
+
+        return price
 
 
 def stage_value(instance: Instance, stakes: StakeProfile, participants: frozenset):
@@ -246,10 +251,11 @@ def _labels(profile: RankedProfile, policy: Policy) -> Tuple[Dict[int, Label], i
     seen is the top rank that is non-harmful or labeled ``PAR``: the myopic
     equilibrium's rank.
     """
-    v_scaled = profile.v_scaled
+    v_scaled, price = profile.v_scaled, profile.leaders(policy)
     labels: Dict[int, Label] = {}
     candidate: Optional[int] = None
-    for r, worth, net, stake, _ in profile.leaders(policy):
+    for r in range(len(profile.ranking), 0, -1):
+        worth, net, stake, _ = price(r)
         if net >= stake * v_scaled[r + 1]:
             candidate = r
             continue
@@ -301,12 +307,7 @@ def myopic_equilibrium(
     """
     instance.check_profile(stakes)
     profile = RankedProfile(scaled_profile(stakes), instance)
-    return profile.suffix(_myopic(profile, policy))
-
-
-def _myopic(profile: RankedProfile, policy: Policy) -> int:
-    """The myopic equilibrium's rank: its set is ``profile.suffix(r)``, priced at v[r]."""
-    return _labels(profile, policy)[1]
+    return profile.suffix(_labels(profile, policy)[1])
 
 
 def _priced_myopic(
@@ -314,7 +315,7 @@ def _priced_myopic(
 ) -> Tuple[frozenset, Fraction]:
     """The myopic equilibrium and its token value, from one kernel pass."""
     profile = RankedProfile(stakes, instance)
-    r = _myopic(profile, policy)
+    r = _labels(profile, policy)[1]
     return profile.suffix(r), profile.v[r]
 
 
@@ -362,7 +363,7 @@ class LookaheadSolver:
     future profiles until the player re-enters, then price her stake at that
     round's token value.  Stake expectations advance by the policy's expected
     rewards.  The plan search is bounded by the horizon cap and fails loudly
-    when the cap is hit.
+    when a plan the solve walks hits the cap.
     """
 
     def __init__(
@@ -380,11 +381,13 @@ class LookaheadSolver:
     def solve(self, stakes: StakeProfile) -> frozenset:
         """Equilibrium participant set at the given profile: a ranking suffix.
 
-        Scanning from the smallest stake upward, the last rank found
-        non-harmful in its own suffix wins; the smallest stake is non-harmful
-        in all but contrived fixed-winner setups, so a suffix always exists.
-        Every rank's recovery plan is walked, so a plan that overruns the cap
-        fails loudly even where a higher rank decides the outcome.
+        Scanning from the largest stake downward, the first rank found
+        non-harmful in its own suffix wins, and the scan stops there; with
+        none, the set is the last rank's suffix.  Only the ranks scanned,
+        from rank 1 down to the decisive one, have their recovery plans
+        walked.  A walked plan that overruns the cap fails loudly, naming
+        the first such rank's player counted from the top; a plan below the
+        decisive rank is never walked, so it cannot fail the solve.
 
         The walks share their steps: within this call, each expected stake
         profile a walk reaches gets one kernel pass (:class:`RankedProfile`),
@@ -453,21 +456,21 @@ class LookaheadSolver:
         """The profile's kernel and the equilibrium's rank r.
 
         The set is ``profile.suffix(r)``, with index d[r] and token value
-        v[r].  Each rank's leader is harmful when her net worth ``net /
-        unit`` from :meth:`RankedProfile.leaders` is below her walk's terminal
-        value ``num / den`` for leaving to suffix r + 1, decided on integers.
-        The walks start from the kernel's own scaled stakes and share their
-        steps through ``walked``.
+        v[r].  From rank 1 down, each leader is priced and her walk to suffix
+        r + 1 run; r is the first rank whose leader is non-harmful, her net
+        worth ``net / unit`` from :meth:`RankedProfile.leaders` at least her
+        walk's terminal value ``num / den``, decided on integers.  With no
+        such rank, r is n.  The walks start from the kernel's own scaled
+        stakes and share their steps through ``walked``.
         """
         profile = RankedProfile(scaled_profile(stakes), self.instance)
-        chosen = len(profile.ranking)
-        for r, _, net, _, unit in profile.leaders(self.policy):
-            num, den, _ = self._recovery(
-                profile.ranking[r - 1], profile.suffix(r + 1), profile.stakes, walked
-            )
+        price, ranking, start = profile.leaders(self.policy), profile.ranking, profile.stakes
+        for r in range(1, len(ranking) + 1):
+            _, net, _, unit = price(r)
+            num, den, _ = self._recovery(ranking[r - 1], profile.suffix(r + 1), start, walked)
             if net * den >= num * unit:
-                chosen = r
-        return profile, chosen
+                return profile, r
+        return profile, len(ranking)
 
     def _recovery(
         self,

@@ -111,9 +111,13 @@ class TestMyopicEquilibrium:
             return budgets(policy, *args)
 
         def counting_leaders(profile, policy):
-            for row in leaders(profile, policy):
-                ranks.append(row[0])
-                yield row
+            price = leaders(profile, policy)
+
+            def counting_price(r):
+                ranks.append(r)
+                return price(r)
+
+            return counting_price
 
         monkeypatch.setattr(MuStar, "leader_budgets", counting_budgets)
         monkeypatch.setattr(RankedProfile, "leaders", counting_leaders)

@@ -4,9 +4,11 @@ Within one ``solve`` or ``solve_with_plans`` call the solver solves and
 prices each expected stake profile its walks reach once, and so does one
 lookahead ``brute_force_equilibrium`` call for its abstention walks.  The
 reference below walks every plan on its own, in ``Fraction``s, calling the
-per-set functions at every step, so equal results show that sharing and the
-walk's integer steps change nothing: the participant set, each plan's steps
-and terminal value, and which player's plan overruns the horizon cap.
+per-set functions at every step, and scans the ranks in the solve's order,
+from the top down to the decisive rank.  Equal results show that sharing
+and the walk's integer steps change nothing: the participant set, each
+plan's steps and terminal value, and which player's plan overruns the
+horizon cap.
 """
 
 import csv
@@ -15,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,24 +76,29 @@ def reference_recovery(solver, i, participants, stakes):
 
 
 def reference_rank_plans(solver, stakes):
-    """(r, plan) for each rank from the last up: r's leader leaving suffix r + 1."""
+    """(r, plan) for each rank the scan walks: r's leader leaving to suffix r + 1.
+
+    The scan runs from the top rank down and stops at the first rank whose
+    leader is non-harmful, the decisive rank; with none, it walks every rank.
+    """
     ranking = rank(stakes)
-    return [
-        (r, reference_recovery(solver, ranking[r - 1], frozenset(ranking[r:]), stakes))
-        for r in range(len(ranking), 0, -1)
-    ]
+    walked = []
+    for r in range(1, len(ranking) + 1):
+        leader = ranking[r - 1]
+        plan = reference_recovery(solver, leader, frozenset(ranking[r:]), stakes)
+        walked.append((r, plan))
+        up = stage_utility(
+            solver.instance, stakes, solver.policy, leader, frozenset(ranking[r - 1:])
+        )
+        if up >= plan.terminal_value:
+            break
+    return walked
 
 
 def reference_solve(solver, stakes):
-    ranking = rank(stakes)
-    chosen = len(ranking)
-    for r, plan in reference_rank_plans(solver, stakes):
-        up = stage_utility(
-            solver.instance, stakes, solver.policy, ranking[r - 1], frozenset(ranking[r - 1:])
-        )
-        if up >= plan.terminal_value:
-            chosen = r
-    return frozenset(ranking[chosen - 1:])
+    """The suffix of the last rank walked: the decisive rank, or rank n when none is."""
+    r, _ = reference_rank_plans(solver, stakes)[-1]
+    return frozenset(rank(stakes)[r - 1:])
 
 
 def reference_solve_with_plans(solver, stakes):
@@ -204,22 +212,56 @@ def test_a_small_cap_raises_for_the_same_player():
     assert got == outcome(reference_solve, solver, inst.stakes())
 
 
-def n16_round_one():
-    """Round 1 of ``tests/data/lookahead_n16.csv``, built as that trace is."""
+@pytest.mark.parametrize("types, stakes, values, tau, budget, policy, cap, want", [
+    # rank 1 decides; rank 2's plan (player 3) overruns the cap but is not walked
+    ((2, 2, 4, 3, 3, 4), (60, Fraction(1, 2), 10, Fraction(1, 2), 3, Fraction(1, 2)),
+     (1, 101, 102, 202, 205, 206), Fraction(9, 10), 3, FixedWinner(3), 1,
+     ("ok", frozenset(range(1, 7)))),
+    # ranks 1 and 2 both overrun the cap: the error names the top one
+    ((3, 4, 4, 2, 2, 4), (60, 1, 1, 4, 1, 1),
+     (1, 101, 201, 201, 202, 205), Fraction(1, 2), 1, MuAll(), 3,
+     ("horizon", 1)),
+], ids=["an unwalked rank overruns", "two walked ranks overrun"])
+def test_a_solve_raises_only_for_a_rank_it_walks(types, stakes, values, tau, budget, policy,
+                                                 cap, want):
+    vf = TableValue.from_mapping(dict(enumerate(values, start=1)))
+    inst = make_instance(types, stakes, budget=budget, tau=tau, vf=vf)
+    solver = LookaheadSolver(inst, policy, horizon_cap=cap)
+    got = outcome(solver.solve, inst.stakes())
+    assert got[:2] == want
+    assert got == outcome(reference_solve, solver, inst.stakes())
+
+
+def n16_rounds():
+    """Each round of ``tests/data/lookahead_n16.csv``, built as that trace is.
+
+    Yields the instance at the round's stakes before and the participants
+    the round recorded.
+    """
     rng = random.Random(20240)
     types = [rng.randint(1, 32) for _ in range(16)]
     stakes = [rng.randint(1, 4) for _ in range(16)]
     with open(DATA / "lookahead_n16.csv", newline="") as fh:
-        header, first = list(csv.reader(fh))[:2]
-    assert [int(first[header.index(f"stake_{i}")]) for i in range(1, 17)] == stakes
-    return make_instance(types, stakes)
+        rows = list(csv.DictReader(fh))
+    assert [int(rows[0][f"stake_{i}"]) for i in range(1, 17)] == stakes
+    for row in rows:
+        before = [Fraction(row[f"stake_{i}"]) for i in range(1, 17)]
+        yield make_instance(types, before), frozenset(map(int, row["participants"].split(",")))
 
 
 def test_one_solve_solves_each_walked_profile_once(monkeypatch):
-    inst = n16_round_one()
-    stakes = inst.stakes()
-    solver = LookaheadSolver(inst, MuStar())
-    walked = [key for _, plan in reference_rank_plans(solver, stakes) for *_, key in plan.steps]
+    """The first round of ``lookahead_n16.csv`` whose scan walks more than one rank.
+
+    That is round 9, where rank 1 is harmful and rank 2 decides; both walks
+    reach the same profile, which the solve passes through the kernel once.
+    """
+    for inst, _ in n16_rounds():
+        stakes = inst.stakes()
+        solver = LookaheadSolver(inst, MuStar())
+        plans = reference_rank_plans(solver, stakes)
+        if len(plans) > 1:
+            break
+    walked = [key for _, plan in plans for *_, key in plan.steps]
     distinct = set(walked)
 
     # Count kernel passes: one gives a profile's equilibrium and its price.
@@ -242,8 +284,34 @@ def test_one_solve_solves_each_walked_profile_once(monkeypatch):
     # the solve's own profile, then one pass per walked profile
     assert calls[0] == tuple(sorted(stakes.items()))
     walk_calls = calls[1:]
-    assert len(walk_calls) == len(set(walk_calls)) == len(distinct) < len(stakes) <= len(walked)
+    assert len(walk_calls) == len(set(walk_calls)) == len(distinct) < len(walked)
+    assert len(walked) >= len(plans) > 1
     assert set(walk_calls) == distinct
+
+
+def test_a_solve_walks_the_leaders_down_to_the_decisive_rank(monkeypatch):
+    """Replaying ``lookahead_n16.csv``, each solve walks ranks 1..r and no other.
+
+    With the recorded set the suffix of rank r = n - |participants| + 1,
+    that is 17 walks over the 16 rounds: round 9 walks two ranks, every
+    other round one.  Walking every rank would take 256.
+    """
+    walks = []
+    recovery = LookaheadSolver._recovery
+
+    def counting_recovery(self, i, *args):
+        walks.append(i)
+        return recovery(self, i, *args)
+
+    monkeypatch.setattr(LookaheadSolver, "_recovery", counting_recovery)
+    total = 0
+    for inst, recorded in n16_rounds():
+        walks.clear()
+        stakes = inst.stakes()
+        assert LookaheadSolver(inst, MuStar()).solve(stakes) == recorded
+        assert tuple(walks) == rank(stakes)[: inst.n - len(recorded) + 1]
+        total += len(walks)
+    assert total == 17
 
 
 def test_one_lookahead_oracle_call_solves_each_walked_profile_once(monkeypatch):
