@@ -17,6 +17,16 @@ The lottery itself lives in :mod:`stakegame.core`, shared with
 integer weights of :func:`~stakegame.core.virtual_stake_weights`.  Both
 reject a non-positive total or a negative virtual stake with the policy's
 messages.
+
+The expected dynamics run on the same integers.  :func:`expected_step` and
+:func:`check_invariance` share one walk: the stakes are ints over one
+common denominator, brought back to lowest terms by one gcd per round, and
+the weights are ints on the same scale, recomputed from the stakes each
+round.  The virtual stakes are checked once, at entry, since no weight ever
+falls.  ``check_invariance`` compares its identities by cross-multiplying
+those ints.  What its weight identity can catch: the weight total is linear
+in the stake total, the types being fixed, so for alpha < 1 it breaks
+together with the stake identity, and at alpha = 1 it cannot move.
 """
 
 from __future__ import annotations
@@ -24,7 +34,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from itertools import islice
+from math import gcd
+from typing import Dict, Iterator, List, Tuple
 
 from .core import (
     PlayerId,
@@ -32,6 +44,7 @@ from .core import (
     check_virtual_stakes,
     rank,
     scalar,
+    scaled_profile,
     virtual_stake,
     virtual_stake_lottery,
     virtual_stake_weights,
@@ -44,14 +57,12 @@ class VirtualStakeState:
 
     The constructor raises ValueError unless alpha lies in [0, 1], no id
     repeats in ``types`` or ``stakes``, and the two name the same players.
-    The stake and weight totals are summed once, when the state is built.
+    The stake and weight totals are summed when read.
     """
 
     alpha: Fraction
     types: Tuple[Tuple[PlayerId, Fraction], ...]
     stakes: Tuple[Tuple[PlayerId, Fraction], ...]
-    total_stakes: Fraction = field(init=False, compare=False, repr=False)
-    total_weight: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.alpha <= 1:
@@ -61,10 +72,14 @@ class VirtualStakeState:
             raise ValueError("player ids are not unique")
         if types.keys() != stakes.keys():
             raise ValueError("types and stakes must cover the same players")
-        total = sum(stakes.values())
-        weight = virtual_stake(self.alpha, sum(types.values()), total)
-        object.__setattr__(self, "total_stakes", total)
-        object.__setattr__(self, "total_weight", weight)
+
+    @property
+    def total_stakes(self) -> Fraction:
+        return sum(s for _, s in self.stakes)
+
+    @property
+    def total_weight(self) -> Fraction:
+        return virtual_stake(self.alpha, sum(t for _, t in self.types), self.total_stakes)
 
     @staticmethod
     def build(
@@ -89,18 +104,60 @@ def selection_probabilities(state: VirtualStakeState) -> Dict[PlayerId, Fraction
 
 
 def expected_step(state: VirtualStakeState) -> VirtualStakeState:
-    """One round of expected dynamics: every stake grows by its own probability."""
-    return _advance(state, selection_probabilities(state))
+    """One round of expected dynamics: every stake grows by its own probability.
 
-
-def _advance(state: VirtualStakeState, probs: Dict[PlayerId, Fraction]) -> VirtualStakeState:
-    """:func:`expected_step` with the state's selection probabilities known."""
-    stakes = state.stake_dict()
+    The stakes of the state returned are in id order.
+    """
+    stakes, den, *_ = next(islice(_walk(state), 1, None))
+    ids = sorted(pid for pid, _ in state.stakes)
     return VirtualStakeState(
         alpha=state.alpha,
         types=state.types,
-        stakes=tuple(sorted((pid, stakes[pid] + probs[pid]) for pid in stakes)),
+        stakes=tuple((pid, Fraction(s, den)) for pid, s in zip(ids, stakes)),
     )
+
+
+def _step(stakes: List[int], den: int, weights: List[int], total: int) -> Tuple[List[int], int]:
+    """The stakes ``stakes / den`` after one expected round, in lowest terms.
+
+    Each stake grows by its probability ``weight / total``; one gcd brings
+    the sums back to lowest terms, so the ints stay as small as the
+    ``Fraction`` stakes they stand for.
+    """
+    stakes = [s * total + w * den for s, w in zip(stakes, weights)]
+    den *= total
+    g = gcd(den, *stakes)
+    return [s // g for s in stakes], den // g
+
+
+def _walk(state: VirtualStakeState) -> Iterator[Tuple[List[int], int, List[int], int, int]]:
+    """The expected dynamics from ``state`` on ints, one tuple per round, ``state`` first.
+
+    Each tuple is ``(stakes, den, weights, total, growth)``: the stakes in id
+    order as ints over ``den``, in lowest terms; their weights by
+    :func:`virtual_stake_weights` and the weights' total; and ``growth``,
+    the weight one unit of stake adds.  The weights and ``growth`` share one
+    scale, ``den`` times a constant, and the entry weights are
+    :func:`virtual_stake_weights`' own ints: a weight is
+    ``base * den + unit * stake``, with ``base`` the type's part and ``unit``
+    the weight of one stake numerator.  Every next state comes from
+    :func:`_step`, and its weights from its stakes.  The virtual stakes are
+    checked once, at entry: no weight ever falls, so none can turn negative.
+    """
+    types = dict(state.types)
+    ids = sorted(types)
+    scaled = scaled_profile(state.stake_dict())
+    weights, growth = virtual_stake_weights(state.alpha, types, scaled, ids)
+    total = sum(weights)
+    check_virtual_stakes(total, weights)
+    stakes, den = [scaled.nums[pid] for pid in ids], scaled.den
+    unit = growth // den
+    base = [(w - unit * s) // den for w, s in zip(weights, stakes)]
+    while True:
+        yield stakes, den, weights, total, growth
+        stakes, den = _step(stakes, den, weights, total)
+        weights = [b * den + unit * s for b, s in zip(base, stakes)]
+        total, growth = sum(weights), unit * den
 
 
 @dataclass
@@ -123,25 +180,34 @@ def check_invariance(state: VirtualStakeState, steps: int) -> InvarianceReport:
     """Iterate expected dynamics and assert the three exact identities per step.
 
     Probabilities stay at their initial values; the stake total grows by 1
-    per round and the weight total by 1 - alpha.  Everything is compared for
-    exact rational equality, so a single break is a real counterexample.
+    per round and the weight total by 1 - alpha.  The dynamics run on the
+    ints of :func:`_walk`, and each identity is compared by
+    cross-multiplying them, which is exact rational equality, so a single
+    break is a real counterexample.  Each next state comes from the
+    dynamics, never from the identity it is checked against.
+
+    The weight total is ``alpha`` times the fixed type total plus
+    ``1 - alpha`` times the stake total.  So for alpha < 1 the weight
+    identity breaks exactly when the stake identity does, and at alpha = 1
+    the weight total cannot move: the weight check finds no break that the
+    stake check misses, and is kept for the report's shape.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     report = InvarianceReport(steps=steps)
-    reference = probs = selection_probabilities(state)
-    current = state
-    for step in range(1, steps + 1):
-        nxt = _advance(current, probs)
-        # the vector checked here is the one the next step advances by
-        probs = selection_probabilities(nxt)
-        if probs != reference:
+    walk = _walk(state)
+    stakes, den, reference, ref_total, growth = next(walk)
+    held, total = sum(stakes), ref_total
+    for step, (stakes, nden, weights, ntotal, ngrowth) in zip(range(1, steps + 1), walk):
+        # the weights checked here are the ones the next step advances by
+        if any(w * ref_total != r * ntotal for w, r in zip(weights, reference)):
             report.probability_breaks.append(step)
-        if nxt.total_stakes != current.total_stakes + 1:
+        nheld = sum(stakes)
+        if nheld * den != (held + den) * nden:
             report.stake_recurrence_breaks.append(step)
-        if nxt.total_weight != current.total_weight + (1 - state.alpha):
+        if ntotal * den != (total + growth) * nden:
             report.weight_recurrence_breaks.append(step)
-        current = nxt
+        den, held, total, growth = nden, nheld, ntotal, ngrowth
     return report
 
 

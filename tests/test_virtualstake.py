@@ -1,14 +1,17 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stakegame import virtualstake
 from stakegame import (
     IdentityValue,
     Instance,
+    InvarianceReport,
     MuAlpha,
     Player,
     VirtualStakeState,
@@ -117,6 +120,23 @@ class TestExpectedStep:
         s = state(Fraction(1, 2), {1: 2, 2: 1}, {1: 1, 2: 1})
         w0 = selection_probabilities(s)
         assert selection_probabilities(expected_step(expected_step(s))) == w0
+
+
+class TestTotals:
+    def test_totals_are_read_from_the_stakes_and_types(self):
+        s = state(Fraction(1, 4), {1: 2, 2: 6}, {1: Fraction(1, 3), 2: 2})
+        assert s.total_stakes == Fraction(7, 3)
+        assert s.total_weight == Fraction(1, 4) * 8 + Fraction(3, 4) * Fraction(7, 3)
+
+    def test_totals_are_no_fields(self):
+        assert [f.name for f in fields(VirtualStakeState)] == ["alpha", "types", "stakes"]
+        s = state(Fraction(1, 2), {1: 2}, {1: 1})
+        assert repr(s) == (
+            "VirtualStakeState(alpha=Fraction(1, 2), types=((1, Fraction(2, 1)),), "
+            "stakes=((1, Fraction(1, 1)),))"
+        )
+        with pytest.raises(AttributeError):
+            s.total_stakes = Fraction(5)
 
 
 class TestInvariance:
@@ -313,3 +333,101 @@ def test_the_integer_weighting_scales_the_virtual_stakes(alpha, pairs):
     for w, v in zip(weights, exact):
         assert F(w, sum(weights)) == v / sum(exact)
         assert F(unit, w) == (1 - alpha) / v
+
+
+def reference_advance(state_, probs):
+    """The Fraction expected step with the state's selection probabilities known."""
+    stakes = state_.stake_dict()
+    return VirtualStakeState(
+        alpha=state_.alpha,
+        types=state_.types,
+        stakes=tuple(sorted((pid, stakes[pid] + probs[pid]) for pid in stakes)),
+    )
+
+
+def reference_step(state_):
+    """One round of the Fraction expected dynamics: each stake grows by its probability."""
+    return reference_advance(state_, selection_probabilities(state_))
+
+
+def reference_check_invariance(state_, steps):
+    """check_invariance on Fractions: rebuild every state, sum its totals, compare."""
+    if steps < 1:
+        raise ValueError("need at least one step")
+    report = InvarianceReport(steps=steps)
+    reference = probs = selection_probabilities(state_)
+    current = state_
+    for step in range(1, steps + 1):
+        nxt = reference_advance(current, probs)
+        # the vector checked here is the one the next step advances by
+        probs = selection_probabilities(nxt)
+        if probs != reference:
+            report.probability_breaks.append(step)
+        if nxt.total_stakes != current.total_stakes + 1:
+            report.stake_recurrence_breaks.append(step)
+        if nxt.total_weight != current.total_weight + (1 - state_.alpha):
+            report.weight_recurrence_breaks.append(step)
+        current = nxt
+    return report
+
+
+@st.composite
+def dynamics_states(draw):
+    """2-5 players, alpha in [0, 1] with both ends drawn explicitly, fractional
+    types and stakes, given in any order as a hand-built state may be."""
+    n = draw(st.integers(2, 5))
+    alpha = draw(st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+    ))
+    types = [(pid, draw(POSITIVE)) for pid in range(1, n + 1)]
+    stakes = [(pid, draw(POSITIVE)) for pid in range(1, n + 1)]
+    return VirtualStakeState(
+        alpha=alpha,
+        types=tuple(draw(st.permutations(types))),
+        stakes=tuple(draw(st.permutations(stakes))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(dynamics_states(), st.integers(1, 6))
+def test_expected_step_matches_the_fraction_reference(state_, k):
+    got = want = state_
+    for _ in range(k):
+        got, want = expected_step(got), reference_step(want)
+        assert got == want
+        assert got.types == state_.types
+        assert [pid for pid, _ in got.stakes] == sorted(pid for pid, _ in state_.stakes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dynamics_states(), st.integers(1, 30))
+def test_check_invariance_matches_the_fraction_reference(state_, steps):
+    report = check_invariance(state_, steps)
+    assert report == reference_check_invariance(state_, steps)
+    assert report.ok
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(3, 8), F(1)])
+def test_a_perturbed_step_is_reported(monkeypatch, alpha):
+    # At step j the integer step gives player 1 one unit of stake too many.
+    # From there the dynamics run on, so the stake total breaks at j alone,
+    # and the probabilities stay at their perturbed values.
+    j, steps = 4, 9
+    step, calls = virtualstake._step, iter(range(1, steps + 1))
+
+    def perturbed(*args):
+        stakes, den = step(*args)
+        if next(calls) == j:
+            stakes = [stakes[0] + den] + stakes[1:]
+        return stakes, den
+
+    monkeypatch.setattr(virtualstake, "_step", perturbed)
+    report = check_invariance(state(alpha, {1: 2, 2: 1, 3: 3}, {1: 1, 2: F(1, 2), 3: 2}), steps)
+    assert report.stake_recurrence_breaks == [j]
+    if alpha < 1:
+        assert report.probability_breaks == list(range(j, steps + 1))
+        assert report.weight_recurrence_breaks == [j]
+    else:
+        # at alpha = 1 the weights do not read the stakes
+        assert report.probability_breaks == report.weight_recurrence_breaks == []
