@@ -39,9 +39,6 @@ from .policies import (
 class Trace:
     instance: Instance
     policy: Policy
-    behavior: str
-    mode: str
-    seed: Optional[int]
     records: List[RoundRecord] = field(default_factory=list)
 
     @property
@@ -91,7 +88,7 @@ class Runner:
         if isinstance(policy, MuEll):
             self._shadow = (LookaheadSolver(instance, MuStar(), horizon_cap), instance.stakes())
             self._shadow_step()
-        self.trace = Trace(instance, policy, behavior, mode, seed)
+        self.trace = Trace(instance, policy)
 
     def _shadow_step(self) -> PlayerId:
         """Advance MuEll's shadow one round and return that round's winner.
@@ -119,8 +116,7 @@ class Runner:
         stage = self.policy if self._shadow is None else FixedWinner(self._shadow_step())
         last = self.trace.records[-1] if self.trace.records else None
         before = last.stakes_after if last else self.instance.initial_stakes
-        stakes = dict(before)
-        profile, r = self._solve(stage, stakes)
+        profile, r = self._solve(stage, dict(before))
         participants = profile.suffix(r)
         d, v = profile.d[r], profile.v[r]
         if last is not None:
@@ -133,11 +129,12 @@ class Runner:
         # the round out, whom the rewards rule then pays nothing.  A winner
         # drawn in sampled mode takes the whole budget; otherwise the rule's
         # expected rewards are paid, one Fraction per paid player.  A policy
-        # that reads stakes reads the kernel's integers.
+        # that reads stakes reads the kernel's integers, and the draw walks
+        # the kernel's ranking.
         dist = stage.distribution(self.instance, profile.stakes, participants)
         winner = point_mass_winner(dist)
         if winner is None and self.mode == "sampled":
-            winner = draw_winner(dist, stakes, Fraction(self._rng.random()))
+            winner = draw_winner(dist, profile.ranking, Fraction(self._rng.random()))
             rewards = ((winner, self.instance.budget),)
         else:
             nums, den = stage.rewards(self.instance, profile.stakes, participants)

@@ -596,11 +596,13 @@ def brute_force_equilibrium(
 ) -> List[frozenset]:
     """Enumerate all participant subsets and return every stage equilibrium.
 
-    A subset is an equilibrium when no member strictly gains by leaving and
-    no outsider strictly gains by joining (ties favor participation, so an
-    indifferent outsider joins).  For lookahead behavior, abstention on both
-    sides is priced by the recovery-plan value.  Exponential; limited to 12
-    players.  May evaluate the empty participation set (d = 1 convention).
+    A subset T is an equilibrium when every member stays in T and no
+    outsider i stays in T + {i}.  Player i stays in a set when her utility
+    there is at least her abstention value at the set without her: the one
+    tie rule, so an indifferent member stays and an indifferent outsider
+    joins.  For lookahead behavior, abstention on both sides is priced by
+    the recovery-plan value.  Exponential; limited to 12 players.  May
+    evaluate the empty participation set (d = 1 convention).
 
     Each distinct subset's token value is computed once per call, with
     :func:`stage_value` over that subset's stakes, and reused by every member
@@ -629,29 +631,18 @@ def brute_force_equilibrium(
             v = values[subset] = stage_value(instance, stakes, subset)[1]
         return _priced_utility(instance, stakes, policy, i, subset, v)
 
-    def abstain_value(i: PlayerId, others: frozenset) -> Fraction:
+    def stays(i: PlayerId, subset: frozenset) -> bool:
+        """Whether i, a member of ``subset``, does at least as well there as by abstaining."""
+        up = utility(i, subset)
         if solver is None:
-            return utility(i, others)
-        num, den, _ = solver._recovery(i, others, start, walked)
-        return Fraction(num, den)
+            return up >= utility(i, subset - {i})
+        num, den, _ = solver._recovery(i, subset - {i}, start, walked)
+        return up >= Fraction(num, den)
 
-    equilibria: List[frozenset] = []
-    for size in range(0, len(ids) + 1):
-        for combo in combinations(ids, size):
-            subset = frozenset(combo)
-            ok = True
-            for i in subset:
-                if utility(i, subset) < abstain_value(i, subset - {i}):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for i in ids:
-                if i in subset:
-                    continue
-                if utility(i, subset | {i}) >= abstain_value(i, subset):
-                    ok = False
-                    break
-            if ok:
-                equilibria.append(subset)
-    return equilibria
+    return [
+        subset
+        for size in range(len(ids) + 1)
+        for subset in map(frozenset, combinations(ids, size))
+        if all(stays(i, subset) for i in subset)
+        and not any(stays(i, subset | {i}) for i in ids if i not in subset)
+    ]

@@ -32,10 +32,12 @@ step.  A recovery walk adds its ints to the walk's scaled stakes
 :meth:`~stakegame.engine.Runner.step` records them, building a ``Fraction``
 only for each paid player's entry; a winner drawn in sampled mode takes the
 whole budget instead.  ``distribution`` names the recorded point-mass winner
-and feeds the draw.  ``distribution`` and ``member_budget`` return
-``Fraction``s; :func:`type_favoring_share` is their one home of the
-type-favoring rule, and property tests check every policy's integer pairs
-against :func:`expected_budget`.
+and feeds the draw, :func:`draw_winner`, which walks the round's ranking.
+``distribution`` and ``member_budget`` return ``Fraction``s.  Every
+winner-take-all policy (``MuAlpha``, ``MuStar``, ``FixedWinner``) takes its
+``member_budget`` from its ``distribution``, so ``MuStar.distribution`` is
+the one ``Fraction`` statement of the type-favoring split, and property
+tests check every policy's integer pairs against :func:`expected_budget`.
 
 The top-type rule (largest type, ties to the smallest id, compared on the
 positions of :meth:`Instance.type_order`) lives here alone: in
@@ -62,7 +64,6 @@ from .core import (
     PlayerId,
     StakeProfile,
     check_virtual_stakes,
-    rank,
     virtual_stake_lottery,
     virtual_stake_weights,
 )
@@ -148,27 +149,25 @@ class MuStar(_WinnerTakesAll):
     def distribution(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
+        """The type-favoring rule: the top type wins with 1 - epsilon, the others split epsilon.
+
+        A lone participant, or epsilon 0, makes the top type a certain
+        winner, and every other participant's chance is zero.
+        """
         top = top_type_participant(instance, participants)
         size = len(participants)
-        share = type_favoring_share(self.epsilon, size, False, ONE)
-        dist = {pid: share for pid in participants if pid != top}
-        dist[top] = type_favoring_share(self.epsilon, size, True, ONE)
+        if size == 1 or not self.epsilon:
+            share, top_share = ZERO, ONE
+        else:
+            share, top_share = self.epsilon / (size - 1), 1 - self.epsilon
+        dist = dict.fromkeys(participants, share)
+        dist[top] = top_share
         return dist
-
-    def member_budget(
-        self,
-        instance: Instance,
-        stakes: StakeProfile,
-        i: PlayerId,
-        participants: Collection[PlayerId],
-    ) -> Fraction:
-        top = top_type_participant(instance, participants)
-        return type_favoring_share(self.epsilon, len(participants), i == top, instance.budget)
 
     def leader_budgets(
         self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
     ) -> LeaderBudgets:
-        """Each leader's share, from the last rank up, as :func:`type_favoring_share` gives it.
+        """Each leader's share of :meth:`distribution`'s rule, from the last rank up.
 
         She is her suffix's top type when her ``type_order`` position is the
         least so far.  For B = b/c and epsilon = p/q, the top of a suffix of
@@ -298,19 +297,6 @@ def top_type_participant(instance: Instance, participants: Iterable[PlayerId]) -
     return best
 
 
-def type_favoring_share(epsilon: Fraction, size: int, is_top: bool, whole: Fraction) -> Fraction:
-    """A participant's part of ``whole`` under the type-favoring rule in a set of ``size``.
-
-    ``whole`` is 1 for a winning probability and the budget for an expected
-    reward.  The top-type participant gets ``1 - epsilon`` of it and the
-    others split ``epsilon`` evenly; a lone participant, or epsilon 0, gives
-    the top all of it, with no product to form.
-    """
-    if size == 1 or not epsilon:
-        return whole if is_top else ZERO
-    return whole * (1 - epsilon) if is_top else whole * epsilon / (size - 1)
-
-
 def winner_distribution(
     policy: Policy,
     instance: Instance,
@@ -365,12 +351,16 @@ def point_mass_winner(dist: Distribution) -> Optional[PlayerId]:
 
 def draw_winner(
     dist: Distribution,
-    stakes: StakeProfile,
+    ranking: Sequence[PlayerId],
     u: Fraction,
 ) -> PlayerId:
-    """Inverse-CDF draw: accumulate probabilities over participants in rank order."""
+    """Inverse-CDF draw: accumulate probabilities over the participants in ``ranking`` order.
+
+    ``ranking`` is the round's ranking, every player in rank order; those
+    ``dist`` leaves out are skipped.
+    """
     running = ZERO
-    ordered = [pid for pid in rank(stakes) if pid in dist]
+    ordered = [pid for pid in ranking if pid in dist]
     for pid in ordered:
         running += dist[pid]
         if u < running:

@@ -13,20 +13,23 @@ abstention incentive to analyze.
 
 The lottery itself lives in :mod:`stakegame.core`, shared with
 :class:`~stakegame.policies.MuAlpha`: :func:`selection_probabilities` is
-:func:`~stakegame.core.virtual_stake_lottery`, and the sampler walks the
+:func:`~stakegame.core.virtual_stake_lottery`, and the dynamics walk the
 integer weights of :func:`~stakegame.core.virtual_stake_weights`.  Both
 reject a non-positive total or a negative virtual stake with the policy's
 messages.
 
-The expected dynamics run on the same integers.  :func:`expected_step` and
-:func:`check_invariance` share one walk: the stakes are ints over one
-common denominator, brought back to lowest terms by one gcd per round, and
-the weights are ints on the same scale, recomputed from the stakes each
-round.  The virtual stakes are checked once, at entry, since no weight ever
-falls.  ``check_invariance`` compares its identities by cross-multiplying
-those ints.  What its weight identity can catch: the weight total is linear
-in the stake total, the types being fixed, so for alpha < 1 it breaks
-together with the stake identity, and at alpha = 1 it cannot move.
+The expected dynamics run on those integers.  :func:`expected_step`,
+:func:`check_invariance` and :func:`sampled_win_frequencies` enter one
+walk: the stakes are ints over one common denominator, brought back to
+lowest terms by one gcd per round, and the weights are ints on the same
+scale, recomputed from the stakes each round.  The sampler takes only the
+walk's first state, its weights, total and growth, and advances them by
+the realized wins instead.  The virtual stakes are checked once, at the
+walk's entry, since no weight ever falls.  ``check_invariance`` compares
+its identities by cross-multiplying those ints.  What its weight identity
+can catch: the weight total is linear in the stake total, the types being
+fixed, so for alpha < 1 it breaks together with the stake identity, and at
+alpha = 1 it cannot move.
 """
 
 from __future__ import annotations
@@ -256,20 +259,18 @@ def sampled_win_frequencies(
     winner is the first whose partial weight sum S has u < S / W, W being
     the total weight.  Since W > 0, that is u * W < S, so the walk compares
     with running weights and never divides.  The walk runs on integers: the
-    weights and the growth below come from :func:`virtual_stake_weights`,
-    the one integer weighting ``MuAlpha`` prices its stages with, and
-    with u = num / u_den the test is ``num * W < S * u_den``.  A win adds 1
-    to the winner's stake, so her weight and W both grow by 1 - alpha;
-    neither a weight nor W ever falls, and checking them once up front
-    covers every round.
+    weights, their total and the growth are the first state of the expected
+    dynamics' walk, so they are :func:`virtual_stake_weights`' own ints, the
+    one integer weighting ``MuAlpha`` prices its stages with, checked there
+    once, and with u = num / u_den the test is ``num * W < S * u_den``.  A
+    win adds 1 to the winner's stake, so her weight and W both grow by
+    1 - alpha; neither a weight nor W ever falls, so that one check covers
+    every round.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    types, stakes = dict(state.types), state.stake_dict()
-    order = sorted(types)
-    weights, growth = virtual_stake_weights(state.alpha, types, stakes, order)
-    total = sum(weights)
-    check_virtual_stakes(total, weights)
+    _, _, weights, total, growth = next(_walk(state))
+    order = sorted(pid for pid, _ in state.types)
     rng = random.Random(seed)
     wins = [0] * len(order)
     last = len(order) - 1

@@ -126,6 +126,17 @@ class TestRun:
         assert out == LOOKAHEAD_MU_STAR_EPSILON_STDOUT
         assert out_path.read_bytes() == (DATA / "lookahead_mu_star_epsilon.csv").read_bytes()
 
+    def test_sampled_scenario_file_writes_golden_trace(self, capsys, tmp_path):
+        # the scenario file of tests/test_golden_traces.py's sampled MuStar(1/10)
+        # run: mixed rounds draw their winners along the round's ranking
+        out_path = tmp_path / "t.csv"
+        code, _ = run_cli(
+            capsys, "run", str(DATA / "scenarios" / "sampled_mu_star_epsilon.json"),
+            "-o", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "sampled_mu_star_epsilon.csv").read_bytes()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--parameter", "rounds",
                                                     "--values", "1"]])
     def test_non_utf8_file_exit_2(self, capsys, tmp_path, command):

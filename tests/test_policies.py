@@ -14,6 +14,7 @@ from stakegame import (
     expected_rewards,
     is_harmful,
     myopic_equilibrium,
+    rank,
     run,
     winner_distribution,
 )
@@ -190,16 +191,16 @@ class TestDrawWinner:
     def test_inverse_cdf_rank_order(self, inst):
         stakes = {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
         dist = {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
-        assert draw_winner(dist, stakes, Fraction(0)) == 1
-        assert draw_winner(dist, stakes, Fraction(1, 2)) == 2
-        assert draw_winner(dist, stakes, Fraction(3, 4)) == 3
-        assert draw_winner(dist, stakes, Fraction(999, 1000)) == 3
+        assert draw_winner(dist, rank(stakes), Fraction(0)) == 1
+        assert draw_winner(dist, rank(stakes), Fraction(1, 2)) == 2
+        assert draw_winner(dist, rank(stakes), Fraction(3, 4)) == 3
+        assert draw_winner(dist, rank(stakes), Fraction(999, 1000)) == 3
 
     def test_u_of_one_falls_to_the_last_participant_in_rank_order(self):
         # player 3 ranks last but sits out, so the last participant is 2
         stakes = {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
         dist = {1: Fraction(1, 2), 2: Fraction(1, 2)}
-        assert draw_winner(dist, stakes, Fraction(1)) == 2
+        assert draw_winner(dist, rank(stakes), Fraction(1)) == 2
 
 
 class TestMuEllShadow:

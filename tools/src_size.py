@@ -1,16 +1,19 @@
 """Print the size of the package source: its line count and its executable statements.
 
 The statement count is the number of ``ast.stmt`` nodes, docstrings left
-out, so reformatting cannot move it, unlike the line count.
+out, so reformatting cannot move it, unlike the line count.  The two totals
+come first; each module's statement count follows, one line each, so a
+change's per-module deltas can be read off two runs.
 
 Run from the repository root: ``python tools/src_size.py``.
 """
 
 import ast
 import glob
+import os
 
 lines = 0
-count = 0
+counts = {}
 for path in sorted(glob.glob("src/stakegame/*.py")):
     with open(path) as fh:
         source = fh.read()
@@ -23,6 +26,11 @@ for path in sorted(glob.glob("src/stakegame/*.py")):
         and isinstance(node.body[0].value, ast.Constant)
         and isinstance(node.body[0].value.value, str)
     }
-    count += sum(isinstance(node, ast.stmt) and id(node) not in docs for node in ast.walk(tree))
+    module = os.path.splitext(os.path.basename(path))[0]
+    counts[module] = sum(
+        isinstance(node, ast.stmt) and id(node) not in docs for node in ast.walk(tree)
+    )
 print(f"{lines} lines")
-print(f"{count} statements")
+print(f"{sum(counts.values())} statements")
+for module, count in counts.items():
+    print(f"{module} {count}")
