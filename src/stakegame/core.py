@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, str, float, Fraction]
 
@@ -52,12 +52,13 @@ class Player:
 StakeProfile = Mapping[PlayerId, Fraction]
 
 
-class ScaledProfile(Mapping):
-    """An id -> value map held as int numerators ``nums`` over one denominator ``den`` > 0.
+class ScaledProfile:
+    """Stake values held as int numerators ``nums`` (id -> int) over one denominator ``den`` > 0.
 
-    It reads as a map of ``Fraction``s, built one per lookup, so any code
-    that takes a stake profile takes it.  :func:`scaled_profile` hands its
-    ints back without building any.
+    The integer form that the suffix kernel, the recovery walks and the
+    virtual-stake weighting work on.  It is not a stake map: the one way in
+    from ``Fraction`` values is :func:`scaled_profile`, and the one step
+    forward is :meth:`plus`.
     """
 
     __slots__ = ("nums", "den")
@@ -66,17 +67,32 @@ class ScaledProfile(Mapping):
         self.nums = nums
         self.den = den
 
-    def __getitem__(self, pid: PlayerId) -> Fraction:
-        return Fraction(self.nums[pid], self.den)
+    def plus(self, paid: Dict[PlayerId, int], paid_den: int) -> "ScaledProfile":
+        """These values with ``paid[pid] / paid_den`` added to each paid id, in lowest terms.
 
-    def __iter__(self) -> Iterator[PlayerId]:
-        return iter(self.nums)
+        ``paid`` is a policy's integer ``rewards`` rule for one round.  One
+        rescale puts the values and the rewards over the lcm of the two
+        denominators, so the denominator grows by at most the factor the
+        rewards need, and one gcd brings the sum back to lowest terms: equal
+        values then give equal ints.  The ids keep their order.  No
+        ``Fraction`` is built.
+        """
+        den, nums = self.den, self.nums
+        shared = gcd(den, paid_den)
+        grow, lift = paid_den // shared, den // shared
+        den *= grow
+        # a copy: the walks of one solve share their start and every earlier step
+        nums = dict(nums) if grow == 1 else {pid: s * grow for pid, s in nums.items()}
+        for pid, reward in paid.items():
+            nums[pid] += reward * lift
+        common = gcd(den, *nums.values())
+        if common > 1:
+            den //= common
+            nums = {pid: s // common for pid, s in nums.items()}
+        return ScaledProfile(nums, den)
 
-    def __len__(self) -> int:
-        return len(self.nums)
 
-
-def scaled_profile(values: Mapping[PlayerId, Fraction]) -> ScaledProfile:
+def scaled_profile(values: StakeProfile | ScaledProfile) -> ScaledProfile:
     """The values as ints over their least common denominator.
 
     The one conversion from ``Fraction`` values to the integer form that the

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import ZERO, Instance, PlayerId, RoundRecord, scaled_profile
+from .core import ZERO, Instance, PlayerId, RoundRecord
 from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _labels
 from .measures import tau_decentralization_index
 from .policies import (
@@ -79,7 +79,6 @@ class Runner:
         self.policy = policy
         self.behavior = behavior
         self.mode = mode
-        self.seed = seed
         self.horizon_cap = horizon_cap
         self._rng = random.Random(seed) if mode == "sampled" else None
         # MuEll's shadow: type-favoring play with planning players, kept one
@@ -106,7 +105,7 @@ class Runner:
     ) -> Tuple[RankedProfile, int]:
         """The round's kernel and equilibrium rank: the set is its suffix r."""
         if self.behavior == "myopic":
-            profile = RankedProfile(scaled_profile(stakes), self.instance)
+            profile = RankedProfile(stakes, self.instance)
             return profile, _labels(profile, stage)[1]
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
@@ -119,6 +118,7 @@ class Runner:
         profile, r = self._solve(stage, dict(before))
         participants = profile.suffix(r)
         d, v = profile.d[r], profile.v[r]
+        # reusing the last round's equal participants, v and rewards keeps retained traces small
         if last is not None:
             if participants == last.participants:
                 participants = last.participants

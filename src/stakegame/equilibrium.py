@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import Instance, PlayerId, ScaledProfile, StakeProfile, rank, scaled_profile
@@ -53,12 +53,13 @@ class RankedProfile:
 
     The kernel works on integers, and takes its stakes in one form: a
     :class:`~stakegame.core.ScaledProfile`, the stakes as ints over one
-    common denominator ``stakes.den``.  A ``Fraction`` profile gets that form from
-    :func:`~stakegame.core.scaled_profile` (ints or ``Fraction``s only;
-    anything else raises ``TypeError``); a recovery walk hands over its own
-    state as it is.  ``prefix`` (P below) holds the prefix sums of the scaled
-    stakes over the ranking.  With tau = p/q, the d-prefix of suffix
-    r ends at the first e with
+    common denominator, kept as ``self.stakes``.  The constructor takes a
+    stake map or that form and passes it through
+    :func:`~stakegame.core.scaled_profile`, which converts a map (ints or
+    ``Fraction``s only; anything else raises ``TypeError``) and hands a
+    recovery walk's state over as it is.  ``prefix`` (P below) holds the
+    prefix sums of the scaled stakes over the ranking.  With tau = p/q, the
+    d-prefix of suffix r ends at the first e with
     ``q * P[e] > p * (P[n] - P[r - 1]) + q * P[r - 1]``: the test
     stake > tau * total + above, multiplied through by q and by the
     (positive) common denominator.  That bound only falls as the suffix
@@ -73,10 +74,11 @@ class RankedProfile:
         "instance", "stakes", "ranking", "d", "v", "prefix", "v_scaled", "v_scale",
     )
 
-    def __init__(self, stakes: ScaledProfile, instance: Instance):
+    def __init__(self, stakes: StakeProfile | ScaledProfile, instance: Instance):
         tau = instance.tau_threshold
         if not 0 < tau < 1:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
+        stakes = scaled_profile(stakes)
         scaled = stakes.nums
         # the scaling keeps every order, so this is rank(stakes)
         ranking = rank(scaled)
@@ -289,7 +291,7 @@ def recovery_winner_labels(
     per rank.
     """
     instance.check_profile(stakes)
-    profile = RankedProfile(scaled_profile(stakes), instance)
+    profile = RankedProfile(stakes, instance)
     labels, _ = _labels(profile, policy)
     return {profile.ranking[r - 1]: label for r, label in labels.items()}
 
@@ -306,12 +308,12 @@ def myopic_equilibrium(
     winner.
     """
     instance.check_profile(stakes)
-    profile = RankedProfile(scaled_profile(stakes), instance)
+    profile = RankedProfile(stakes, instance)
     return profile.suffix(_labels(profile, policy)[1])
 
 
 def _priced_myopic(
-    stakes: ScaledProfile, instance: Instance, policy: Policy
+    stakes: StakeProfile | ScaledProfile, instance: Instance, policy: Policy
 ) -> Tuple[frozenset, Fraction]:
     """The myopic equilibrium and its token value, from one kernel pass."""
     profile = RankedProfile(stakes, instance)
@@ -463,7 +465,7 @@ class LookaheadSolver:
         such rank, r is n.  The walks start from the kernel's own scaled
         stakes and share their steps through ``walked``.
         """
-        profile = RankedProfile(scaled_profile(stakes), self.instance)
+        profile = RankedProfile(stakes, self.instance)
         price, ranking, start = profile.leaders(self.policy), profile.ranking, profile.stakes
         for r in range(1, len(ranking) + 1):
             _, net, _, unit = price(r)
@@ -489,7 +491,9 @@ class LookaheadSolver:
 
         A walk keeps its expected stakes as ints over one common denominator
         (a :class:`~stakegame.core.ScaledProfile`), starting from the
-        kernel's own.  Each step (:meth:`_advance`) leaves them in lowest
+        kernel's own.  Each step adds the policy's integer ``rewards`` for
+        the round's participants by :meth:`ScaledProfile.plus
+        <stakegame.core.ScaledProfile.plus>`, which leaves them in lowest
         terms, so ``key = (den, *nums)``, the nums in the start profile's id
         order, names the profile canonically: two walks of one call reach the
         same key exactly when they reach the same profile.  ``walked`` holds
@@ -498,13 +502,14 @@ class LookaheadSolver:
         the walk's ints as they are.  Both depend on the profile alone, so a
         profile that several walks reach is solved and priced once, and every
         walk is the one it would find on its own.  No ``Fraction`` stake is
-        built; :meth:`solve_with_plans` builds them for the plans it returns.
+        built, but for the start a :class:`LookaheadHorizonError` names;
+        :meth:`solve_with_plans` builds them for the plans it returns.
         """
         current, participants = stakes, participants_now
         steps: List[Tuple[frozenset, tuple]] = []
         for _ in range(self.horizon_cap):
             if participants:
-                current = self._advance(current, participants)
+                current = current.plus(*self.policy.rewards(self.instance, current, participants))
             key = (current.den, *current.nums.values())
             step = walked.get(key)
             if step is None:
@@ -514,32 +519,9 @@ class LookaheadSolver:
             if i in future:
                 return current.nums[i] * value.numerator, current.den * value.denominator, steps
             participants = future
-        raise LookaheadHorizonError(i, stakes, self.horizon_cap)
-
-    def _advance(self, current: ScaledProfile, participants: frozenset) -> ScaledProfile:
-        """The expected stakes after a round in which ``participants`` play.
-
-        The policy's ``rewards`` rule reads the walk's ints and pays each
-        paid participant an int over one denominator.  One rescale puts the
-        stakes and the rewards over the lcm of the two denominators, so the
-        stakes' denominator grows by at most the factor the rewards need, and
-        one gcd brings the sum back to lowest terms.  No ``Fraction`` is
-        built.
-        """
-        paid, paid_den = self.policy.rewards(self.instance, current, participants)
-        den, nums = current.den, current.nums
-        shared = gcd(den, paid_den)
-        grow, lift = paid_den // shared, den // shared
-        den *= grow
-        # a copy: other walks of the call share the start and every earlier step
-        nums = dict(nums) if grow == 1 else {pid: s * grow for pid, s in nums.items()}
-        for pid, reward in paid.items():
-            nums[pid] += reward * lift
-        common = gcd(den, *nums.values())
-        if common > 1:
-            den //= common
-            nums = {pid: s // common for pid, s in nums.items()}
-        return ScaledProfile(nums, den)
+        raise LookaheadHorizonError(
+            i, {pid: Fraction(s, stakes.den) for pid, s in stakes.nums.items()}, self.horizon_cap
+        )
 
 
 @dataclass(frozen=True)
@@ -577,7 +559,7 @@ def threshold(trace) -> Threshold:
         stage = trace.policy
         if isinstance(stage, MuEll):
             stage = FixedWinner(record.winner)
-        profile = RankedProfile(scaled_profile(dict(record.stakes_before)), instance)
+        profile = RankedProfile(dict(record.stakes_before), instance)
         v_full = profile.v[1]
         for r in _labels(profile, stage)[0]:
             pid = profile.ranking[r - 1]

@@ -18,7 +18,10 @@ participant set (players who cannot win may be left out), ``member_budget``
 a member's expected reward B_i(Q) in any set Q, ``leader_budgets`` the same
 reward for the leader of every suffix of a ranking in one O(n) pass, on
 which the suffix solvers are built, and ``rewards`` every participant's
-expected reward in one set, by which stakes advance.  The last two work on
+expected reward in one set, by which stakes advance.  The ``stakes`` each
+of them gets is a stake map or the kernel's integer form
+(:class:`~stakegame.core.ScaledProfile`); only ``MuAlpha`` reads it, through
+:func:`~stakegame.core.scaled_profile`, which takes either.  The last two work on
 integers, built from the budget's, epsilon's, alpha's, the types' and the
 stakes' numerators and denominators, so no ``Fraction`` is formed per
 reward: each B of ``leader_budgets`` is an integer pair ``(num, den)``, and
@@ -27,8 +30,8 @@ positive denominator, leaving out the participants whose winning chance or
 share is zero.
 
 ``rewards`` is the one rule that pays a round; there is no separate payout
-step.  A recovery walk adds its ints to the walk's scaled stakes
-(:class:`~stakegame.core.ScaledProfile`), and
+step.  A recovery walk adds its ints to the walk's scaled stakes by
+:meth:`ScaledProfile.plus <stakegame.core.ScaledProfile.plus>`, and
 :meth:`~stakegame.engine.Runner.step` records them, building a ``Fraction``
 only for each paid player's entry; a winner drawn in sampled mode takes the
 whole budget instead.  ``distribution`` names the recorded point-mass winner
@@ -152,16 +155,17 @@ class MuStar(_WinnerTakesAll):
         """The type-favoring rule: the top type wins with 1 - epsilon, the others split epsilon.
 
         A lone participant, or epsilon 0, makes the top type a certain
-        winner, and every other participant's chance is zero.
+        winner: the distribution is ``{top: 1}`` and leaves the others out,
+        as ``MuAll``'s and ``FixedWinner``'s do.  ``stakes``, a stake map or
+        the kernel's ``ScaledProfile``, goes unread: only ``MuAlpha`` reads
+        it, through ``scaled_profile``.
         """
         top = top_type_participant(instance, participants)
         size = len(participants)
         if size == 1 or not self.epsilon:
-            share, top_share = ZERO, ONE
-        else:
-            share, top_share = self.epsilon / (size - 1), 1 - self.epsilon
-        dist = dict.fromkeys(participants, share)
-        dist[top] = top_share
+            return {top: ONE}
+        dist = dict.fromkeys(participants, self.epsilon / (size - 1))
+        dist[top] = 1 - self.epsilon
         return dist
 
     def leader_budgets(

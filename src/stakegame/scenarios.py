@@ -5,7 +5,9 @@ decimals are converted exactly, so "0.25" means exactly 1/4.  Unknown fields
 are rejected rather than ignored, which catches typos in option names.
 
 Three scenarios are built in (the worked three-player setup with strictly
-decreasing types and equal initial stakes):
+decreasing types and equal initial stakes).  Each is declared in this
+module as a scenario file would spell it, a JSON-shaped dict, and read by
+:func:`parse_scenario` with the same checks a file gets:
 
 * ``example1-myopic``:    winner-take-all type-favoring policy, myopic play;
 * ``example2-lookahead``: the same policy with planning players;
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from fractions import Fraction
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -238,33 +241,38 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(data, name=path)
 
 
-# The worked three-player setup every builtin runs on.
-_BASE_INSTANCE = Instance.build(
-    players=[Player(id=pid, type_=Fraction(t)) for pid, t in ((1, 3), (2, 2), (3, 1))],
-    initial_stakes={1: 1, 2: 1, 3: 1},
-    budget=1,
-    tau_threshold=Fraction(1, 2),
-    value_function=IdentityValue(),
-)
-
-# name -> (policy, behavior, rounds); each runs in expected mode, unseeded,
-# at the default horizon cap
+# The builtins, declared as a scenario file spells them and read by
+# parse_scenario: each runs on the worked three-player setup, in expected
+# mode, unseeded, at the default horizon cap.
+_BASE = {
+    "players": [
+        {"id": 1, "type": 3, "stake": 1},
+        {"id": 2, "type": 2, "stake": 1},
+        {"id": 3, "type": 1, "stake": 1},
+    ],
+    "budget": 1,
+    "tau_threshold": "1/2",
+}
 _BUILTINS = {
-    "example1-myopic": (MuStar(), "myopic", 5),
-    "example2-lookahead": (MuStar(), "lookahead", 10),
-    "example3-muell": (MuEll(), "myopic", 10),
+    "example1-myopic": {**_BASE, "policy": {"kind": "mu_star"}, "rounds": 5},
+    "example2-lookahead": {
+        **_BASE, "policy": {"kind": "mu_star"}, "behavior": "lookahead", "rounds": 10
+    },
+    "example3-muell": {**_BASE, "policy": {"kind": "mu_ell"}, "rounds": 10},
 }
 
 BUILTIN_SCENARIOS = tuple(_BUILTINS)
 
 
+@cache
 def builtin_scenario(name: str) -> Scenario:
+    """The builtin ``name``, parsed on first use and shared after (a Scenario is immutable).
+
+    A caller that reads the builtins on every call, as ``verify
+    paper_tables`` does, so parses each once.
+    """
     if name not in _BUILTINS:
         raise ScenarioError(
             f"unknown builtin scenario {name!r}; available: {', '.join(BUILTIN_SCENARIOS)}"
         )
-    policy, behavior, rounds = _BUILTINS[name]
-    return Scenario(
-        name, _BASE_INSTANCE, policy, behavior, rounds,
-        mode="expected", seed=None, horizon_cap=DEFAULT_HORIZON_CAP,
-    )
+    return parse_scenario(_BUILTINS[name], name)

@@ -24,7 +24,7 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar, scaled_profile
+from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar
 from .equilibrium import _priced_myopic, _priced_utility, is_harmful
 from .policies import MuEll, MuStar, Policy
 
@@ -276,27 +276,16 @@ def sybil_proofness_condition(
     return report
 
 
-def _original_utility(
-    owner: PlayerId, stakes: StakeProfile, instance: Instance, stage: Policy
+def _equilibrium_utility(
+    ids: Sequence[PlayerId], stakes: StakeProfile, instance: Instance, stage: Policy
 ) -> Fraction:
-    """The owner's stage utility at the unsplit profile's myopic equilibrium."""
-    eq, v = _priced_myopic(scaled_profile(stakes), instance, stage)
-    return _priced_utility(instance, stakes, stage, owner, eq, v)
+    """The total stage utility of ``ids`` at the profile's myopic equilibrium.
 
-
-def _parts_utility(
-    split: SybilSplit, stakes: StakeProfile, instance: Instance, stage: Policy
-) -> Fraction:
-    """The parts' total stage utility at the split profile's myopic equilibrium.
-
-    Every part is priced at the one token value of that equilibrium.
+    Every id is priced at the one token value of that equilibrium.  The
+    unsplit owner is the one-id case; a split's parts are the many-id one.
     """
-    new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
-    split_eq, v = _priced_myopic(scaled_profile(new_stakes), new_instance, stage)
-    return sum(
-        _priced_utility(new_instance, new_stakes, stage, pid, split_eq, v)
-        for pid in part_ids
-    )
+    eq, v = _priced_myopic(stakes, instance, stage)
+    return sum(_priced_utility(instance, stakes, stage, pid, eq, v) for pid in ids)
 
 
 def sybil_gain(
@@ -313,8 +302,9 @@ def sybil_gain(
     """
     instance.check_profile(stakes)
     stage = _stage(policy)
-    original = _original_utility(split.owner, stakes, instance, stage)
-    return _parts_utility(split, stakes, instance, stage) - original
+    original = _equilibrium_utility([split.owner], stakes, instance, stage)
+    new_instance, new_stakes, part_ids = split_instance(instance, stakes, split)
+    return _equilibrium_utility(part_ids, new_stakes, new_instance, stage) - original
 
 
 def max_sybil_gain(
@@ -335,6 +325,10 @@ def max_sybil_gain(
     if not splits:
         raise ValueError("no splits on the grid")
     stage = _stage(policy)
-    original = _original_utility(owner, stakes, instance, stage)
-    gains = ((_parts_utility(split, stakes, instance, stage) - original, split) for split in splits)
+    original = _equilibrium_utility([owner], stakes, instance, stage)
+    gains = (
+        (_equilibrium_utility(part_ids, new_stakes, new_instance, stage) - original, split)
+        for split in splits
+        for new_instance, new_stakes, part_ids in [split_instance(instance, stakes, split)]
+    )
     return max(gains, key=itemgetter(0))

@@ -202,13 +202,17 @@ MALFORMED = {
     "boolean seed": set_fields(seed=False),
     "boolean player id": set_player_field("id", True),
     "boolean fixed winner": set_fields(policy={"kind": "fixed_winner", "winner": True}),
+    # a mutation that returns a value replaces the whole scenario with it
+    "top level not an object": lambda scenario: [scenario],
+    "no players": set_fields(players=[]),
+    "player not an object": set_fields(players=[1]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_scenario_exits_2(capsys, tmp_path, case):
     scenario = copy.deepcopy(TWO_PLAYERS)
-    MALFORMED[case](scenario)
+    scenario = MALFORMED[case](scenario) or scenario
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
     code = main(["run", str(path)])
@@ -217,6 +221,32 @@ def test_malformed_scenario_exits_2(capsys, tmp_path, case):
     assert captured.out == ""
     assert captured.err.startswith("scenario error:")
     assert "Traceback" not in captured.err
+
+
+# Files that cannot be read or written, under a scratch directory that holds
+# one empty file, "file".
+IO_ERRORS = {
+    "missing scenario file": ["run", "{tmp}/missing.json"],
+    "scenario path is a directory": ["run", "{tmp}"],
+    "trace under a missing directory": ["run", "example1-myopic", "-o", "{tmp}/missing/t.csv"],
+    "sweep output dir is a file": [
+        "sweep", "example1-myopic", "--parameter", "rounds", "--values", "1",
+        "--output-dir", "{tmp}/file",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IO_ERRORS))
+def test_io_error_exits_2(capsys, tmp_path, case):
+    (tmp_path / "file").write_text("")
+    code = main([arg.format(tmp=tmp_path) for arg in IO_ERRORS[case]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("io error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("value_function", [

@@ -98,6 +98,15 @@ class TestValidation:
         assert not report.ok
         assert any("type" in e for e in report.errors)
 
+    def test_no_players(self):
+        inst = Instance.build([], {}, 1, Fraction(1, 2), IdentityValue())
+        report = validate_instance(inst)
+        assert report.errors == ["instance has no players"]
+
+    def test_negative_cost(self):
+        inst = make_instance([2, 1], [1, 1], costs=[-1, 0])
+        assert validate_instance(inst).errors == ["player 1: negative cost -1"]
+
     def test_nonpositive_stake(self):
         inst = make_instance([2, 1], [1, 0])
         assert not validate_instance(inst).ok

@@ -268,6 +268,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_equilibrium(inst.stakes(), inst, MuStar())
 
+    def test_unknown_behavior(self):
+        inst = make_instance([2, 1], [1, 1])
+        with pytest.raises(ValueError, match="^unknown behavior 'greedy'$"):
+            brute_force_equilibrium(inst.stakes(), inst, MuStar(), behavior="greedy")
+
 
 def reference_equilibria(stakes, inst, policy, behavior, horizon_cap):
     """The oracle's definition, one stage_utility call per check."""

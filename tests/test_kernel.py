@@ -114,6 +114,20 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
     assert (profile.d[n + 1], profile.v[n + 1]) == stage_value(inst, stakes, frozenset())
 
 
+@given(instances())
+def test_the_kernel_takes_a_stake_map_as_its_scaled_profile(inst):
+    """The one way in: a map and its :func:`scaled_profile` build the same kernel."""
+    stakes = inst.stakes()
+    scaled = scaled_profile(stakes)
+    by_map, by_scaled = RankedProfile(stakes, inst), RankedProfile(scaled, inst)
+    for name in ("ranking", "d", "v", "prefix", "v_scaled", "v_scale"):
+        assert getattr(by_map, name) == getattr(by_scaled, name)
+    # the scaled form passes through as it is; a map gets the same ints, in its id order
+    assert by_scaled.stakes is scaled
+    assert (by_map.stakes.nums, by_map.stakes.den) == (scaled.nums, scaled.den)
+    assert list(by_map.stakes.nums) == list(stakes)
+
+
 @st.composite
 def typed_instances(draw):
     """Players in any order, ids not 1..n (a repeated id is rejected at construction)."""

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from stakegame import (
     AxiomReport,
+    IdentityValue,
     check_alignment,
     check_decentralization_axioms,
     max_attainable_index,
     scalar,
     tau_decentralization_index,
     tau_index_measure,
+    token_value,
 )
 
 from conftest import make_instance
@@ -159,6 +161,16 @@ class TestMaxAttainable:
         assert max_attainable_index(1, "2/3") == 1
         assert max_attainable_index(2, "2/3") == 2
 
+    def test_no_players_raises(self):
+        with pytest.raises(ValueError, match="^need at least one player$"):
+            max_attainable_index(0, "1/2")
+
+
+def test_token_value_needs_a_level_of_at_least_one():
+    assert token_value(1, IdentityValue()) == 1
+    with pytest.raises(ValueError, match="^decentralization level must be >= 1, got 0$"):
+        token_value(0, IdentityValue())
+
 
 class TestAxioms:
     def test_tau_index_satisfies_axioms(self):
@@ -192,6 +204,10 @@ class TestAxioms:
     def test_n_max_guard(self):
         with pytest.raises(ValueError):
             check_decentralization_axioms(tau_index_measure("1/2"), 1, [1])
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="^empty stake grid$"):
+            check_decentralization_axioms(tau_index_measure("1/2"), 3, [])
 
     def test_grid_with_nothing_to_evaluate(self):
         # every multiset of an all-zero grid is undefined for the tau-index

@@ -68,7 +68,7 @@ NONPOSITIVE_MU_ALPHA = {
 class TestWinnerDistribution:
     def test_mu_star_point_mass(self, inst):
         dist = winner_distribution(MuStar(), inst, inst.stakes(), frozenset({1, 2, 3}))
-        assert dist == {1: Fraction(1), 2: Fraction(0), 3: Fraction(0)}
+        assert dist == {1: Fraction(1)}
         assert point_mass_winner(dist) == 1
 
     def test_mu_star_epsilon_mixing(self, inst):
@@ -126,6 +126,10 @@ class TestWinnerDistribution:
         inst = make_instance([1, 3, 2], [1, 1, 1])
         dist = winner_distribution(MuAll(), inst, inst.stakes(), frozenset({1, 2, 3}))
         assert point_mass_winner(dist) == 2
+
+    def test_empty_set_raises(self, inst):
+        with pytest.raises(ValueError, match="^empty participant set$"):
+            winner_distribution(MuAll(), inst, inst.stakes(), frozenset())
 
     def test_fixed_winner_requires_participation(self, inst):
         with pytest.raises(ValueError):

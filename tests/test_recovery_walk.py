@@ -194,13 +194,39 @@ def step_cases(draw):
 def test_an_integer_step_adds_the_expected_rewards(case):
     solver, start = case
     stakes = solver.instance.stakes()
-    step = solver._advance(scaled_profile(stakes), start)
+    current = scaled_profile(stakes)
+    step = current.plus(*solver.policy.rewards(solver.instance, current, start))
     rewards = expected_rewards(solver.policy, solver.instance, stakes, start)
     want = {pid: s + rewards[pid] for pid, s in stakes.items()}
-    assert dict(step) == want
+    assert {pid: Fraction(s, step.den) for pid, s in step.nums.items()} == want
     # in lowest terms, so the walk key (den, *nums) names the profile alone
     assert list(step.nums) == list(stakes)
     assert step.den == lcm(*[s.denominator for s in want.values()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True),
+    st.data(),
+    st.integers(1, 60),
+)
+def test_plus_is_the_fraction_sum_in_lowest_terms(ids, data, paid_den):
+    stakes = {
+        pid: data.draw(st.fractions(min_value=Fraction(1, 60), max_value=60, max_denominator=60))
+        for pid in ids
+    }
+    paid_ids = data.draw(st.sets(st.sampled_from(ids)))
+    paid = {pid: data.draw(st.integers(0, 120)) for pid in paid_ids}
+    start = scaled_profile(stakes)
+    before = dict(start.nums), start.den
+    step = start.plus(paid, paid_den)
+    want = {pid: s + Fraction(paid.get(pid, 0), paid_den) for pid, s in stakes.items()}
+    assert {pid: Fraction(s, step.den) for pid, s in step.nums.items()} == want
+    # the walk key (den, *nums) names the profile: same id order, lowest terms
+    assert list(step.nums) == ids
+    assert step.den == lcm(*[s.denominator for s in want.values()])
+    # the start is left as it was: the walks of one solve share it
+    assert (start.nums, start.den) == before
 
 
 def test_a_small_cap_raises_for_the_same_player():
@@ -271,9 +297,11 @@ def test_one_solve_solves_each_walked_profile_once(monkeypatch):
         __slots__ = ()
 
         def __init__(self, stakes, *args, **kwargs):
-            # the kernel's input: ints over one common denominator
-            den = stakes.den
-            calls.append(tuple(sorted((pid, Fraction(s, den)) for pid, s in stakes.nums.items())))
+            # the kernel's input, as the kernel reads it: ints over one common denominator
+            scaled = scaled_profile(stakes)
+            calls.append(tuple(sorted(
+                (pid, Fraction(s, scaled.den)) for pid, s in scaled.nums.items()
+            )))
             super().__init__(stakes, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "RankedProfile", CountingProfile)
@@ -331,9 +359,11 @@ def test_one_lookahead_oracle_call_solves_each_walked_profile_once(monkeypatch):
         __slots__ = ()
 
         def __init__(self, stakes, *args, **kwargs):
-            # the kernel's input: ints over one common denominator
-            den = stakes.den
-            calls.append(tuple(sorted((pid, Fraction(s, den)) for pid, s in stakes.nums.items())))
+            # the kernel's input, as the kernel reads it: ints over one common denominator
+            scaled = scaled_profile(stakes)
+            calls.append(tuple(sorted(
+                (pid, Fraction(s, scaled.den)) for pid, s in scaled.nums.items()
+            )))
             super().__init__(stakes, *args, **kwargs)
 
     monkeypatch.setattr(LookaheadSolver, "_recovery", recording_recovery)

@@ -204,6 +204,13 @@ class TestProofnessCondition:
             )
         assert str(exc.value) == f"stake profile 1 {problem}"
 
+    def test_harm_read_on_a_valid_profile(self):
+        # the profile of test_last_in_type_order_passes_vacuously
+        inst = make_instance([4, 3, 2], [1, 1, 3])
+        harmed = [pid for pid in (1, 2, 3)
+                  if profile_harmful_for(pid, inst.stakes(), inst, MuStar())]
+        assert harmed == [3]
+
     def test_single_player_vacuous(self):
         inst = make_instance([3], [5])
         report = sybil_proofness_condition(inst, MuEll(), 1, 2)
@@ -234,6 +241,12 @@ class TestGain:
         inst = make_instance([3, 2, 1], [1, 1, 1])
         gain, _ = max_sybil_gain(1, inst.stakes(), inst, MuAll(), Fraction(1, 4), 3)
         assert gain > 0
+
+    def test_no_grid_split_raises(self):
+        # a stake of 1/2 holds no positive multiple of the granularity 1
+        inst = make_instance([3, 2, 1], [Fraction(1, 2), 1, 1])
+        with pytest.raises(ValueError, match="^no splits on the grid$"):
+            max_sybil_gain(1, inst.stakes(), inst, MuAll(), 1, 3)
 
     def test_satisfied_condition_caps_gain(self):
         inst = small_gap_instance(stakes=(1, 1, 1))

@@ -186,6 +186,10 @@ class TestGapConstruction:
         with pytest.raises(ValueError):
             incumbent_gap_state(1, {1: 3, 2: 1}, 10)
 
+    def test_one_player_rejected(self):
+        with pytest.raises(ValueError, match="^need at least two players$"):
+            incumbent_gap_state(Fraction(1, 2), {1: 3}, 10)
+
     def test_instance_wrapper_valid(self):
         # the gap construction as a full game: budget 1, tau 1/2, identity value
         s = incumbent_gap_state(Fraction(1, 2), {1: 3, 2: 1}, 10)
