@@ -138,9 +138,9 @@ def virtual_stake_weights(
     return [at * t_nums[pid] + bs * s_nums[pid] for pid in ids], bs * s.den
 
 
-def check_virtual_stakes(least_total: int, weights: Iterable[int]) -> None:
+def check_virtual_stakes(total: int, weights: Iterable[int]) -> None:
     """Reject virtual stakes with a total of at most zero, then any negative one."""
-    if least_total <= 0:
+    if total <= 0:
         raise ValueError("virtual stakes sum to zero; distribution undefined")
     if min(weights) < 0:
         raise ValueError("negative virtual stake; distribution undefined")

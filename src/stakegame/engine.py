@@ -106,7 +106,7 @@ class Runner:
         """The round's kernel and equilibrium rank: the set is its suffix r."""
         if self.behavior == "myopic":
             profile = RankedProfile(stakes, self.instance)
-            return profile, _labels(profile, stage)[1]
+            return profile, _labels(profile, stage, from_top=True)[1]
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
         return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(stakes, {})

@@ -66,8 +66,8 @@ class RankedProfile:
     grows upward, so the end never moves right and one pointer serves every
     suffix.  The token values are scaled the same way: ``v_scaled[r]`` is
     ``v[r] * v_scale``, with ``v_scale`` the lcm of their denominators.
-    :meth:`leaders` prices suffix leaders on these integers.  All
-    arithmetic is exact.
+    :meth:`leaders` prices suffix leaders on these integers, each with the
+    policy's own ``rewards`` on her suffix.  All arithmetic is exact.
     """
 
     __slots__ = (
@@ -133,25 +133,30 @@ class RankedProfile:
     def leaders(self, policy: Policy) -> Callable[[int], Tuple[int, int, int, int]]:
         """Price suffix leaders on integers, one rank at a time, in any order.
 
-        Runs the policy's one ``leader_budgets`` pass and returns ``price``:
-        ``price(r)`` gives ``(worth, net, stake, unit)`` for the leader i of
-        suffix r.  Over the common denominator ``unit``, ``worth`` is her
-        cost-free worth (stake + B) * v[r], ``net`` that worth minus her
+        Returns ``price``: ``price(r)`` gives ``(worth, net, stake, unit)``
+        for the leader i of suffix r.  Her expected reward B is her entry of
+        the round's own rule, the policy's ``rewards`` on suffix r, as the
+        integer pair ``(b_num, b_den)``, with ``b_num`` 0 when the rule
+        leaves her out.  Over the common denominator ``unit``, ``worth`` is
+        her cost-free worth (stake + B) * v[r], ``net`` that worth minus her
         cost (what participating gives her), and ``stake * v_scaled[k]`` her
-        stake priced at v[k].  B is the integer pair ``(b_num, b_den)`` the
-        pass hands over, taken as is: no ``Fraction`` is built and no gcd
-        taken.  ``b_den`` and the cost's denominator enter ``unit``.  Each
-        caller prices only the ranks it reads, in its own order: the
-        labeling every rank from n up, the lookahead solve from rank 1 down
-        to the decisive rank.
+        stake priced at v[k].  The pair is taken as is: no ``Fraction`` is
+        built and no gcd taken, and ``b_den`` and the cost's denominator
+        enter ``unit``; every comparison the solvers make is scale-free in
+        it.  A rank costs one ``rewards`` call on its suffix, so each caller
+        prices only the ranks it reads, in its own order: the myopic rank
+        and the lookahead solve from rank 1 down to the decisive rank, and
+        the full labeling every rank from n up.
         """
-        budgets = policy.leader_budgets(self.instance, self.stakes, self.ranking)
-        player, ranking, scale = self.instance.player, self.ranking, self.stakes.den
+        instance, stakes, ranking = self.instance, self.stakes, self.ranking
+        player, rewards, scale = instance.player, policy.rewards, stakes.den
         prefix, v_scaled, v_scale = self.prefix, self.v_scaled, self.v_scale
 
         def price(r: int) -> Tuple[int, int, int, int]:
-            b_num, b_den = budgets[r]
-            c_num, c_den = player(ranking[r - 1]).cost.as_integer_ratio()
+            leader = ranking[r - 1]
+            nums, b_den = rewards(instance, stakes, ranking[r - 1 :])
+            b_num = nums.get(leader, 0)
+            c_num, c_den = player(leader).cost.as_integer_ratio()
             stake = (prefix[r] - prefix[r - 1]) * b_den * c_den
             worth = (stake + b_num * scale * c_den) * v_scaled[r]
             net = worth - c_num * scale * b_den * v_scale
@@ -239,7 +244,9 @@ class RecoveryWinnerLabel:
 Label = RecoveryWinnerLabel | str  # not typing.Union: see core.ValueFunction
 
 
-def _labels(profile: RankedProfile, policy: Policy) -> Tuple[Dict[int, Label], int]:
+def _labels(
+    profile: RankedProfile, policy: Policy, from_top: bool = False
+) -> Tuple[Dict[int, Label], int]:
     """Recovery-winner labels keyed by rank, and the myopic equilibrium's rank.
 
     Exactly the harmful ranks get a label: those whose leader's net worth
@@ -248,16 +255,33 @@ def _labels(profile: RankedProfile, policy: Policy) -> Tuple[Dict[int, Label], i
     non-harmful or labeled ``PAR``; r is labeled with it when her cost-free
     worth (stake + B) * v[r] falls below v[candidate] * stake, and ``PAR``
     otherwise.  Scanning upward from the last rank, the candidate is the one
-    seen most recently, so the pass is O(n), and it is decided on the
-    kernel's integers (:meth:`RankedProfile.leaders`).  The last candidate
-    seen is the top rank that is non-harmful or labeled ``PAR``: the myopic
-    equilibrium's rank.
+    seen most recently, and it is decided on the kernel's integers
+    (:meth:`RankedProfile.leaders`).  The last candidate seen is the top
+    rank that is non-harmful or labeled ``PAR``: the myopic equilibrium's
+    rank.
+
+    A non-harmful rank sets the candidate without reading the one the ranks
+    below it left, so the ranks below the first non-harmful rank k from the
+    top cannot change the rank.  ``from_top`` prices ranks 1, 2, ... down to
+    k only, then runs the same upward scan from k, over the prices it holds:
+    the labels of ranks 1..k - 1 and the rank, with no rank priced twice.
+    Without it the scan starts at rank n and labels every rank: the full
+    pass that :func:`recovery_winner_labels` and :func:`threshold` read.
+    With no non-harmful rank, the two starts coincide.
     """
     v_scaled, price = profile.v_scaled, profile.leaders(policy)
+    priced: Dict[int, Tuple[int, int, int, int]] = {}
+    start = len(profile.ranking)
+    if from_top:
+        for r in range(1, start + 1):
+            _, net, stake, _ = priced[r] = price(r)
+            if net >= stake * v_scaled[r + 1]:
+                start = r
+                break
     labels: Dict[int, Label] = {}
     candidate: Optional[int] = None
-    for r in range(len(profile.ranking), 0, -1):
-        worth, net, stake, _ = price(r)
+    for r in range(start, 0, -1):
+        worth, net, stake, _ = priced.get(r) or price(r)
         if net >= stake * v_scaled[r + 1]:
             candidate = r
             continue
@@ -287,8 +311,8 @@ def recovery_winner_labels(
     first later rank r that is itself non-harmful (or labeled ``PAR``),
     provided her stake priced at the value of suffix r exceeds her cost-free
     priced stake plus reward; otherwise she is labeled ``PAR`` and
-    participates anyway.  Runs in O(n) with exactly one harmfulness decision
-    per rank.
+    participates anyway.  Prices each rank once, with one ``rewards`` call
+    on its suffix, and makes one harmfulness decision per rank.
     """
     instance.check_profile(stakes)
     profile = RankedProfile(stakes, instance)
@@ -305,19 +329,26 @@ def myopic_equilibrium(
 
     Scanning ranks from the largest stake downward, returns the suffix of the
     first rank that is either non-harmful there or harmful without a recovery
-    winner.
+    winner.  Only ranks 1..k are priced, k the first non-harmful rank from
+    the top (all n when there is none): the ranks below k cannot change the
+    answer (:func:`_labels`).
     """
     instance.check_profile(stakes)
     profile = RankedProfile(stakes, instance)
-    return profile.suffix(_labels(profile, policy)[1])
+    return profile.suffix(_labels(profile, policy, from_top=True)[1])
 
 
 def _priced_myopic(
     stakes: StakeProfile | ScaledProfile, instance: Instance, policy: Policy
 ) -> Tuple[frozenset, Fraction]:
-    """The myopic equilibrium and its token value, from one kernel pass."""
+    """The myopic equilibrium and its token value, from one kernel pass.
+
+    The rank is found from the top, as in :func:`myopic_equilibrium`: a
+    recovery walk's step is most often decided at rank 1, after one
+    ``rewards`` call.
+    """
     profile = RankedProfile(stakes, instance)
-    r = _labels(profile, policy)[1]
+    r = _labels(profile, policy, from_top=True)[1]
     return profile.suffix(r), profile.v[r]
 
 

@@ -13,21 +13,21 @@
   crown at round t+1.  Resolved per round through a shadow trajectory to
   its stage form ``FixedWinner(winner)``.
 
-A stage policy's ``distribution`` is the winner's exact distribution over a
-participant set (players who cannot win may be left out), ``member_budget``
-a member's expected reward B_i(Q) in any set Q, ``leader_budgets`` the same
-reward for the leader of every suffix of a ranking in one O(n) pass, on
-which the suffix solvers are built, and ``rewards`` every participant's
-expected reward in one set, by which stakes advance.  The ``stakes`` each
-of them gets is a stake map or the kernel's integer form
+A stage policy has three faces.  ``distribution`` is the winner's exact
+distribution over a participant set (players who cannot win may be left
+out), ``member_budget`` a member's expected reward B_i(Q) in any set Q, and
+``rewards`` every participant's expected reward in one set: the integer rule
+by which stakes advance, and by which the suffix kernel
+(:meth:`RankedProfile.leaders <stakegame.equilibrium.RankedProfile.leaders>`)
+prices each suffix's leader, one ``rewards`` call on that suffix.  The
+``stakes`` each of them gets is a stake map or the kernel's integer form
 (:class:`~stakegame.core.ScaledProfile`); only ``MuAlpha`` reads it, through
-:func:`~stakegame.core.scaled_profile`, which takes either.  The last two work on
-integers, built from the budget's, epsilon's, alpha's, the types' and the
-stakes' numerators and denominators, so no ``Fraction`` is formed per
-reward: each B of ``leader_budgets`` is an integer pair ``(num, den)``, and
-``rewards`` gives ``(nums, den)``, an int for each paid participant over one
-positive denominator, leaving out the participants whose winning chance or
-share is zero.
+:func:`~stakegame.core.scaled_profile`, which takes either.  ``rewards``
+works on integers, built from the budget's, epsilon's, alpha's, the types'
+and the stakes' numerators and denominators, so no ``Fraction`` is formed
+per reward: it gives ``(nums, den)``, an int for each paid participant over
+one positive denominator, leaving out the participants whose winning chance
+or share is zero.
 
 ``rewards`` is the one rule that pays a round; there is no separate payout
 step.  A recovery walk adds its ints to the walk's scaled stakes by
@@ -40,16 +40,16 @@ and feeds the draw, :func:`draw_winner`, which walks the round's ranking.
 winner-take-all policy (``MuAlpha``, ``MuStar``, ``FixedWinner``) takes its
 ``member_budget`` from its ``distribution``, so ``MuStar.distribution`` is
 the one ``Fraction`` statement of the type-favoring split, and property
-tests check every policy's integer pairs against :func:`expected_budget`.
+tests check every policy's integer ``rewards`` against
+:func:`expected_budget`.
 
 The top-type rule (largest type, ties to the smallest id, compared on the
-positions of :meth:`Instance.type_order`) lives here alone: in
-:func:`top_type_participant` for one set, and in ``MuStar.leader_budgets``
-for every suffix of a ranking.  The virtual-stake lottery lives in
+positions of :meth:`Instance.type_order`) lives in
+:func:`top_type_participant` alone.  The virtual-stake lottery lives in
 :mod:`stakegame.core`, beside :func:`virtual_stake`, and the analysis in
 :mod:`stakegame.virtualstake` shares it: ``MuAlpha.distribution`` is
-:func:`virtual_stake_lottery`, and ``MuAlpha.leader_budgets`` takes its
-weights from :func:`virtual_stake_weights` and rejects them by
+:func:`virtual_stake_lottery`, and ``MuAlpha.rewards`` takes its weights
+from :func:`virtual_stake_weights` and rejects them by
 :func:`check_virtual_stakes`.
 """
 
@@ -57,8 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import (
     ONE,
@@ -73,11 +72,6 @@ from .core import (
 
 
 Distribution = Dict[PlayerId, Fraction]
-# Indexed by rank r (1-based, entry 0 unused) of a ranking: the expected reward
-# B of suffix r's leader (the player at rank r) in suffix r, the set of the
-# players at rank r or below, as an integer pair (num, den) with den > 0, not
-# necessarily in lowest terms.
-LeaderBudgets = List[Tuple[int, int]]
 # The expected reward of each paid participant of one set, as ints ``nums``
 # (id -> int) over one denominator ``den`` > 0, not necessarily in lowest
 # terms; a participant whose winning chance or share is zero is left out.
@@ -111,28 +105,13 @@ class MuAlpha(_WinnerTakesAll):
     ) -> Distribution:
         return virtual_stake_lottery(self.alpha, instance.types(), stakes, participants)
 
-    def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
-    ) -> LeaderBudgets:
-        """Each leader's weight over its suffix's total, on integers.
-
-        The weights are :func:`virtual_stake_weights`, so leader r's weight
-        W_r and the suffix total T_r (summed from the last rank up) are ints,
-        and B = b/c gives ``(b * W_r, c * T_r)``.
-        """
-        weights, _ = virtual_stake_weights(self.alpha, instance.types(), stakes, ranking)
-        totals = list(accumulate(reversed(weights)))
-        totals.reverse()
-        check_virtual_stakes(min(totals), weights)
-        b, c = instance.budget.numerator, instance.budget.denominator
-        return [(0, 1)] + [(b * w, c * total) for w, total in zip(weights, totals)]
-
     def rewards(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Rewards:
         """Each participant's weight over the set's total: ``b * W`` over ``c * T``.
 
-        A participant whose virtual stake is zero is left out.
+        A participant whose virtual stake is zero is left out.  Each call
+        checks its own set's weights by :func:`check_virtual_stakes`.
         """
         weights, _ = virtual_stake_weights(self.alpha, instance.types(), stakes, participants)
         total = sum(weights)
@@ -168,37 +147,10 @@ class MuStar(_WinnerTakesAll):
         dist[top] = 1 - self.epsilon
         return dist
 
-    def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
-    ) -> LeaderBudgets:
-        """Each leader's share of :meth:`distribution`'s rule, from the last rank up.
-
-        She is her suffix's top type when her ``type_order`` position is the
-        least so far.  For B = b/c and epsilon = p/q, the top of a suffix of
-        m gets ``(b * (q - p), c * q)`` and any other leader
-        ``(b * p, c * q * (m - 1))``; a lone leader, or epsilon 0, gives the
-        top ``(b, c)`` and the others ``(0, 1)``.
-        """
-        order = instance.type_order()
-        n = len(ranking)
-        b, c = instance.budget.numerator, instance.budget.denominator
-        p, q = self.epsilon.numerator, self.epsilon.denominator
-        whole, top, rest, rest_den = (b, c), (b * (q - p), c * q), b * p, c * q
-        budgets = [(0, 1)] * (n + 1)
-        best = len(order)
-        for r in range(n, 0, -1):
-            k = order[ranking[r - 1]]
-            if k < best:
-                best = k
-                budgets[r] = top if p and r < n else whole
-            elif p:
-                budgets[r] = (rest, rest_den * (n - r))
-        return budgets
-
     def rewards(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Rewards:
-        """The shares of :meth:`leader_budgets` for one set of m, over ``c * q * (m - 1)``.
+        """The shares of :meth:`distribution` for one set of m, over ``c * q * (m - 1)``.
 
         The others get ``b * p`` each and the top ``b * (q - p) * (m - 1)``,
         left out at epsilon 1; a lone participant, or epsilon 0, pays the top
@@ -234,13 +186,6 @@ class MuAll:
     ) -> Fraction:
         return instance.budget / len(participants)
 
-    def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
-    ) -> LeaderBudgets:
-        n = len(ranking)
-        b, c = instance.budget.numerator, instance.budget.denominator
-        return [(0, 1)] + [(b, c * (n - r + 1)) for r in range(1, n + 1)]
-
     def rewards(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Rewards:
@@ -256,7 +201,7 @@ class MuEll:
     def _unresolved(self, *args: Any) -> Any:
         raise TypeError("MuEll needs its shadow trajectory; resolve it to FixedWinner first")
 
-    distribution = member_budget = leader_budgets = rewards = _unresolved
+    distribution = member_budget = rewards = _unresolved
 
 
 @dataclass(frozen=True)
@@ -274,12 +219,6 @@ class FixedWinner(_WinnerTakesAll):
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]
     ) -> Distribution:
         return {self.winner: ONE}
-
-    def leader_budgets(
-        self, instance: Instance, stakes: StakeProfile, ranking: Sequence[PlayerId]
-    ) -> LeaderBudgets:
-        whole = (instance.budget.numerator, instance.budget.denominator)
-        return [(0, 1)] + [whole if pid == self.winner else (0, 1) for pid in ranking]
 
     def rewards(
         self, instance: Instance, stakes: StakeProfile, participants: Collection[PlayerId]

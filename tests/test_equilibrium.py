@@ -100,15 +100,16 @@ class TestMyopicEquilibrium:
         assert recovery_winner_labels(inst.stakes(), inst, MuStar()) == {}
 
     def test_labeling_cost_is_linear_in_harmfulness_checks(self, monkeypatch):
-        # one pricing pass of the policy per labeling, one decision per rank
-        inst = make_instance([5, 4, 3, 2, 1], [6, 5, 4, 3, 3])
-        passes, ranks = [], []
-        budgets = MuStar.leader_budgets
+        # the myopic rank prices ranks 1..k, k the first rank whose leader is
+        # not harmed, each once by one rewards call on its suffix; the full
+        # labeling prices each of the n ranks once
+        calls, ranks = [], []
+        rewards = MuStar.rewards
         leaders = RankedProfile.leaders
 
-        def counting_budgets(policy, *args):
-            passes.append(args)
-            return budgets(policy, *args)
+        def counting_rewards(policy, *args):
+            calls.append(args)
+            return rewards(policy, *args)
 
         def counting_leaders(profile, policy):
             price = leaders(profile, policy)
@@ -119,11 +120,25 @@ class TestMyopicEquilibrium:
 
             return counting_price
 
-        monkeypatch.setattr(MuStar, "leader_budgets", counting_budgets)
-        monkeypatch.setattr(RankedProfile, "leaders", counting_leaders)
-        myopic_equilibrium(inst.stakes(), inst, MuStar())
-        assert len(passes) == 1
-        assert sorted(ranks) == list(range(1, inst.n + 1))
+        for types, stakes, k in [([5, 4, 3, 2, 1], [6, 5, 4, 3, 3], 1),
+                                 ([1, 1, 1, 1, 1], [9, 2, 2, 2, 1], 2)]:
+            inst = make_instance(types, stakes)
+            profile = RankedProfile(inst.stakes(), inst)
+            harmed = [
+                is_harmful(pid, profile.suffix(r), inst.stakes(), inst, MuStar()).harmful
+                for r, pid in enumerate(profile.ranking, start=1)
+            ]
+            assert harmed.index(False) + 1 == k
+            with monkeypatch.context() as patch:
+                patch.setattr(MuStar, "rewards", counting_rewards)
+                patch.setattr(RankedProfile, "leaders", counting_leaders)
+                for solve, priced in [(myopic_equilibrium, list(range(1, k + 1))),
+                                      (recovery_winner_labels, list(range(inst.n, 0, -1)))]:
+                    calls.clear()
+                    ranks.clear()
+                    solve(inst.stakes(), inst, MuStar())
+                    assert ranks == priced
+                    assert len(calls) == len(priced)
 
 
 @pytest.mark.parametrize("solve", [

@@ -39,6 +39,7 @@ from stakegame.equilibrium import (
     PAR,
     RankedProfile,
     RecoveryWinnerLabel,
+    _labels,
     stage_utility,
     stage_value,
 )
@@ -74,10 +75,10 @@ def value_functions(draw, n):
 
 
 @st.composite
-def instances(draw, max_n=8, costs=None):
+def instances(draw, max_n=8, costs=None, types=TYPES):
     """Random instances; ``costs`` draws each player's cost, else costs are 0."""
     n = draw(st.integers(1, max_n))
-    types = draw(st.lists(TYPES, min_size=n, max_size=n))
+    types = draw(st.lists(types, min_size=n, max_size=n))
     stakes = draw(st.lists(STAKES, min_size=n, max_size=n))
     return make_instance(
         types,
@@ -146,11 +147,14 @@ def reference_top(players, ids):
 @given(typed_instances(), st.data())
 def test_the_integer_type_order_matches_the_fraction_order(case, data):
     players, inst = case
-    ranking = rank(inst.stakes())
-    budgets = MuStar().leader_budgets(inst, inst.stakes(), ranking)
-    for r, leader in enumerate(ranking, start=1):
-        is_top = leader == reference_top(players, ranking[r - 1 :])
-        assert (Fraction(*budgets[r]) == inst.budget) == is_top
+    profile = RankedProfile(inst.stakes(), inst)
+    price = profile.leaders(MuStar())
+    for r, leader in enumerate(profile.ranking, start=1):
+        is_top = leader == reference_top(players, profile.ranking[r - 1 :])
+        worth, _, stake, unit = price(r)
+        # the leader's reward priced at v[r], which the identity value keeps positive
+        paid = Fraction(worth - stake * profile.v_scaled[r], unit)
+        assert (paid == inst.budget * profile.v[r]) == is_top
     ids = data.draw(st.lists(st.sampled_from(sorted(inst.stakes())), min_size=1))
     assert top_type_participant(inst, iter(ids)) == reference_top(players, ids)
     with pytest.raises(ValueError, match="empty participant set"):
@@ -160,13 +164,18 @@ def test_the_integer_type_order_matches_the_fraction_order(case, data):
 def test_a_changed_types_map_changes_no_top_type_decision():
     inst = make_instance([3, 2, 1], [3, 2, 1])
     stakes, ranking = inst.stakes(), rank(inst.stakes())
-    before = MuStar().leader_budgets(inst, stakes, ranking)
+
+    def suffix_rewards():
+        return [MuStar().rewards(inst, stakes, ranking[r - 1 :]) for r in range(1, 4)]
+
+    before = suffix_rewards()
     inst.types()[3] = Fraction(10)
     assert inst.types() == {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
     assert top_type_participant(inst, {1, 2, 3}) == 1
-    after = MuStar().leader_budgets(inst, stakes, ranking)
+    after = suffix_rewards()
     assert after == before
-    assert [Fraction(*pair) for pair in after] == [0, 1, 1, 1]
+    # each suffix's leader is its top type and takes the whole budget
+    assert after == [({pid: 1}, 1) for pid in ranking]
     with pytest.raises(TypeError):
         inst.type_order()[3] = -1
 
@@ -183,17 +192,21 @@ def test_expected_rewards_match_expected_budget(inst, policy, data):
         assert set(rewards.values()) == {0}
 
 
-@given(instances(), POLICIES)
+@given(instances(costs=COSTS), POLICIES)
 def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
     stakes = inst.stakes()
     profile = RankedProfile(scaled_profile(stakes), inst)
-    budgets = policy.leader_budgets(inst, stakes, profile.ranking)
-    assert len(budgets) == len(profile.ranking) + 1
+    price = profile.leaders(policy)
     for r, leader in enumerate(profile.ranking, start=1):
-        suffix = profile.suffix(r)
-        num, den = budgets[r]
-        assert type(num) is type(den) is int and den > 0
-        assert Fraction(num, den) == expected_budget(policy, inst, stakes, leader, suffix)
+        budget = expected_budget(policy, inst, stakes, leader, profile.suffix(r))
+        nums, den = policy.rewards(inst, profile.stakes, profile.ranking[r - 1 :])
+        assert Fraction(nums.get(leader, 0), den) == budget
+        # the kernel's price of that reward, against the Fraction one
+        worth, net, stake, unit = price(r)
+        assert all(type(x) is int for x in (worth, net, stake, unit)) and unit > 0
+        assert Fraction(worth, unit) == (stakes[leader] + budget) * profile.v[r]
+        assert Fraction(worth - net, unit) == inst.player(leader).cost
+        assert Fraction(stake * profile.v_scaled[r + 1], unit) == stakes[leader] * profile.v[r + 1]
 
 
 # The rewards rules' edges: epsilon 1 (the top's share is zero), epsilon 0,
@@ -282,6 +295,30 @@ def test_labels_and_myopic_rank_match_the_per_rank_reference(inst, policy):
     labels, eq = reference_labels(inst, stakes, policy)
     assert recovery_winner_labels(stakes, inst, policy) == labels
     assert myopic_equilibrium(stakes, inst, policy) == eq
+
+
+# Every stage policy at its edges; a fixed winner may sit outside the suffix
+# or be no player at all (9 > max_n).
+STAGE_POLICIES = st.one_of(
+    st.builds(MuStar, st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1)])),
+    st.just(MuAll()),
+    st.builds(MuAlpha, st.sampled_from([Fraction(0), Fraction(3, 8), Fraction(1)])),
+    st.builds(FixedWinner, st.integers(1, 9)),
+)
+
+
+@given(instances(costs=COSTS, types=TYPES.filter(lambda t: t >= 1)), STAGE_POLICIES)
+def test_the_myopic_rank_from_the_top_is_the_full_pass_rank(inst, policy):
+    stakes = inst.stakes()
+    profile = RankedProfile(stakes, inst)
+    labels, r = _labels(profile, policy)
+    assert myopic_equilibrium(stakes, inst, policy) == profile.suffix(r)
+    # from the top, the scan stops at the first rank k without a label, and
+    # labels exactly the ranks above it as the full pass does
+    k = min(set(range(1, inst.n + 2)) - labels.keys())
+    assert _labels(profile, policy, from_top=True) == (
+        {q: label for q, label in labels.items() if q < k}, r
+    )
 
 
 # The regime of the oracle tests: stakes of at least 3 against a unit budget

@@ -15,6 +15,7 @@ from stakegame import (
     is_harmful,
     myopic_equilibrium,
     rank,
+    recovery_winner_labels,
     run,
     winner_distribution,
 )
@@ -61,6 +62,7 @@ NONPOSITIVE_MU_ALPHA = {
         mu, inst, inst.stakes(), frozenset({1, 2})
     ),
     "myopic_equilibrium": lambda inst, mu: myopic_equilibrium(inst.stakes(), inst, mu),
+    "recovery_winner_labels": lambda inst, mu: recovery_winner_labels(inst.stakes(), inst, mu),
     "LookaheadSolver.solve": lambda inst, mu: LookaheadSolver(inst, mu).solve(inst.stakes()),
 }
 
@@ -96,8 +98,9 @@ class TestWinnerDistribution:
 
     @pytest.mark.parametrize("call", sorted(NONPOSITIVE_MU_ALPHA))
     def test_mu_alpha_rejects_a_nonpositive_weight_total(self, call):
-        # suffix {2} weighs 1, but the whole set totals -6 + 1, so the suffix
-        # solvers' running total must fail there as the distribution does
+        # suffix {2} weighs 1, but the whole set totals -6 + 1, so a suffix
+        # solver fails at rank 1, whose rewards call weighs the whole set, as
+        # the distribution does
         inst = make_instance([-6, 1], [3, 1])
         with pytest.raises(ValueError, match="virtual stakes sum to zero"):
             NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(1)))
@@ -109,6 +112,29 @@ class TestWinnerDistribution:
         inst = make_instance([-3, 7], [3, 1])
         with pytest.raises(ValueError, match="negative virtual stake"):
             NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(1)))
+
+    # Each MuAlpha rewards call checks its own set, so a solver fails only on
+    # a set it prices or walks; types below 1 occur only on an instance that
+    # validate_instance would reject.  Types (3, 0): rank 1 is priced over
+    # {1, 2} (total 3) and is not harmed, so the myopic rank stops there,
+    # while the full labeling prices {2} alone and the lookahead solve walks
+    # player 1's abstention through it.  Types (3, -2): {1, 2} totals 1 and
+    # holds a negative virtual stake.
+    @pytest.mark.parametrize("call, low, outcome", [
+        ("myopic_equilibrium", 0, frozenset({1, 2})),
+        ("recovery_winner_labels", 0, "virtual stakes sum to zero"),
+        ("LookaheadSolver.solve", 0, "virtual stakes sum to zero"),
+        ("myopic_equilibrium", -2, "negative virtual stake"),
+        ("recovery_winner_labels", -2, "virtual stakes sum to zero"),
+        ("LookaheadSolver.solve", -2, "negative virtual stake"),
+    ], ids=lambda x: str(x) if isinstance(x, (str, int)) else "set")
+    def test_mu_alpha_checks_the_virtual_stakes_of_each_set_it_prices(self, call, low, outcome):
+        inst = make_instance([3, low], [5, 1])
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=f"^{outcome}; distribution undefined$"):
+                NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(1)))
+        else:
+            assert NONPOSITIVE_MU_ALPHA[call](inst, MuAlpha(alpha=Fraction(1))) == outcome
 
     @pytest.mark.parametrize("epsilon", [Fraction(-1, 2), Fraction(3, 2)])
     def test_mu_star_rejects_an_epsilon_outside_the_unit_interval(self, epsilon):
