@@ -123,27 +123,28 @@ def virtual_stake_weights(
     types: Mapping[PlayerId, Fraction],
     stakes: StakeProfile,
     ids: Iterable[PlayerId],
-) -> Tuple[List[int], int]:
-    """Each id's :func:`virtual_stake` as an int, and 1 - alpha, on one scale.
+) -> Tuple[List[int], int, int]:
+    """Each id's :func:`virtual_stake` as an int, their total, and 1 - alpha, on one scale.
 
     Types and stakes come through :func:`scaled_profile`, as ints over
     denominators ``lt`` and ``ls``.  With alpha = a/d every weight is
     multiplied by ``d * lt * ls``, a positive factor, so ratios and signs are
-    kept.  The second value is the weight one unit of stake adds,
+    kept.  The third value is the weight one unit of stake adds,
     ``(d - a) * lt * ls``.
+
+    The one check of the virtual stakes: raises ValueError when their total
+    is at most zero, and then when any of them is negative.
     """
     t, s = scaled_profile(types), scaled_profile(stakes)
     at, bs = alpha.numerator * s.den, (alpha.denominator - alpha.numerator) * t.den
     t_nums, s_nums = t.nums, s.nums
-    return [at * t_nums[pid] + bs * s_nums[pid] for pid in ids], bs * s.den
-
-
-def check_virtual_stakes(total: int, weights: Iterable[int]) -> None:
-    """Reject virtual stakes with a total of at most zero, then any negative one."""
+    weights = [at * t_nums[pid] + bs * s_nums[pid] for pid in ids]
+    total = sum(weights)
     if total <= 0:
         raise ValueError("virtual stakes sum to zero; distribution undefined")
     if min(weights) < 0:
         raise ValueError("negative virtual stake; distribution undefined")
+    return weights, total, bs * s.den
 
 
 def virtual_stake_lottery(
@@ -154,12 +155,10 @@ def virtual_stake_lottery(
 ) -> Dict[PlayerId, Fraction]:
     """id -> winning probability for each of ``ids``, its virtual stake over their total.
 
-    Raises ValueError when the total is not positive or a virtual stake is
-    negative.
+    Raises ValueError, by :func:`virtual_stake_weights`, when the total is not
+    positive or a virtual stake is negative.
     """
-    weights, _ = virtual_stake_weights(alpha, types, stakes, ids)
-    total = sum(weights)
-    check_virtual_stakes(total, weights)
+    weights, total, _ = virtual_stake_weights(alpha, types, stakes, ids)
     return {pid: Fraction(w, total) for pid, w in zip(ids, weights)}
 
 

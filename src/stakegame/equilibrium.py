@@ -334,8 +334,7 @@ def myopic_equilibrium(
     answer (:func:`_labels`).
     """
     instance.check_profile(stakes)
-    profile = RankedProfile(stakes, instance)
-    return profile.suffix(_labels(profile, policy, from_top=True)[1])
+    return _priced_myopic(stakes, instance, policy)[0]
 
 
 def _priced_myopic(
@@ -343,9 +342,9 @@ def _priced_myopic(
 ) -> Tuple[frozenset, Fraction]:
     """The myopic equilibrium and its token value, from one kernel pass.
 
-    The rank is found from the top, as in :func:`myopic_equilibrium`: a
-    recovery walk's step is most often decided at rank 1, after one
-    ``rewards`` call.
+    :func:`myopic_equilibrium` is this without the token value, after its
+    profile check.  The rank is found from the top: a recovery walk's step
+    is most often decided at rank 1, after one ``rewards`` call.
     """
     profile = RankedProfile(stakes, instance)
     r = _labels(profile, policy, from_top=True)[1]

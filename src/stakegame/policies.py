@@ -49,8 +49,7 @@ positions of :meth:`Instance.type_order`) lives in
 :mod:`stakegame.core`, beside :func:`virtual_stake`, and the analysis in
 :mod:`stakegame.virtualstake` shares it: ``MuAlpha.distribution`` is
 :func:`virtual_stake_lottery`, and ``MuAlpha.rewards`` takes its weights
-from :func:`virtual_stake_weights` and rejects them by
-:func:`check_virtual_stakes`.
+from :func:`virtual_stake_weights`, which sums and checks them.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from .core import (
     Instance,
     PlayerId,
     StakeProfile,
-    check_virtual_stakes,
     virtual_stake_lottery,
     virtual_stake_weights,
 )
@@ -111,11 +109,11 @@ class MuAlpha(_WinnerTakesAll):
         """Each participant's weight over the set's total: ``b * W`` over ``c * T``.
 
         A participant whose virtual stake is zero is left out.  Each call
-        checks its own set's weights by :func:`check_virtual_stakes`.
+        checks its own set's weights, by :func:`virtual_stake_weights`.
         """
-        weights, _ = virtual_stake_weights(self.alpha, instance.types(), stakes, participants)
-        total = sum(weights)
-        check_virtual_stakes(total, weights)
+        weights, total, _ = virtual_stake_weights(
+            self.alpha, instance.types(), stakes, participants
+        )
         b, c = instance.budget.numerator, instance.budget.denominator
         return {pid: b * w for pid, w in zip(participants, weights) if w}, c * total
 

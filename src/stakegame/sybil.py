@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar
+from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar, scaled_profile
 from .equilibrium import _priced_myopic, _priced_utility, is_harmful
 from .policies import MuEll, MuStar, Policy
 
@@ -70,16 +69,14 @@ def enumerate_splits(
         raise ValueError("granularity must be positive")
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    sigma = Fraction(stakes[owner])
     tau = types[owner]
     if tau < 1:
         raise ValueError(f"owner type {tau} is below 1")
-    tau = Fraction(tau)
 
-    unit = lcm(g.denominator, sigma.denominator, tau.denominator)
-    step = g.numerator * (unit // g.denominator)
-    stake_units = sigma.numerator * (unit // sigma.denominator)
-    type_units = tau.numerator * (unit // tau.denominator)
+    # the granularity, the owner's stake and her type as ints over their lcm
+    scaled = scaled_profile({0: g, 1: stakes[owner], 2: tau})
+    unit = scaled.den
+    step, stake_units, type_units = scaled.nums.values()
     # grid index k holds stake (k + 1) * step and type unit + k * step
     stake_grid = [Fraction(u, unit) for u in range(step, stake_units + 1, step)]
     type_grid = [Fraction(u, unit) for u in range(unit, type_units + 1, step)]

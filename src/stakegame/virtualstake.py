@@ -14,8 +14,8 @@ abstention incentive to analyze.
 The lottery itself lives in :mod:`stakegame.core`, shared with
 :class:`~stakegame.policies.MuAlpha`: :func:`selection_probabilities` is
 :func:`~stakegame.core.virtual_stake_lottery`, and the dynamics walk the
-integer weights of :func:`~stakegame.core.virtual_stake_weights`.  Both
-reject a non-positive total or a negative virtual stake with the policy's
+integer weights of :func:`~stakegame.core.virtual_stake_weights`, which
+rejects a non-positive total or a negative virtual stake with the policy's
 messages.
 
 The expected dynamics run on those integers.  :func:`expected_step`,
@@ -24,12 +24,12 @@ walk: the stakes are ints over one common denominator, brought back to
 lowest terms by one gcd per round, and the weights are ints on the same
 scale, recomputed from the stakes each round.  The sampler takes only the
 walk's first state, its weights, total and growth, and advances them by
-the realized wins instead.  The virtual stakes are checked once, at the
-walk's entry, since no weight ever falls.  ``check_invariance`` compares
-its identities by cross-multiplying those ints.  What its weight identity
-can catch: the weight total is linear in the stake total, the types being
-fixed, so for alpha < 1 it breaks together with the stake identity, and at
-alpha = 1 it cannot move.
+the realized wins instead.  The virtual stakes are checked once, by the
+walk's entry call to ``virtual_stake_weights``, since no weight ever
+falls.  ``check_invariance`` compares its identities by cross-multiplying
+those ints.  What its weight identity can catch: the weight total is
+linear in the stake total, the types being fixed, so for alpha < 1 it
+breaks together with the stake identity, and at alpha = 1 it cannot move.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Dict, Iterator, List, Tuple
 from .core import (
     PlayerId,
     ScalarLike,
-    check_virtual_stakes,
     rank,
     scalar,
     scaled_profile,
@@ -145,14 +144,13 @@ def _walk(state: VirtualStakeState) -> Iterator[Tuple[List[int], int, List[int],
     ``base * den + unit * stake``, with ``base`` the type's part and ``unit``
     the weight of one stake numerator.  Every next state comes from
     :func:`_step`, and its weights from its stakes.  The virtual stakes are
-    checked once, at entry: no weight ever falls, so none can turn negative.
+    checked once, by the entry call to :func:`virtual_stake_weights`: no
+    weight ever falls, so none can turn negative.
     """
     types = dict(state.types)
     ids = sorted(types)
     scaled = scaled_profile(state.stake_dict())
-    weights, growth = virtual_stake_weights(state.alpha, types, scaled, ids)
-    total = sum(weights)
-    check_virtual_stakes(total, weights)
+    weights, total, growth = virtual_stake_weights(state.alpha, types, scaled, ids)
     stakes, den = [scaled.nums[pid] for pid in ids], scaled.den
     unit = growth // den
     base = [(w - unit * s) // den for w, s in zip(weights, stakes)]

@@ -331,12 +331,31 @@ POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
 def test_the_integer_weighting_scales_the_virtual_stakes(alpha, pairs):
     types = dict(enumerate(t for t, _ in pairs))
     stakes = dict(enumerate(s for _, s in pairs))
-    weights, unit = virtual_stake_weights(alpha, types, stakes, types)
+    weights, total, unit = virtual_stake_weights(alpha, types, stakes, types)
     exact = [virtual_stake(alpha, t, s) for t, s in pairs]
     assert all(isinstance(w, int) for w in weights)
+    assert total == sum(weights)
     for w, v in zip(weights, exact):
         assert F(w, sum(weights)) == v / sum(exact)
         assert F(unit, w) == (1 - alpha) / v
+
+
+# The weighting is the one check of the virtual stakes, and it checks the
+# total first: under alpha 1 the weights are the types, so types (1, -2)
+# have a total of -1 as well as a negative weight, and (3, -2) a positive
+# total with a negative weight.
+@pytest.mark.parametrize(
+    "types, message",
+    [
+        ((1, -2), "virtual stakes sum to zero"),
+        ((3, -2), "negative virtual stake"),
+    ],
+)
+def test_the_integer_weighting_checks_the_total_then_each_weight(types, message):
+    types = dict(enumerate(map(F, types)))
+    stakes = {0: F(1), 1: F(1)}
+    with pytest.raises(ValueError, match=message):
+        virtual_stake_weights(F(1), types, stakes, types)
 
 
 def reference_advance(state_, probs):
