@@ -223,6 +223,14 @@ class Instance:
     ``tau_threshold`` parameterizes the decentralization index (tau = 1/2 is
     the Nakamoto index).  The budget is constant across rounds.  Player ids
     must be unique: the constructor raises ValueError on a repeated one.
+
+    Besides its fields, an instance holds the token-value table of the suffix
+    kernel (:class:`~stakegame.equilibrium.RankedProfile`): a list of ints,
+    entry 0 the scale and entry d the value v(d) times the scale.  Kernel
+    passes fill it as they first reach each level, so it holds levels 1..m,
+    and grow the scale when a new value's denominator needs it.  It is out
+    of equality, hash and ``repr``, and ``dataclasses.replace`` starts an
+    empty one.
     """
 
     players: Tuple[Player, ...]
@@ -233,6 +241,10 @@ class Instance:
     # id -> Player and id -> type order, built once.
     _by_id: Dict[PlayerId, Player] = field(init=False, repr=False, compare=False)
     _order: Dict[PlayerId, int] = field(init=False, repr=False, compare=False)
+    # The token-value table at scale 1 with no level, fresh for each instance.
+    _values: List[int] = field(
+        default_factory=lambda: [1], init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         by_id = {p.id: p for p in self.players}

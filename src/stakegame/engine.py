@@ -117,7 +117,7 @@ class Runner:
         before = last.stakes_after if last else self.instance.initial_stakes
         profile, r = self._solve(stage, dict(before))
         participants = profile.suffix(r)
-        d, v = profile.d[r], profile.v[r]
+        d, v = profile.d[r], Fraction(profile.v_scaled[r], profile.v_scale)
         # reusing the last round's equal participants, v and rewards keeps retained traces small
         if last is not None:
             if participants == last.participants:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import Instance, PlayerId, ScaledProfile, StakeProfile, rank, scaled_profile
@@ -44,8 +44,9 @@ class RankedProfile:
     Suffix ``r`` (1-based) is the participation set of the players at rank
     ``r`` or below; suffix ``n + 1`` is the empty set, which gets the minimum
     level d = 1 by convention.  Indexed by r, the kernel holds each suffix's
-    tau-index ``d`` and token value ``v``; entry 0 of each list is unused.
-    Building it reads only the stakes, tau and the value function.
+    tau-index ``d`` and scaled token value ``v_scaled`` (below); entry 0 of
+    each list is unused.  Building it reads only the stakes, tau and the
+    value function, through the instance's token-value table.
 
     The solvers rest on one identity: the top-ranked player of suffix r is
     the one who leaves it, so her abstain set is suffix r + 1.  Both sides of
@@ -64,14 +65,24 @@ class RankedProfile:
     stake > tau * total + above, multiplied through by q and by the
     (positive) common denominator.  That bound only falls as the suffix
     grows upward, so the end never moves right and one pointer serves every
-    suffix.  The token values are scaled the same way: ``v_scaled[r]`` is
-    ``v[r] * v_scale``, with ``v_scale`` the lcm of their denominators.
-    :meth:`leaders` prices suffix leaders on these integers, each with the
-    policy's own ``rewards`` on her suffix.  All arithmetic is exact.
+    suffix.  The token values are scaled too: ``v_scaled[r]`` is v(d[r])
+    times ``v_scale``, read from the instance's table of token values by
+    level (:class:`~stakegame.core.Instance`); ``v_scale`` is that table's
+    scale as the pass ends.  The loop adds a level to that table the first time
+    it reaches it, level 1 first, so the value function is evaluated once
+    per level and instance, and a value table that lacks a level the loop
+    reaches raises its ``ValueError`` for the first such level.  A new
+    value whose denominator does not divide the scale grows the scale, and
+    every entry with it, so a pass's ``v_scale`` is a common multiple of its
+    values' denominators, not their lcm; every comparison the solvers make
+    is linear in it.  The ``Fraction`` v[r] is ``v_scaled[r] / v_scale``,
+    built only where a value is read out.  :meth:`leaders` prices suffix
+    leaders on these integers, each with the policy's own ``rewards`` on her
+    suffix.  All arithmetic is exact.
     """
 
     __slots__ = (
-        "instance", "stakes", "ranking", "d", "v", "prefix", "v_scaled", "v_scale",
+        "instance", "stakes", "ranking", "d", "prefix", "v_scaled", "v_scale",
     )
 
     def __init__(self, stakes: StakeProfile | ScaledProfile, instance: Instance):
@@ -98,8 +109,7 @@ class RankedProfile:
                 "to be positive"
             )
 
-        vf = instance.value_function
-        level_value: Dict[int, Fraction] = {1: token_value(1, vf)}
+        table = instance._values
         d = [1] * (n + 2)
         p, q = tau.numerator, tau.denominator
         full = prefix[n]
@@ -110,21 +120,22 @@ class RankedProfile:
             while end > r and q * prefix[end - 1] > bar:
                 end -= 1
             d[r] = level = end - r + 1
-            if level not in level_value:
-                level_value[level] = token_value(level, vf)
-        v_scale = lcm(*[x.denominator for x in level_value.values()])
-        level_scaled = {
-            level: x.numerator * (v_scale // x.denominator) for level, x in level_value.items()
-        }
+            # d[n] is 1 and d grows by at most one per rank, so a level the
+            # table lacks is the next one; it is evaluated before any change
+            if level == len(table):
+                x = token_value(level, instance.value_function)
+                grow = x.denominator // gcd(table[0], x.denominator)
+                if grow > 1:
+                    table[:] = [t * grow for t in table]
+                table.append(x.numerator * (table[0] // x.denominator))
 
         self.instance = instance
         self.stakes = stakes
         self.ranking = ranking
         self.d = d
-        self.v = [level_value[level] for level in d]
         self.prefix = prefix
-        self.v_scaled = [level_scaled[level] for level in d]
-        self.v_scale = v_scale
+        self.v_scaled = [table[level] for level in d]
+        self.v_scale = table[0]
 
     def suffix(self, r: int) -> frozenset:
         """The participant set of suffix r (r = n + 1 gives the empty set)."""
@@ -339,16 +350,18 @@ def myopic_equilibrium(
 
 def _priced_myopic(
     stakes: StakeProfile | ScaledProfile, instance: Instance, policy: Policy
-) -> Tuple[frozenset, Fraction]:
+) -> Tuple[frozenset, int, int]:
     """The myopic equilibrium and its token value, from one kernel pass.
 
+    The value is the integer pair ``(v_scaled[r], v_scale)`` of the pass
+    (:class:`RankedProfile`); no ``Fraction`` is built.
     :func:`myopic_equilibrium` is this without the token value, after its
     profile check.  The rank is found from the top: a recovery walk's step
     is most often decided at rank 1, after one ``rewards`` call.
     """
     profile = RankedProfile(stakes, instance)
     r = _labels(profile, policy, from_top=True)[1]
-    return profile.suffix(r), profile.v[r]
+    return profile.suffix(r), profile.v_scaled[r], profile.v_scale
 
 
 @dataclass(frozen=True)
@@ -528,12 +541,16 @@ class LookaheadSolver:
         order, names the profile canonically: two walks of one call reach the
         same key exactly when they reach the same profile.  ``walked`` holds
         the steps of one solve call by key: the profile's myopic equilibrium
-        and that set's token value, both from one kernel pass, which takes
-        the walk's ints as they are.  Both depend on the profile alone, so a
-        profile that several walks reach is solved and priced once, and every
-        walk is the one it would find on its own.  No ``Fraction`` stake is
-        built, but for the start a :class:`LookaheadHorizonError` names;
-        :meth:`solve_with_plans` builds them for the plans it returns.
+        and that set's token value as the pair ``(v_scaled[r], v_scale)``,
+        both from one kernel pass, which takes the walk's ints as they are.
+        The set and the value depend on the profile alone (the pair's scale
+        is the value table's at the time), so a profile that several walks
+        reach is solved and priced once, and every walk is the one it would
+        find on its own.  The terminal value is ``nums[i] * v_scaled[r]``
+        over ``den * v_scale``, not in lowest terms.  No ``Fraction`` stake
+        or value is built, but for the start a
+        :class:`LookaheadHorizonError` names; :meth:`solve_with_plans` and
+        :meth:`abstention_value` build them for what they return.
         """
         current, participants = stakes, participants_now
         steps: List[Tuple[frozenset, tuple]] = []
@@ -544,10 +561,10 @@ class LookaheadSolver:
             step = walked.get(key)
             if step is None:
                 step = walked[key] = _priced_myopic(current, self.instance, self.policy)
-            future, value = step
+            future, v_num, v_den = step
             steps.append((future, key))
             if i in future:
-                return current.nums[i] * value.numerator, current.den * value.denominator, steps
+                return current.nums[i] * v_num, current.den * v_den, steps
             participants = future
         raise LookaheadHorizonError(
             i, {pid: Fraction(s, stakes.den) for pid, s in stakes.nums.items()}, self.horizon_cap
@@ -586,11 +603,9 @@ def threshold(trace) -> Threshold:
     instance = trace.instance
     mins: Dict[PlayerId, Optional[Fraction]] = {pid: None for pid in instance.stakes()}
     for record in trace.records:
-        stage = trace.policy
-        if isinstance(stage, MuEll):
-            stage = FixedWinner(record.winner)
+        stage = FixedWinner(record.winner) if isinstance(trace.policy, MuEll) else trace.policy
         profile = RankedProfile(dict(record.stakes_before), instance)
-        v_full = profile.v[1]
+        v_full = Fraction(profile.v_scaled[1], profile.v_scale)
         for r in _labels(profile, stage)[0]:
             pid = profile.ranking[r - 1]
             best = mins[pid]

@@ -281,7 +281,8 @@ def _equilibrium_utility(
     Every id is priced at the one token value of that equilibrium.  The
     unsplit owner is the one-id case; a split's parts are the many-id one.
     """
-    eq, v = _priced_myopic(stakes, instance, stage)
+    eq, v_num, v_den = _priced_myopic(stakes, instance, stage)
+    v = Fraction(v_num, v_den)
     return sum(_priced_utility(instance, stakes, stage, pid, eq, v) for pid in ids)
 
 

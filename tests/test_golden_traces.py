@@ -7,8 +7,11 @@ paid per round, a costly player sitting out the first rounds), ``MuAlpha``
 in expected mode (fractional types with coprime denominators, a budget of
 3/2, a costly dominant stake sitting out the first rounds), the same
 ``MuAll`` and ``MuAlpha`` instances with lookahead players (exclusions in
-the first rounds, so recovery walks run past one step), and one 16-player
-lookahead trajectory shaped like the ``lookahead_n16`` benchmark workload.
+the first rounds, so recovery walks run past one step), one 16-player
+lookahead trajectory shaped like the ``lookahead_n16`` benchmark workload,
+and one lookahead trajectory under a value table whose values have coprime
+denominators, read from its scenario file (``MuAll``, 8 players; levels 1-3
+are reached in round 1 and level 4 first in round 15).
 A change to the solvers or the engine that is meant to be exact must leave
 every file unchanged.
 
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from stakegame import MuAll, MuAlpha, MuStar, run, trace_rows
+from stakegame import MuAll, MuAlpha, MuStar, Runner, load_scenario, run, trace_rows
 
 from conftest import make_instance
 
@@ -92,6 +95,18 @@ def lookahead_n16():
     return run(make_instance(types, stakes), MuStar(), behavior="lookahead", rounds=16)
 
 
+def table_value_scenario():
+    return load_scenario(str(DATA / "scenarios" / "lookahead_table_value.json"))
+
+
+def lookahead_table_value():
+    scenario = table_value_scenario()
+    return run(
+        scenario.instance, scenario.policy, behavior=scenario.behavior, rounds=scenario.rounds,
+        mode=scenario.mode, horizon_cap=scenario.horizon_cap,
+    )
+
+
 GOLDEN = {
     "sampled_mu_alpha.csv": sampled_mu_alpha,
     "sampled_mu_star_epsilon.csv": sampled_mu_star_epsilon,
@@ -100,6 +115,7 @@ GOLDEN = {
     "mu_alpha_expected.csv": mu_alpha_expected,
     "mu_all_lookahead.csv": mu_all_lookahead,
     "mu_alpha_lookahead.csv": mu_alpha_lookahead,
+    "lookahead_table_value.csv": lookahead_table_value,
 }
 
 
@@ -113,6 +129,23 @@ def csv_text(trace) -> str:
 def test_trace_matches_golden_csv(filename):
     want = (DATA / filename).read_bytes().decode()
     assert csv_text(GOLDEN[filename]()) == want
+
+
+def test_the_table_valued_trace_grows_its_value_scale_mid_run():
+    """The instance's token-value table (scale, then v(d) times the scale) grows in round 15.
+
+    Round 1 reaches levels 1-3 (values 1, 5/2, 11/3: scale 6); round 15
+    first reaches level 4 (24/5), whose denominator grows the scale to 30.
+    """
+    scenario = table_value_scenario()
+    runner = Runner(scenario.instance, scenario.policy, behavior=scenario.behavior,
+                    mode=scenario.mode, horizon_cap=scenario.horizon_cap)
+    tables = []
+    for _ in range(scenario.rounds):
+        runner.step()
+        tables.append(list(scenario.instance._values))
+    assert tables[:14] == [[6, 6, 15, 22]] * 14
+    assert tables[14:] == [[30, 30, 75, 110, 144]] * (scenario.rounds - 14)
 
 
 if __name__ == "__main__":

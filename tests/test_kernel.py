@@ -7,7 +7,9 @@ pools so that ties are common, and include fractions with coprime
 denominators; tau ranges over (0, 1).
 """
 
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from stakegame import (
     FixedWinner,
     IdentityValue,
     Instance,
+    LookaheadHorizonError,
     LookaheadSolver,
     MuAll,
     MuAlpha,
@@ -34,6 +37,7 @@ from stakegame import (
     tau_decentralization_index,
     token_value,
 )
+from stakegame import equilibrium
 from stakegame.core import scaled_profile
 from stakegame.equilibrium import (
     PAR,
@@ -98,6 +102,11 @@ POLICIES = st.one_of(
 )
 
 
+def value(profile, r):
+    """The kernel's token value of suffix r: its scaled value over the table's scale."""
+    return Fraction(profile.v_scaled[r], profile.v_scale)
+
+
 @given(instances())
 def test_kernel_matches_the_reference_on_every_suffix(inst):
     stakes = inst.stakes()
@@ -110,9 +119,9 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
         values = [stakes[pid] for pid in suffix]
         assert profile.suffix(r) == suffix
         assert profile.d[r] == tau_decentralization_index(values, inst.tau_threshold)
-        assert profile.v[r] == token_value(profile.d[r], inst.value_function)
+        assert value(profile, r) == token_value(profile.d[r], inst.value_function)
     assert profile.suffix(n + 1) == frozenset()
-    assert (profile.d[n + 1], profile.v[n + 1]) == stage_value(inst, stakes, frozenset())
+    assert (profile.d[n + 1], value(profile, n + 1)) == stage_value(inst, stakes, frozenset())
 
 
 @given(instances())
@@ -121,12 +130,55 @@ def test_the_kernel_takes_a_stake_map_as_its_scaled_profile(inst):
     stakes = inst.stakes()
     scaled = scaled_profile(stakes)
     by_map, by_scaled = RankedProfile(stakes, inst), RankedProfile(scaled, inst)
-    for name in ("ranking", "d", "v", "prefix", "v_scaled", "v_scale"):
+    for name in ("ranking", "d", "prefix", "v_scaled", "v_scale"):
         assert getattr(by_map, name) == getattr(by_scaled, name)
+    suffixes = range(len(by_map.d))
+    assert [value(by_map, r) for r in suffixes] == [value(by_scaled, r) for r in suffixes]
     # the scaled form passes through as it is; a map gets the same ints, in its id order
     assert by_scaled.stakes is scaled
     assert (by_map.stakes.nums, by_map.stakes.den) == (scaled.nums, scaled.den)
     assert list(by_map.stakes.nums) == list(stakes)
+
+
+def missing_level(level):
+    message = rf"^value table has no entry for decentralization {level}$"
+    return pytest.raises(ValueError, match=message)
+
+
+def test_a_missing_table_level_is_named_as_the_index_loop_reaches_it():
+    """A pass evaluates each level as its index loop first reaches it, level 1 first.
+
+    The loop reaches the levels upward one at a time, so of two missing
+    levels that one pass reaches, the lower is named.  A level a pass does
+    not reach is never evaluated, and an error leaves later passes as they
+    were.
+    """
+    def entries(inst, stakes):
+        return (
+            lambda: RankedProfile(stakes, inst),
+            lambda: myopic_equilibrium(stakes, inst, MuStar()),
+            lambda: LookaheadSolver(inst, MuStar()).solve(stakes),
+            lambda: Runner(make_instance([1] * len(stakes), list(stakes.values()),
+                                         vf=inst.value_function), MuStar()).step(),
+        )
+
+    no_first = make_instance([1, 1, 1], [1, 1, 1], vf=TableValue.from_mapping({2: 2, 3: 3}))
+    for call in entries(no_first, no_first.stakes()):
+        with missing_level(1):
+            call()
+    # four equal stakes at tau 1/2 reach levels 1, 2 and 3
+    two_missing = make_instance([1] * 4, [1] * 4, vf=TableValue.from_mapping({1: 1, 4: 4}))
+    for call in entries(two_missing, two_missing.stakes()):
+        with missing_level(2):
+            call()
+    # stakes 4, 1, 1, 1 reach levels 1 and 2 only
+    partial = make_instance([1] * 4, [4, 1, 1, 1], vf=TableValue.from_mapping({1: 1, 2: 2}))
+    low, equal = partial.stakes(), {pid: Fraction(1) for pid in partial.stakes()}
+    first = myopic_equilibrium(low, partial, MuStar())
+    for call in entries(partial, equal):
+        with missing_level(3):
+            call()
+    assert myopic_equilibrium(low, partial, MuStar()) == first
 
 
 @st.composite
@@ -154,7 +206,7 @@ def test_the_integer_type_order_matches_the_fraction_order(case, data):
         worth, _, stake, unit = price(r)
         # the leader's reward priced at v[r], which the identity value keeps positive
         paid = Fraction(worth - stake * profile.v_scaled[r], unit)
-        assert (paid == inst.budget * profile.v[r]) == is_top
+        assert (paid == inst.budget * value(profile, r)) == is_top
     ids = data.draw(st.lists(st.sampled_from(sorted(inst.stakes())), min_size=1))
     assert top_type_participant(inst, iter(ids)) == reference_top(players, ids)
     with pytest.raises(ValueError, match="empty participant set"):
@@ -204,9 +256,10 @@ def test_leader_budget_from_the_kernel_matches_expected_budget(inst, policy):
         # the kernel's price of that reward, against the Fraction one
         worth, net, stake, unit = price(r)
         assert all(type(x) is int for x in (worth, net, stake, unit)) and unit > 0
-        assert Fraction(worth, unit) == (stakes[leader] + budget) * profile.v[r]
+        assert Fraction(worth, unit) == (stakes[leader] + budget) * value(profile, r)
         assert Fraction(worth - net, unit) == inst.player(leader).cost
-        assert Fraction(stake * profile.v_scaled[r + 1], unit) == stakes[leader] * profile.v[r + 1]
+        abstain = stakes[leader] * value(profile, r + 1)
+        assert Fraction(stake * profile.v_scaled[r + 1], unit) == abstain
 
 
 # The rewards rules' edges: epsilon 1 (the top's share is zero), epsilon 0,
@@ -387,3 +440,87 @@ def test_myopic_suffix_against_a_costly_player():
     inst = make_instance([2, 1], [2, 1], costs=[0, 10])
     eq = myopic_equilibrium(inst.stakes(), inst, MuStar())
     assert brute_force_equilibrium(inst.stakes(), inst, MuStar()) == [eq]
+
+
+# Pairwise coprime denominators: each new one grows the value table's scale.
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@st.composite
+def table_runs(draw):
+    """One instance with a fractional value function, and profiles to run it through."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        slope = Fraction(draw(st.integers(1, 9)), draw(st.sampled_from(PRIMES)))
+        vf = AffineValue(slope, draw(UNIT))
+    else:
+        primes = draw(st.permutations(PRIMES))
+        vf = TableValue.from_mapping({d: d + Fraction(1, primes[d - 1]) for d in range(1, n + 1)})
+    profiles = draw(st.lists(st.lists(STAKES, min_size=n, max_size=n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # each stake outweighs all smaller ones together: every suffix is at
+        # level 1, so the profiles after it reach new levels on a filled table
+        profiles.insert(0, [Fraction(2**k) for k in range(n)])
+    inst = make_instance(draw(st.lists(TYPES, min_size=n, max_size=n)), profiles[0], vf=vf)
+    return inst, [dict(enumerate(stakes, start=1)) for stakes in profiles]
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (ValueError, LookaheadHorizonError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_runs(), STAGE_POLICIES, st.data())
+def test_the_value_table_history_never_shows_in_results(case, policy, data):
+    """One instance's table, filled by the profiles before, gives what an empty one gives.
+
+    Every kernel pass, of the solves on the shared instance and on fresh
+    equal ones, reads each suffix's value as the value function gives it.
+    """
+    inst, profiles = case
+
+    class CheckedProfile(equilibrium.RankedProfile):
+        __slots__ = ()
+
+        def __init__(self, stakes, instance):
+            super().__init__(stakes, instance)
+            for r, level in enumerate(self.d):
+                assert value(self, r) == token_value(level, instance.value_function)
+
+    def solves(stakes, i, without_i):
+        return (
+            lambda inst: myopic_equilibrium(stakes, inst, policy),
+            lambda inst: LookaheadSolver(inst, policy, 30).solve(stakes),
+            lambda inst: LookaheadSolver(inst, policy, 30).abstention_value(i, without_i, stakes),
+        )
+
+    with mock.patch.object(equilibrium, "RankedProfile", CheckedProfile):
+        for stakes in profiles:
+            i = data.draw(st.sampled_from(sorted(stakes)))
+            without_i = frozenset(data.draw(st.sets(st.sampled_from(sorted(stakes))))) - {i}
+            for solve in solves(stakes, i, without_i):
+                fresh = replace(inst)
+                assert fresh == inst
+                assert outcome(lambda: solve(inst)) == outcome(lambda: solve(fresh))
+
+
+def test_the_value_table_stays_out_of_the_instance_identity():
+    vf = AffineValue(Fraction(2, 3), Fraction(1, 5))
+    inst, twin = (make_instance([3, 1, 2, 2], [5, 1, 2, 1], vf=vf) for _ in range(2))
+    before = (hash(inst), repr(inst))
+    LookaheadSolver(inst, MuStar()).solve(inst.stakes())
+    assert inst._values != twin._values  # the solve filled one table only
+    assert inst == twin and (hash(inst), repr(inst)) == before
+    # a replaced value function starts an empty table and is read afresh
+    other = replace(inst, value_function=TableValue.from_mapping({1: 2, 2: "7/2", 3: 5, 4: 6}))
+    assert other._values == [1]
+    profile = RankedProfile(other.stakes(), other)
+    assert [value(profile, r) for r in range(len(profile.d))] == [
+        token_value(level, other.value_function) for level in profile.d
+    ]
+    record = Runner(other, MuStar()).step()
+    assert record.v == token_value(record.d, other.value_function)
