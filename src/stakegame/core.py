@@ -10,7 +10,7 @@ the equilibrium logic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -229,8 +229,10 @@ class Instance:
     entry 0 the scale and entry d the value v(d) times the scale.  Kernel
     passes fill it as they first reach each level, so it holds levels 1..m,
     and grow the scale when a new value's denominator needs it.  It is out
-    of equality, hash and ``repr``, and ``dataclasses.replace`` starts an
-    empty one.
+    of equality, hash and ``repr``.  ``dataclasses.replace`` starts an empty
+    one, since it may change the value function; :meth:`with_players`, the
+    same game with another player set (a sybil split's game), shares this
+    one, since the value function is the same.
     """
 
     players: Tuple[Player, ...]
@@ -273,6 +275,20 @@ class Instance:
         )
         instance.check_profile(initial_stakes, "initial stake profile")
         return instance
+
+    def with_players(
+        self, players: Tuple[Player, ...], initial_stakes: Tuple[Tuple[PlayerId, Fraction], ...]
+    ) -> "Instance":
+        """This game with another player set, sharing this instance's token-value table.
+
+        The budget, tau and value function are kept, and the constructor runs
+        as for any instance: player ids must be unique, and the type order is
+        built afresh.  A kernel pass on either instance may add levels to
+        the shared table, or grow its scale; both read the same values.
+        """
+        derived = replace(self, players=players, initial_stakes=initial_stakes)
+        object.__setattr__(derived, "_values", self._values)
+        return derived
 
     @property
     def n(self) -> int:

@@ -86,8 +86,13 @@ class _WinnerTakesAll:
         i: PlayerId,
         participants: Collection[PlayerId],
     ) -> Fraction:
-        """Expected reward of a member i of the participant set."""
-        return instance.budget * self.distribution(instance, stakes, participants).get(i, ZERO)
+        """Expected reward of a member i of the participant set: the budget times her chance.
+
+        A certain winner's reward is the budget and a certain loser's the
+        zero chance itself, so only a mixed chance forms the product.
+        """
+        chance = self.distribution(instance, stakes, participants).get(i, ZERO)
+        return chance and (instance.budget if chance == 1 else instance.budget * chance)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar, scaled_profile
-from .equilibrium import _priced_myopic, _priced_utility, is_harmful
+from .equilibrium import _priced_myopic, is_harmful
 from .policies import MuEll, MuStar, Policy
 
 
@@ -118,17 +118,22 @@ def _stage(policy: Policy) -> Policy:
 def split_instance(
     instance: Instance, stakes: StakeProfile, split: SybilSplit
 ) -> Tuple[Instance, StakeProfile, List[PlayerId]]:
-    """Replace the owner by the split's parts; parts get fresh ids and her cost."""
+    """Replace the owner by the split's parts; parts get fresh ids and her cost.
+
+    The split game is :meth:`Instance.with_players
+    <stakegame.core.Instance.with_players>` of the instance: it keeps the
+    value function, so it shares the owner's token-value table, and a
+    search's splits fill one table between them.
+    """
     owner = instance.player(split.owner)
     first = max(instance.ids) + 1
     part_ids = list(range(first, first + len(split.parts)))
     parts = [replace(owner, id=pid, type_=t) for pid, (_, t) in zip(part_ids, split.parts)]
     new_stakes = {pid: s for pid, s in stakes.items() if pid != split.owner}
     new_stakes.update(zip(part_ids, (s for s, _ in split.parts)))
-    new_instance = replace(
-        instance,
-        players=tuple(p for p in instance.players if p.id != split.owner) + tuple(parts),
-        initial_stakes=tuple(sorted(new_stakes.items())),
+    new_instance = instance.with_players(
+        tuple(p for p in instance.players if p.id != split.owner) + tuple(parts),
+        tuple(sorted(new_stakes.items())),
     )
     return new_instance, new_stakes, part_ids
 
@@ -280,10 +285,29 @@ def _equilibrium_utility(
 
     Every id is priced at the one token value of that equilibrium.  The
     unsplit owner is the one-id case; a split's parts are the many-id one.
+    One kernel pass finds the equilibrium and its value ``v_num / v_den``
+    (from the instance's token-value table, which a split game shares with
+    its owner's), and one ``rewards`` call on the equilibrium set gives each
+    member's reward as ``paid[pid] / paid_den``: the round's own integer
+    rule, which property tests check against :func:`expected_budget
+    <stakegame.policies.expected_budget>`.  With the stakes as ints
+    ``scaled.nums`` over ``scaled.den``
+    (:func:`~stakegame.core.scaled_profile`), the ids' value is the sum of
+    ``(scaled.nums[pid] * paid_den + paid[pid] * scaled.den) * v_num`` over
+    ``scaled.den * paid_den * v_den``, a non-member's reward being 0; each
+    member's cost is then subtracted on integers, and one ``Fraction`` is
+    built.
     """
-    eq, v_num, v_den = _priced_myopic(stakes, instance, stage)
-    v = Fraction(v_num, v_den)
-    return sum(_priced_utility(instance, stakes, stage, pid, eq, v) for pid in ids)
+    scaled = scaled_profile(stakes)
+    eq, v_num, v_den = _priced_myopic(scaled, instance, stage)
+    paid, paid_den = stage.rewards(instance, scaled, eq)
+    num = v_num * sum(
+        scaled.nums[pid] * paid_den + paid.get(pid, 0) * scaled.den for pid in ids
+    )
+    den = scaled.den * paid_den * v_den
+    for cost in (instance.player(pid).cost for pid in eq.intersection(ids)):
+        num, den = num * cost.denominator - cost.numerator * den, den * cost.denominator
+    return Fraction(num, den)
 
 
 def sybil_gain(

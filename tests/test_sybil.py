@@ -1,24 +1,39 @@
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stakegame import (
+    AffineValue,
+    FixedWinner,
+    IdentityValue,
+    LookaheadSolver,
     MuAll,
     MuAlpha,
     MuEll,
     MuStar,
+    Runner,
+    TableValue,
     enumerate_splits,
+    expected_budget,
     max_sybil_gain,
+    myopic_equilibrium,
     preferred_recovery_sybils,
     sybil_gain,
     sybil_proofness_condition,
 )
 from stakegame.cli import _sybil_fixture
 from stakegame.core import scalar
-from stakegame.sybil import SybilSplit, _is_recovery_sybils, profile_harmful_for
+from stakegame.equilibrium import stage_value
+from stakegame.sybil import (
+    SybilSplit,
+    _is_recovery_sybils,
+    profile_harmful_for,
+    split_instance,
+)
 
 from conftest import make_instance
 
@@ -476,3 +491,141 @@ def test_preferred_split_matches_the_exhaustive_max(case, policy, granularity, m
             preferred_recovery_sybils(*args)
     else:
         assert preferred_recovery_sybils(*args) == expected
+
+
+def reference_split_game(inst, stakes, split):
+    """The split game built with ``dataclasses.replace``: a fresh token-value table."""
+    owner = inst.player(split.owner)
+    first = max(inst.ids) + 1
+    part_ids = list(range(first, first + len(split.parts)))
+    parts = tuple(replace(owner, id=pid, type_=t) for pid, (_, t) in zip(part_ids, split.parts))
+    new_stakes = {pid: s for pid, s in stakes.items() if pid != split.owner}
+    new_stakes.update(zip(part_ids, (s for s, _ in split.parts)))
+    game = replace(
+        inst,
+        players=tuple(p for p in inst.players if p.id != split.owner) + parts,
+        initial_stakes=tuple(sorted(new_stakes.items())),
+    )
+    return game, new_stakes, part_ids
+
+
+def reference_utility(ids, stakes, inst, policy):
+    """The ids' total stage utility at the myopic equilibrium, on ``Fraction``s.
+
+    ``MuEll`` is priced by its stage, ``MuStar()``.  Each id holds her stake
+    plus her :func:`expected_budget` (0 outside the set), priced at the set's
+    :func:`stage_value`, and each member pays her cost.
+    """
+    stage = MuStar() if isinstance(policy, MuEll) else policy
+    eq = myopic_equilibrium(stakes, inst, stage)
+    _, v = stage_value(inst, stakes, eq)
+    return sum(
+        (stakes[pid] + expected_budget(stage, inst, stakes, pid, eq)) * v
+        - (inst.player(pid).cost if pid in eq else 0)
+        for pid in ids
+    )
+
+
+def reference_gain(split, stakes, inst, policy):
+    game, new_stakes, part_ids = reference_split_game(inst, stakes, split)
+    return (reference_utility(part_ids, new_stakes, game, policy)
+            - reference_utility([split.owner], stakes, inst, policy))
+
+
+# Costs up to 3/2 make members sit out; the affine value's fractional
+# slope makes the token value's denominator more than 1.
+UTILITY_COSTS = st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(3, 2)])
+UTILITY_POLICIES = st.one_of(
+    st.builds(MuStar, st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1)])),
+    st.just(MuAll()),
+    st.just(MuEll()),
+    st.builds(MuAlpha, st.sampled_from([Fraction(0), Fraction(3, 8), Fraction(1)])),
+    # a winner id up to 7 may name a part, or the owner the split replaced
+    st.builds(FixedWinner, st.integers(1, 7)),
+)
+
+
+# A costly member rarely sits out on the drawn stakes: in the examples the
+# owner's stake 4 makes her, and some of her parts, abstain.
+ABSTAINING_OWNER = ([1, 1, 1], [4, 1, 1], [Fraction(1, 3), 0, 0], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(TYPES, min_size=n, max_size=n),
+    st.lists(HALVES, min_size=n, max_size=n),
+    st.lists(UTILITY_COSTS, min_size=n, max_size=n),
+    st.integers(1, n),
+)), UTILITY_POLICIES,
+    st.sampled_from([Fraction(1), Fraction(3, 2)]),
+    st.sampled_from([IdentityValue(), AffineValue(Fraction(2, 3), Fraction(1, 5))]),
+    st.integers(1, 3), st.integers(min_value=0))
+@example(ABSTAINING_OWNER, MuStar(), Fraction(1), IdentityValue(), 3, 0)
+@example(ABSTAINING_OWNER, MuAlpha(Fraction(3, 8)), Fraction(3, 2), IdentityValue(), 2, 5)
+def test_the_integer_split_utility_matches_its_fraction_reference(
+    case, policy, budget, vf, max_parts, pick
+):
+    types, stakes, costs, owner = case
+    inst = make_instance(types, stakes, budget=budget, vf=vf, costs=costs)
+    profile = inst.stakes()
+    splits = enumerate_splits(owner, profile, inst.types(), Fraction(1, 2), max_parts)
+    split = splits[pick % len(splits)]
+    assert sybil_gain(split, profile, inst, policy) == reference_gain(split, profile, inst, policy)
+    best = None
+    for candidate in splits:
+        gain = reference_gain(candidate, profile, inst, policy)
+        if best is None or gain > best[0]:
+            best = (gain, candidate)
+    assert max_sybil_gain(owner, profile, inst, policy, Fraction(1, 2), max_parts) == best
+
+
+# Pairwise coprime denominators: each new level grows the table's scale.
+COPRIME_TABLE = {1: 1, 2: Fraction(5, 2), 3: Fraction(11, 3), 4: Fraction(29, 5)}
+
+
+def test_the_shared_value_table_never_shows_in_results():
+    # player 1's own profile reaches level 1 only; her splits reach 2 and 3
+    inst = make_instance([3, 2, 1], [4, 2, 1], vf=TableValue.from_mapping(COPRIME_TABLE))
+    stakes = inst.stakes()
+    search = (MuStar(), Fraction(1, 2), 3)
+    fresh_gain = max_sybil_gain(1, stakes, replace(inst), *search)
+    assert max_sybil_gain(1, stakes, inst, *search) == fresh_gain
+    assert inst._values == [6, 6, 15, 22]  # the splits grew the owner's table
+    solves = (
+        lambda game: myopic_equilibrium(stakes, game, MuStar()),
+        lambda game: LookaheadSolver(game, MuStar()).solve(stakes),
+        lambda game: LookaheadSolver(game, MuAll()).abstention_value(3, frozenset({1}), stakes),
+        lambda game: Runner(game, MuStar(Fraction(1, 10)), "lookahead").run(10).records,
+    )
+    for solve in solves:
+        fresh = replace(inst)
+        assert fresh == inst
+        assert solve(inst) == solve(fresh)
+
+
+def test_a_split_that_reaches_a_missing_level_raises_as_an_unshared_one():
+    # at tau 3/4 a three-part split reaches level 4, which the table lacks
+    table = TableValue.from_mapping({d: COPRIME_TABLE[d] for d in (1, 2, 3)})
+    inst = make_instance([3, 2, 1], [2, 1, 1], tau=Fraction(3, 4), vf=table)
+    stakes = inst.stakes()
+    with pytest.raises(ValueError, match="^value table has no entry for decentralization 4$"):
+        max_sybil_gain(1, stakes, inst, MuStar(), Fraction(1, 2), 3)
+    assert myopic_equilibrium(stakes, inst, MuAll()) == myopic_equilibrium(
+        stakes, replace(inst), MuAll()
+    )
+
+
+@pytest.mark.parametrize("owner", [1, 2, 3])
+def test_the_split_game_is_the_replaced_game_with_the_owners_table(owner):
+    inst = make_instance([3, 2, 2], [4, 2, 1], costs=[Fraction(1, 4), Fraction(1, 3), 1],
+                         vf=TableValue.from_mapping(COPRIME_TABLE))
+    stakes = inst.stakes()
+    for split in enumerate_splits(owner, stakes, inst.types(), 1, 3):
+        game, new_stakes, part_ids = split_instance(inst, stakes, split)
+        expected, expected_stakes, expected_ids = reference_split_game(inst, stakes, split)
+        assert (game, new_stakes, part_ids) == (expected, expected_stakes, expected_ids)
+        assert dict(game.type_order()) == dict(expected.type_order())
+        for pid in expected.ids:
+            assert game.player(pid) == expected.player(pid)
+        assert all(game.player(pid).cost == inst.player(owner).cost for pid in part_ids)
+        assert game._values is inst._values
