@@ -10,7 +10,7 @@ the equilibrium logic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -224,15 +224,12 @@ class Instance:
     the Nakamoto index).  The budget is constant across rounds.  Player ids
     must be unique: the constructor raises ValueError on a repeated one.
 
-    Besides its fields, an instance holds the token-value table of the suffix
-    kernel (:class:`~stakegame.equilibrium.RankedProfile`): a list of ints,
-    entry 0 the scale and entry d the value v(d) times the scale.  Kernel
-    passes fill it as they first reach each level, so it holds levels 1..m,
-    and grow the scale when a new value's denominator needs it.  It is out
-    of equality, hash and ``repr``.  ``dataclasses.replace`` starts an empty
-    one, since it may change the value function; :meth:`with_players`, the
-    same game with another player set (a sybil split's game), shares this
-    one, since the value function is the same.
+    Besides its fields, an instance holds a table of token values by level,
+    read through :meth:`token_values` and out of equality, hash and
+    ``repr``.  ``dataclasses.replace`` starts an empty one, since it may
+    change the value function; :meth:`with_players`, the same game with
+    another player set (a sybil split's game), shares this one, since the
+    value function is the same.
     """
 
     players: Tuple[Player, ...]
@@ -281,14 +278,47 @@ class Instance:
     ) -> "Instance":
         """This game with another player set, sharing this instance's token-value table.
 
-        The budget, tau and value function are kept, and the constructor runs
-        as for any instance: player ids must be unique, and the type order is
-        built afresh.  A kernel pass on either instance may add levels to
-        the shared table, or grow its scale; both read the same values.
+        The constructor builds it from the players, the stakes and this
+        instance's budget, tau and value function, as for any instance:
+        player ids must be unique, and the type order is built afresh.  The
+        table is then handed over, so :meth:`token_values` on either
+        instance may add levels to it, or grow its scale; both read the same
+        values.
         """
-        derived = replace(self, players=players, initial_stakes=initial_stakes)
+        derived = Instance(
+            players, initial_stakes, self.budget, self.tau_threshold, self.value_function
+        )
         object.__setattr__(derived, "_values", self._values)
         return derived
+
+    def token_values(self, levels: Sequence[int]) -> Tuple[List[int], int]:
+        """The token values v(d) of ``levels`` (each >= 1) as ints over one ``scale``.
+
+        Returns ``(ints, scale)``: ``ints[k] / scale`` is v(levels[k]),
+        levels in any order, repeats allowed.  They are read from the
+        instance's table, an int list with entry 0 the scale and entry d the
+        value v(d) times the scale, holding levels 1..m.  A level past m
+        fills the table up to the highest level asked for, lowest first, and
+        each value is evaluated before the table changes: the value function
+        is called once per level and instance, and one that raises (a value
+        table lacking the level) raises for the lowest level it lacks, with
+        the levels below it filled and the table as those left it.  A new
+        value whose denominator does not divide the scale grows the scale,
+        and every entry with it, so the scale is a common multiple of the
+        values' denominators, not their lcm.
+        """
+        table = self._values
+        try:
+            return [table[level] for level in levels], table[0]
+        except IndexError:
+            pass
+        for level in range(len(table), max(levels) + 1):
+            x = self.value_function(level)
+            grow = x.denominator // gcd(table[0], x.denominator)
+            if grow > 1:
+                table[:] = [t * grow for t in table]
+            table.append(x.numerator * (table[0] // x.denominator))
+        return [table[level] for level in levels], table[0]
 
     @property
     def n(self) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import Instance, PlayerId, ScaledProfile, StakeProfile, rank, scaled_profile
@@ -58,32 +57,24 @@ class RankedProfile:
     stake map or that form and passes it through
     :func:`~stakegame.core.scaled_profile`, which converts a map (ints or
     ``Fraction``s only; anything else raises ``TypeError``) and hands a
-    recovery walk's state over as it is.  ``prefix`` (P below) holds the
-    prefix sums of the scaled stakes over the ranking.  With tau = p/q, the
-    d-prefix of suffix r ends at the first e with
+    recovery walk's state over as it is.  With P the prefix sums of the
+    scaled stakes over the ranking and tau = p/q, the d-prefix of suffix r
+    ends at the first e with
     ``q * P[e] > p * (P[n] - P[r - 1]) + q * P[r - 1]``: the test
     stake > tau * total + above, multiplied through by q and by the
     (positive) common denominator.  That bound only falls as the suffix
     grows upward, so the end never moves right and one pointer serves every
     suffix.  The token values are scaled too: ``v_scaled[r]`` is v(d[r])
-    times ``v_scale``, read from the instance's table of token values by
-    level (:class:`~stakegame.core.Instance`); ``v_scale`` is that table's
-    scale as the pass ends.  The loop adds a level to that table the first time
-    it reaches it, level 1 first, so the value function is evaluated once
-    per level and instance, and a value table that lacks a level the loop
-    reaches raises its ``ValueError`` for the first such level.  A new
-    value whose denominator does not divide the scale grows the scale, and
-    every entry with it, so a pass's ``v_scale`` is a common multiple of its
-    values' denominators, not their lcm; every comparison the solvers make
-    is linear in it.  The ``Fraction`` v[r] is ``v_scaled[r] / v_scale``,
-    built only where a value is read out.  :meth:`leaders` prices suffix
-    leaders on these integers, each with the policy's own ``rewards`` on her
-    suffix.  All arithmetic is exact.
+    times ``v_scale``, both from :meth:`Instance.token_values
+    <stakegame.core.Instance.token_values>` on the pass's levels, which
+    says how the instance's table is filled; every comparison the solvers
+    make is linear in ``v_scale``.  The ``Fraction`` v[r] is
+    ``v_scaled[r] / v_scale``, built only where a value is read out.
+    :meth:`leaders` prices suffix leaders on these integers, each with the
+    policy's own ``rewards`` on her suffix.  All arithmetic is exact.
     """
 
-    __slots__ = (
-        "instance", "stakes", "ranking", "d", "prefix", "v_scaled", "v_scale",
-    )
+    __slots__ = ("instance", "stakes", "ranking", "d", "v_scaled", "v_scale")
 
     def __init__(self, stakes: StakeProfile | ScaledProfile, instance: Instance):
         tau = instance.tau_threshold
@@ -109,7 +100,6 @@ class RankedProfile:
                 "to be positive"
             )
 
-        table = instance._values
         d = [1] * (n + 2)
         p, q = tau.numerator, tau.denominator
         full = prefix[n]
@@ -119,23 +109,13 @@ class RankedProfile:
             bar = p * (full - above) + q * above
             while end > r and q * prefix[end - 1] > bar:
                 end -= 1
-            d[r] = level = end - r + 1
-            # d[n] is 1 and d grows by at most one per rank, so a level the
-            # table lacks is the next one; it is evaluated before any change
-            if level == len(table):
-                x = token_value(level, instance.value_function)
-                grow = x.denominator // gcd(table[0], x.denominator)
-                if grow > 1:
-                    table[:] = [t * grow for t in table]
-                table.append(x.numerator * (table[0] // x.denominator))
+            d[r] = end - r + 1
 
         self.instance = instance
         self.stakes = stakes
         self.ranking = ranking
         self.d = d
-        self.prefix = prefix
-        self.v_scaled = [table[level] for level in d]
-        self.v_scale = table[0]
+        self.v_scaled, self.v_scale = instance.token_values(d)
 
     def suffix(self, r: int) -> frozenset:
         """The participant set of suffix r (r = n + 1 gives the empty set)."""
@@ -160,15 +140,15 @@ class RankedProfile:
         the full labeling every rank from n up.
         """
         instance, stakes, ranking = self.instance, self.stakes, self.ranking
-        player, rewards, scale = instance.player, policy.rewards, stakes.den
-        prefix, v_scaled, v_scale = self.prefix, self.v_scaled, self.v_scale
+        player, rewards, scaled, scale = instance.player, policy.rewards, stakes.nums, stakes.den
+        v_scaled, v_scale = self.v_scaled, self.v_scale
 
         def price(r: int) -> Tuple[int, int, int, int]:
             leader = ranking[r - 1]
             nums, b_den = rewards(instance, stakes, ranking[r - 1 :])
             b_num = nums.get(leader, 0)
             c_num, c_den = player(leader).cost.as_integer_ratio()
-            stake = (prefix[r] - prefix[r - 1]) * b_den * c_den
+            stake = scaled[leader] * b_den * c_den
             worth = (stake + b_num * scale * c_den) * v_scaled[r]
             net = worth - c_num * scale * b_den * v_scale
             return worth, net, stake, scale * b_den * c_den * v_scale

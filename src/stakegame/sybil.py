@@ -17,13 +17,13 @@ instance's players; the searches call private unchecked workers per split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Instance, PlayerId, ScalarLike, StakeProfile, scalar, scaled_profile
+from .core import Instance, Player, PlayerId, ScalarLike, StakeProfile, scalar, scaled_profile
 from .equilibrium import _priced_myopic, is_harmful
 from .policies import MuEll, MuStar, Policy
 
@@ -120,15 +120,17 @@ def split_instance(
 ) -> Tuple[Instance, StakeProfile, List[PlayerId]]:
     """Replace the owner by the split's parts; parts get fresh ids and her cost.
 
-    The split game is :meth:`Instance.with_players
-    <stakegame.core.Instance.with_players>` of the instance: it keeps the
-    value function, so it shares the owner's token-value table, and a
-    search's splits fill one table between them.
+    Each part is built as a :class:`~stakegame.core.Player` of its own: a
+    fresh id, the part's type and the owner's cost.  The split game is
+    :meth:`Instance.with_players <stakegame.core.Instance.with_players>` of
+    the instance, built by the constructor: it keeps the value function, so
+    it shares the owner's token-value table, and a search's splits fill one
+    table between them.
     """
     owner = instance.player(split.owner)
     first = max(instance.ids) + 1
     part_ids = list(range(first, first + len(split.parts)))
-    parts = [replace(owner, id=pid, type_=t) for pid, (_, t) in zip(part_ids, split.parts)]
+    parts = [Player(pid, t, owner.cost) for pid, (_, t) in zip(part_ids, split.parts)]
     new_stakes = {pid: s for pid, s in stakes.items() if pid != split.owner}
     new_stakes.update(zip(part_ids, (s for s, _ in split.parts)))
     new_instance = instance.with_players(

@@ -194,3 +194,65 @@ def test_instance_accessors(three_player_instance):
     assert inst.types() == {1: Fraction(3), 2: Fraction(2), 3: Fraction(1)}
     with pytest.raises(KeyError):
         inst.player(9)
+
+
+class CountingValue:
+    """A value function that records each level it is called at."""
+
+    def __init__(self, vf):
+        self.vf, self.calls = vf, []
+
+    def __call__(self, d):
+        self.calls.append(d)
+        return self.vf(d)
+
+
+# Pairwise coprime denominators: each new level grows the table's scale.
+COPRIME = TableValue.from_mapping({1: 1, 2: Fraction(5, 2), 3: Fraction(11, 3), 4: Fraction(29, 5)})
+
+
+class TestTokenValues:
+    """``Instance.token_values``: the values of levels as ints over one scale, from one table."""
+
+    def test_levels_out_of_order_and_repeated(self):
+        vf = CountingValue(COPRIME)
+        inst = make_instance([1] * 4, [1] * 4, vf=vf)
+        levels = [3, 1, 3, 2, 1]
+        ints, scale = inst.token_values(levels)
+        assert [Fraction(x, scale) for x in ints] == [COPRIME(d) for d in levels]
+        # every level up to the highest asked for, lowest first, once each
+        assert vf.calls == [1, 2, 3]
+        assert inst._values == [6, 6, 15, 22]
+        assert inst.token_values([2, 2, 1]) == ([15, 15, 6], 6)
+        assert vf.calls == [1, 2, 3]
+        # a higher level evaluates only what is missing, and its denominator
+        # rescales every entry
+        assert inst.token_values([4, 1, 4]) == ([174, 30, 174], 30)
+        assert vf.calls == [1, 2, 3, 4]
+        assert inst._values == [30, 30, 75, 110, 174]
+
+    def test_a_value_function_that_raises_leaves_the_table_as_it_was(self):
+        missing = r"^value table has no entry for decentralization 3$"
+        inst = make_instance([1] * 4, [1] * 4, vf=TableValue.from_mapping({1: 1, 2: "5/2", 4: 4}))
+        assert inst.token_values([2]) == ([5], 2)
+        table = inst._values
+        for levels in ([3], [1, 4, 2], [4, 3]):
+            with pytest.raises(ValueError, match=missing):
+                inst.token_values(levels)
+            # the list and its scale, as the last fill left them
+            assert inst._values is table and table == [2, 2, 5]
+        # from an empty table, the levels below the missing one are filled
+        fresh = make_instance([1] * 4, [1] * 4, vf=CountingValue(inst.value_function))
+        with pytest.raises(ValueError, match=missing):
+            fresh.token_values([4, 1])
+        assert fresh._values == [2, 2, 5]
+        assert fresh.token_values([1, 2]) == ([2, 5], 2)
+        assert fresh.value_function.calls == [1, 2, 3]
+
+    def test_a_denominator_that_divides_the_scale_keeps_it(self):
+        vf = TableValue.from_mapping({1: Fraction(1, 6), 2: Fraction(1, 2), 3: Fraction(2, 3)})
+        inst = make_instance([1] * 3, [1] * 3, vf=vf)
+        assert inst.token_values([1]) == ([1], 6)
+        table = inst._values
+        assert inst.token_values([3, 2]) == ([4, 3], 6)
+        assert inst._values is table and table == [6, 1, 3, 4]

@@ -1,7 +1,8 @@
 """The package's imports sit at module level, each is used, and its module graph has no cycle.
 
 A function-local import is how a module cycle stays hidden: it defers the
-import past the point where the cycle would fail.
+import past the point where the cycle would fail.  The same AST checks keep
+``Instance``'s private tables inside ``core``.
 """
 
 import ast
@@ -69,3 +70,27 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+# Instance's private tables: the token values by level, the type order and
+# the players by id.  Other modules read them through Instance's methods.
+PRIVATE_TABLES = {"_values", "_order", "_by_id"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_names_the_instance_tables(path):
+    # an attribute, a bare name, or a string such as setattr's
+    named = sorted(
+        (node.lineno, name)
+        for node in ast.walk(parse(path))
+        for name in [
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.value if isinstance(node, ast.Constant)
+            else None
+        ]
+        if isinstance(name, str) and name in PRIVATE_TABLES
+    )
+    assert named == [], f"{path.name}: names Instance's private tables at (line, name) {named}"

@@ -24,6 +24,7 @@ from stakegame import (
     LookaheadSolver,
     MuAll,
     MuAlpha,
+    MuEll,
     MuStar,
     Player,
     Runner,
@@ -31,10 +32,12 @@ from stakegame import (
     brute_force_equilibrium,
     expected_budget,
     expected_rewards,
+    is_harmful,
     myopic_equilibrium,
     rank,
     recovery_winner_labels,
     tau_decentralization_index,
+    threshold,
     token_value,
 )
 from stakegame import equilibrium
@@ -130,7 +133,7 @@ def test_the_kernel_takes_a_stake_map_as_its_scaled_profile(inst):
     stakes = inst.stakes()
     scaled = scaled_profile(stakes)
     by_map, by_scaled = RankedProfile(stakes, inst), RankedProfile(scaled, inst)
-    for name in ("ranking", "d", "prefix", "v_scaled", "v_scale"):
+    for name in ("ranking", "d", "v_scaled", "v_scale"):
         assert getattr(by_map, name) == getattr(by_scaled, name)
     suffixes = range(len(by_map.d))
     assert [value(by_map, r) for r in suffixes] == [value(by_scaled, r) for r in suffixes]
@@ -146,12 +149,12 @@ def missing_level(level):
 
 
 def test_a_missing_table_level_is_named_as_the_index_loop_reaches_it():
-    """A pass evaluates each level as its index loop first reaches it, level 1 first.
+    """A level is filled the first time a pass reaches it, level 1 first.
 
-    The loop reaches the levels upward one at a time, so of two missing
-    levels that one pass reaches, the lower is named.  A level a pass does
-    not reach is never evaluated, and an error leaves later passes as they
-    were.
+    The levels are filled after the index loop, upward one at a time, so of
+    two missing levels that one pass reaches, the lower is named.  A level
+    a pass does not reach is never evaluated, and an error leaves later
+    passes as they were.
     """
     def entries(inst, stakes):
         return (
@@ -372,6 +375,56 @@ def test_the_myopic_rank_from_the_top_is_the_full_pass_rank(inst, policy):
     assert _labels(profile, policy, from_top=True) == (
         {q: label for q, label in labels.items() if q < k}, r
     )
+
+
+def reference_threshold(trace):
+    """Per player, the least full-profile value over the recorded rounds harmful to her.
+
+    Each round, each player is tested by :func:`is_harmful` in her suffix of
+    ``rank(stakes_before)``, and a harmful round offers the
+    :func:`stage_value` of the full profile; a ``MuEll`` round is judged as
+    ``FixedWinner(record.winner)``.  A player never harmful gets ``None``.
+    """
+    inst, mins = trace.instance, {}
+    for record in trace.records:
+        stakes = dict(record.stakes_before)
+        stage = FixedWinner(record.winner) if isinstance(trace.policy, MuEll) else trace.policy
+        _, v_full = stage_value(inst, stakes, frozenset(stakes))
+        ranking = rank(stakes)
+        for r, pid in enumerate(ranking):
+            if is_harmful(pid, frozenset(ranking[r:]), stakes, inst, stage).harmful:
+                mins[pid] = min(mins.get(pid, v_full), v_full)
+    return tuple((pid, mins.get(pid)) for pid in sorted(inst.stakes()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instances(max_n=6, costs=COSTS, types=TYPES.filter(lambda t: t >= 1)),
+    st.one_of(STAGE_POLICIES, st.just(MuEll())),
+    st.sampled_from(["myopic", "lookahead"]),
+    st.sampled_from(["expected", "sampled"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32),
+)
+def test_threshold_is_the_per_rank_harmfulness_minimum(
+    inst, policy, behavior, mode, rounds, seed
+):
+    """``threshold`` of a recorded trajectory against :func:`reference_threshold`.
+
+    Sampled mode draws only where the round's policy mixes.  A run stops at
+    the first round whose plan, or whose ``MuEll`` shadow's, overruns the
+    horizon cap: the rounds recorded before it are the trace.
+    """
+    try:
+        runner = Runner(inst, policy, behavior, mode, seed)
+    except LookaheadHorizonError:
+        return  # MuEll's shadow overran the cap before round 1
+    for _ in range(rounds):
+        try:
+            runner.step()
+        except LookaheadHorizonError:
+            break
+    assert threshold(runner.trace).per_player == reference_threshold(runner.trace)
 
 
 # The regime of the oracle tests: stakes of at least 3 against a unit budget
