@@ -162,6 +162,9 @@ class Runner:
         return record
 
     def run(self, rounds: int) -> Trace:
+        """Advance ``rounds`` more rounds (0 gives the trace as it is)."""
+        if rounds < 0:
+            raise ValueError(f"rounds must be at least 0, got {rounds}")
         for _ in range(rounds):
             self.step()
         return self.trace
@@ -177,7 +180,7 @@ def run(
     seed: Optional[int] = None,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> Trace:
-    """Simulate ``rounds`` rounds."""
+    """Simulate ``rounds`` rounds; a negative count raises ValueError."""
     runner = Runner(instance, policy, behavior, mode, seed, horizon_cap)
     return runner.run(rounds)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -567,7 +568,10 @@ class Threshold:
         return min(finite) if finite else None
 
     def of(self, pid: PlayerId) -> Optional[Fraction]:
-        return dict(self.per_player)[pid]
+        try:
+            return dict(self.per_player)[pid]
+        except KeyError:
+            raise KeyError(f"no player with id {pid}") from None
 
 
 def threshold(trace) -> Threshold:
@@ -611,15 +615,21 @@ def brute_force_equilibrium(
     the recovery-plan value.  Exponential; limited to 12 players.  May
     evaluate the empty participation set (d = 1 convention).
 
-    Each distinct subset's token value is computed once per call, with
-    :func:`stage_value` over that subset's stakes, and reused by every member
-    and outsider check that meets the subset.  Myopic mode does not use the
-    suffix kernel (:class:`RankedProfile`): there the oracle is the
+    One call computes each subset's token value once, with
+    :func:`stage_value` over that subset's stakes, and decides each
+    ``(player, set)`` once: a set's member check and the outsider check of
+    the set without that player share the decision.  Both are
+    ``functools.cache`` memos of the call, which keep no decision that
+    raises; the subsets are visited in size order, members before
+    outsiders, each check stopping at its first answer, so the memos change
+    no result and no :class:`LookaheadHorizonError`.  Myopic mode does not
+    use the suffix kernel (:class:`RankedProfile`): there the oracle is the
     independent reference the kernel-based solvers are checked against.  A
     lookahead abstention is priced by the solver's own recovery walk, which
     does use the kernel, and all walks of one call share one memo of walked
     profiles, as the walks of one :meth:`LookaheadSolver.solve` do.  That
     walk's independent check is the unshared reference walk in the tests.
+    The horizon cap is checked in both modes, by the solver's constructor.
     """
     instance.check_profile(stakes)
     ids = sorted(stakes)
@@ -627,23 +637,22 @@ def brute_force_equilibrium(
         raise ValueError(f"brute force limited to 12 players, got {len(ids)}")
     if behavior not in ("myopic", "lookahead"):
         raise ValueError(f"unknown behavior {behavior!r}")
-    solver = LookaheadSolver(instance, policy, horizon_cap) if behavior == "lookahead" else None
+    solver = LookaheadSolver(instance, policy, horizon_cap)
     start = scaled_profile(stakes)
-    values: Dict[frozenset, Fraction] = {}
     walked: Dict[tuple, tuple] = {}
 
-    def utility(i: PlayerId, subset: frozenset) -> Fraction:
-        v = values.get(subset)
-        if v is None:
-            v = values[subset] = stage_value(instance, stakes, subset)[1]
-        return _priced_utility(instance, stakes, policy, i, subset, v)
+    @cache
+    def value(subset: frozenset) -> Fraction:
+        return stage_value(instance, stakes, subset)[1]
 
+    @cache
     def stays(i: PlayerId, subset: frozenset) -> bool:
         """Whether i, a member of ``subset``, does at least as well there as by abstaining."""
-        up = utility(i, subset)
-        if solver is None:
-            return up >= utility(i, subset - {i})
-        num, den, _ = solver._recovery(i, subset - {i}, start, walked)
+        up = _priced_utility(instance, stakes, policy, i, subset, value(subset))
+        without_i = subset - {i}
+        if behavior == "myopic":
+            return up >= _priced_utility(instance, stakes, policy, i, without_i, value(without_i))
+        num, den, _ = solver._recovery(i, without_i, start, walked)
         return up >= Fraction(num, den)
 
     return [

@@ -26,6 +26,14 @@ class TestRunner:
         with pytest.raises(TypeError):
             run(three_player_instance, MuStar())
 
+    def test_negative_round_count(self, three_player_instance):
+        with pytest.raises(ValueError, match="^rounds must be at least 0, got -1$"):
+            run(three_player_instance, MuStar(), rounds=-1)
+        runner = Runner(three_player_instance, MuStar())
+        with pytest.raises(ValueError, match="^rounds must be at least 0, got -1$"):
+            runner.run(-1)
+        assert runner.run(0).rounds == 0
+
     def test_final_stakes_before_any_round(self, three_player_instance):
         inst = three_player_instance
         trace = Runner(inst, MuStar()).trace

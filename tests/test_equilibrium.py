@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from stakegame import (
     threshold,
     token_value,
 )
+from stakegame import equilibrium
 from stakegame.equilibrium import (
     RankedProfile,
     RecoveryWinnerLabel,
@@ -234,6 +236,11 @@ class TestThreshold:
         th = threshold(run(inst, MuStar(), rounds=3))
         assert th.theta is None
 
+    def test_an_unknown_id_is_named(self):
+        th = threshold(run(make_instance([2, 1], [1, 1]), MuStar(), rounds=2))
+        with pytest.raises(KeyError, match="no player with id 9"):
+            th.of(9)
+
     def test_a_theta_above_the_value_floor_matches_a_by_hand_minimum(self):
         # Chosen by one rule: the first of 300 instances drawn with
         # random.Random(3) (3-6 players, types and stakes 1-8, one of
@@ -287,6 +294,12 @@ class TestBruteForce:
         inst = make_instance([2, 1], [1, 1])
         with pytest.raises(ValueError, match="^unknown behavior 'greedy'$"):
             brute_force_equilibrium(inst.stakes(), inst, MuStar(), behavior="greedy")
+
+    @pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
+    def test_horizon_cap_checked_in_both_modes(self, behavior):
+        inst = make_instance([2, 1], [1, 1])
+        with pytest.raises(ValueError, match="^horizon cap must be at least 1$"):
+            brute_force_equilibrium(inst.stakes(), inst, MuStar(), behavior, 0)
 
 
 def reference_equilibria(stakes, inst, policy, behavior, horizon_cap):
@@ -351,6 +364,38 @@ def test_oracle_matches_its_per_call_definition(kind, behavior, data):
     stakes = inst.stakes()
     args = (stakes, inst, policy, behavior, 8)
     assert outcome(brute_force_equilibrium, *args) == outcome(reference_equilibria, *args)
+
+
+@pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
+@pytest.mark.parametrize("kind", sorted(ORACLE_POLICY_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_oracle_decides_each_player_and_set_once(kind, behavior, data):
+    # a myopic decision prices i in S and i in S - {i}; a lookahead one
+    # prices i in S and starts one walk for i from S - {i}: no key twice
+    inst, policy = data.draw(oracle_cases(kind))
+    stakes = inst.stakes()
+    args = (stakes, inst, policy, behavior, 8)
+    want = outcome(reference_equilibria, *args)
+    priced = Counter()
+    priced_utility, recovery = equilibrium._priced_utility, LookaheadSolver._recovery
+
+    def counting_utility(instance, stakes, policy, i, participants, v):
+        priced[i, participants] += 1
+        return priced_utility(instance, stakes, policy, i, participants, v)
+
+    def counting_recovery(solver, i, participants_now, *rest):
+        priced[i, participants_now] += 1
+        return recovery(solver, i, participants_now, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if behavior == "myopic":
+            patch.setattr(equilibrium, "_priced_utility", counting_utility)
+        else:
+            patch.setattr(LookaheadSolver, "_recovery", counting_recovery)
+        got = outcome(brute_force_equilibrium, *args)
+    assert priced and max(priced.values()) == 1
+    assert got == want
 
 
 def test_oracle_empty_set_when_costs_exceed_every_gain():
