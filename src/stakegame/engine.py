@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import ZERO, Instance, PlayerId, RoundRecord
-from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _labels
+from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _priced_myopic
 from .measures import tau_decentralization_index
 from .policies import (
     FixedWinner,
@@ -103,10 +103,14 @@ class Runner:
     def _solve(
         self, stage: Policy, stakes: Dict[PlayerId, Fraction]
     ) -> Tuple[RankedProfile, int]:
-        """The round's kernel and equilibrium rank: the set is its suffix r."""
+        """The round's kernel and equilibrium rank: the set is its suffix r.
+
+        A myopic round goes through the one door of the myopic stage solve,
+        :func:`~stakegame.equilibrium._priced_myopic`; a lookahead round
+        through :meth:`LookaheadSolver._solve`, which returns the same pair.
+        """
         if self.behavior == "myopic":
-            profile = RankedProfile(stakes, self.instance)
-            return profile, _labels(profile, stage, from_top=True)[1]
+            return _priced_myopic(stakes, self.instance, stage)
         # a solver keeps nothing between solves, and MuEll's stage changes
         # every round, so each step gets its own
         return LookaheadSolver(self.instance, stage, self.horizon_cap)._solve(stakes, {})

@@ -238,8 +238,12 @@ Label = RecoveryWinnerLabel | str  # not typing.Union: see core.ValueFunction
 
 def _labels(
     profile: RankedProfile, policy: Policy, from_top: bool = False
-) -> Tuple[Dict[int, Label], int]:
-    """Recovery-winner labels keyed by rank, and the myopic equilibrium's rank.
+) -> Tuple[Dict[PlayerId, Label], int]:
+    """Recovery-winner labels keyed by player id, and the myopic equilibrium's rank.
+
+    The labels' keys are the labeled ranks' leaders; the rank returned, and
+    the rank a :class:`RecoveryWinnerLabel` names, stay ranks.  This is the
+    one place a rank becomes an id for the labels.
 
     Exactly the harmful ranks get a label: those whose leader's net worth
     (stake + B) * v[r] - cost falls below her stake priced at v[r + 1].  The
@@ -259,18 +263,19 @@ def _labels(
     the labels of ranks 1..k - 1 and the rank, with no rank priced twice.
     Without it the scan starts at rank n and labels every rank: the full
     pass that :func:`recovery_winner_labels` and :func:`threshold` read.
-    With no non-harmful rank, the two starts coincide.
+    With no non-harmful rank, the two starts coincide.  ``from_top`` has one
+    caller, :func:`_priced_myopic`.
     """
-    v_scaled, price = profile.v_scaled, profile.leaders(policy)
+    ranking, v_scaled, price = profile.ranking, profile.v_scaled, profile.leaders(policy)
     priced: Dict[int, Tuple[int, int, int, int]] = {}
-    start = len(profile.ranking)
+    start = len(ranking)
     if from_top:
         for r in range(1, start + 1):
             _, net, stake, _ = priced[r] = price(r)
             if net >= stake * v_scaled[r + 1]:
                 start = r
                 break
-    labels: Dict[int, Label] = {}
+    labels: Dict[PlayerId, Label] = {}
     candidate: Optional[int] = None
     for r in range(start, 0, -1):
         worth, net, stake, _ = priced.get(r) or price(r)
@@ -285,7 +290,7 @@ def _labels(
             # n, when a positive cost exceeds its priced reward): participate
             # anyway.
             candidate = r
-        labels[r] = label
+        labels[ranking[r - 1]] = label
     return labels, candidate
 
 
@@ -307,9 +312,7 @@ def recovery_winner_labels(
     on its suffix, and makes one harmfulness decision per rank.
     """
     instance.check_profile(stakes)
-    profile = RankedProfile(stakes, instance)
-    labels, _ = _labels(profile, policy)
-    return {profile.ranking[r - 1]: label for r, label in labels.items()}
+    return _labels(RankedProfile(stakes, instance), policy)[0]
 
 
 def myopic_equilibrium(
@@ -326,23 +329,27 @@ def myopic_equilibrium(
     answer (:func:`_labels`).
     """
     instance.check_profile(stakes)
-    return _priced_myopic(stakes, instance, policy)[0]
+    profile, r = _priced_myopic(stakes, instance, policy)
+    return profile.suffix(r)
 
 
 def _priced_myopic(
     stakes: StakeProfile | ScaledProfile, instance: Instance, policy: Policy
-) -> Tuple[frozenset, int, int]:
-    """The myopic equilibrium and its token value, from one kernel pass.
+) -> Tuple[RankedProfile, int]:
+    """The myopic stage solve: one kernel pass and the equilibrium's rank r.
 
-    The value is the integer pair ``(v_scaled[r], v_scale)`` of the pass
-    (:class:`RankedProfile`); no ``Fraction`` is built.
-    :func:`myopic_equilibrium` is this without the token value, after its
-    profile check.  The rank is found from the top: a recovery walk's step
-    is most often decided at rank 1, after one ``rewards`` call.
+    The one owner of the myopic rank rule: the set is ``profile.suffix(r)``,
+    with index d[r] and token value ``v_scaled[r] / v_scale``, the pair
+    :meth:`LookaheadSolver._solve` returns for planning players.  Its
+    callers read that pair: :func:`myopic_equilibrium` (after its profile
+    check), the walk memo of :meth:`LookaheadSolver._recovery`, the
+    engine's myopic rounds (``Runner._solve``) and the sybil search's split
+    utility (``sybil._equilibrium_utility``).  The rank is found from the
+    top: a recovery walk's step is most often decided at rank 1, after one
+    ``rewards`` call.
     """
     profile = RankedProfile(stakes, instance)
-    r = _labels(profile, policy, from_top=True)[1]
-    return profile.suffix(r), profile.v_scaled[r], profile.v_scale
+    return profile, _labels(profile, policy, from_top=True)[1]
 
 
 @dataclass(frozen=True)
@@ -523,7 +530,8 @@ class LookaheadSolver:
         same key exactly when they reach the same profile.  ``walked`` holds
         the steps of one solve call by key: the profile's myopic equilibrium
         and that set's token value as the pair ``(v_scaled[r], v_scale)``,
-        both from one kernel pass, which takes the walk's ints as they are.
+        both read from the ``(profile, r)`` of one :func:`_priced_myopic`
+        call, whose kernel pass takes the walk's ints as they are.
         The set and the value depend on the profile alone (the pair's scale
         is the value table's at the time), so a profile that several walks
         reach is solved and priced once, and every walk is the one it would
@@ -541,7 +549,8 @@ class LookaheadSolver:
             key = (current.den, *current.nums.values())
             step = walked.get(key)
             if step is None:
-                step = walked[key] = _priced_myopic(current, self.instance, self.policy)
+                profile, r = _priced_myopic(current, self.instance, self.policy)
+                step = walked[key] = (profile.suffix(r), profile.v_scaled[r], profile.v_scale)
             future, v_num, v_den = step
             steps.append((future, key))
             if i in future:
@@ -590,8 +599,7 @@ def threshold(trace) -> Threshold:
         stage = FixedWinner(record.winner) if isinstance(trace.policy, MuEll) else trace.policy
         profile = RankedProfile(dict(record.stakes_before), instance)
         v_full = Fraction(profile.v_scaled[1], profile.v_scale)
-        for r in _labels(profile, stage)[0]:
-            pid = profile.ranking[r - 1]
+        for pid in _labels(profile, stage)[0]:
             best = mins[pid]
             if best is None or v_full < best:
                 mins[pid] = v_full

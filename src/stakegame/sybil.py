@@ -287,21 +287,23 @@ def _equilibrium_utility(
 
     Every id is priced at the one token value of that equilibrium.  The
     unsplit owner is the one-id case; a split's parts are the many-id one.
-    One kernel pass finds the equilibrium and its value ``v_num / v_den``
-    (from the instance's token-value table, which a split game shares with
-    its owner's), and one ``rewards`` call on the equilibrium set gives each
-    member's reward as ``paid[pid] / paid_den``: the round's own integer
-    rule, which property tests check against :func:`expected_budget
-    <stakegame.policies.expected_budget>`.  With the stakes as ints
-    ``scaled.nums`` over ``scaled.den``
-    (:func:`~stakegame.core.scaled_profile`), the ids' value is the sum of
+    One kernel pass, the myopic stage solve's (:func:`_priced_myopic
+    <stakegame.equilibrium._priced_myopic>`), finds the equilibrium and its
+    value ``v_num / v_den`` (from the instance's token-value table, which a
+    split game shares with its owner's), and one ``rewards`` call on the
+    equilibrium set gives each member's reward as ``paid[pid] / paid_den``:
+    the round's own integer rule, which property tests check against
+    :func:`expected_budget <stakegame.policies.expected_budget>`.  With the
+    stakes as the kernel's own ints ``scaled.nums`` over ``scaled.den``, the
+    ids' value is the sum of
     ``(scaled.nums[pid] * paid_den + paid[pid] * scaled.den) * v_num`` over
     ``scaled.den * paid_den * v_den``, a non-member's reward being 0; each
     member's cost is then subtracted on integers, and one ``Fraction`` is
     built.
     """
-    scaled = scaled_profile(stakes)
-    eq, v_num, v_den = _priced_myopic(scaled, instance, stage)
+    profile, r = _priced_myopic(stakes, instance, stage)
+    scaled, eq = profile.stakes, profile.suffix(r)
+    v_num, v_den = profile.v_scaled[r], profile.v_scale
     paid, paid_den = stage.rewards(instance, scaled, eq)
     num = v_num * sum(
         scaled.nums[pid] * paid_den + paid.get(pid, 0) * scaled.den for pid in ids

@@ -355,6 +355,7 @@ def oracle_cases(draw, kind):
     return inst, draw(ORACLE_POLICY_KINDS[kind])
 
 
+@pytest.mark.reseed
 @pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
 @pytest.mark.parametrize("kind", sorted(ORACLE_POLICY_KINDS))
 @settings(max_examples=30, deadline=None)
@@ -366,6 +367,7 @@ def test_oracle_matches_its_per_call_definition(kind, behavior, data):
     assert outcome(brute_force_equilibrium, *args) == outcome(reference_equilibria, *args)
 
 
+@pytest.mark.reseed
 @pytest.mark.parametrize("behavior", ["myopic", "lookahead"])
 @pytest.mark.parametrize("kind", sorted(ORACLE_POLICY_KINDS))
 @settings(max_examples=30, deadline=None)

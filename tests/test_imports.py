@@ -94,3 +94,26 @@ def test_only_core_names_the_instance_tables(path):
         if isinstance(name, str) and name in PRIVATE_TABLES
     )
     assert named == [], f"{path.name}: names Instance's private tables at (line, name) {named}"
+
+
+# The suffix kernel and its labeling stay inside equilibrium.  Other modules
+# solve a myopic stage through its one door, _priced_myopic, which they may
+# import; they may name RankedProfile in an annotation, but never build one.
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "equilibrium.py"], ids=lambda p: p.name
+)
+def test_only_equilibrium_builds_the_kernel_and_labels_its_ranks(path):
+    found = sorted(
+        (node.lineno, name)
+        for node in ast.walk(parse(path))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [f"{getattr(node.func, 'id', getattr(node.func, 'attr', ''))}(...)"]
+            if isinstance(node, ast.Call)
+            else []
+        )
+        if name in ("_labels", "RankedProfile(...)")
+    )
+    assert found == [], f"{path.name}: reaches past the myopic solve's door at (line, name) {found}"

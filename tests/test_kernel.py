@@ -127,6 +127,7 @@ def test_kernel_matches_the_reference_on_every_suffix(inst):
     assert (profile.d[n + 1], value(profile, n + 1)) == stage_value(inst, stakes, frozenset())
 
 
+@pytest.mark.reseed
 @given(instances())
 def test_the_kernel_takes_a_stake_map_as_its_scaled_profile(inst):
     """The one way in: a map and its :func:`scaled_profile` build the same kernel."""
@@ -363,6 +364,7 @@ STAGE_POLICIES = st.one_of(
 )
 
 
+@pytest.mark.reseed
 @given(instances(costs=COSTS, types=TYPES.filter(lambda t: t >= 1)), STAGE_POLICIES)
 def test_the_myopic_rank_from_the_top_is_the_full_pass_rank(inst, policy):
     stakes = inst.stakes()
@@ -370,10 +372,10 @@ def test_the_myopic_rank_from_the_top_is_the_full_pass_rank(inst, policy):
     labels, r = _labels(profile, policy)
     assert myopic_equilibrium(stakes, inst, policy) == profile.suffix(r)
     # from the top, the scan stops at the first rank k without a label, and
-    # labels exactly the ranks above it as the full pass does
-    k = min(set(range(1, inst.n + 2)) - labels.keys())
+    # labels exactly the players ranked above it as the full pass does
+    k = min(set(range(1, inst.n + 2)) - {profile.ranking.index(pid) + 1 for pid in labels})
     assert _labels(profile, policy, from_top=True) == (
-        {q: label for q, label in labels.items() if q < k}, r
+        {pid: labels[pid] for pid in profile.ranking[: k - 1]}, r
     )
 
 
@@ -397,6 +399,7 @@ def reference_threshold(trace):
     return tuple((pid, mins.get(pid)) for pid in sorted(inst.stakes()))
 
 
+@pytest.mark.reseed
 @settings(max_examples=60, deadline=None)
 @given(
     instances(max_n=6, costs=COSTS, types=TYPES.filter(lambda t: t >= 1)),
@@ -425,6 +428,49 @@ def test_threshold_is_the_per_rank_harmfulness_minimum(
         except LookaheadHorizonError:
             break
     assert threshold(runner.trace).per_player == reference_threshold(runner.trace)
+
+
+@pytest.mark.reseed
+@settings(max_examples=200, deadline=None)
+@given(
+    instances(max_n=6, costs=COSTS, types=TYPES.filter(lambda t: t >= 1)),
+    st.one_of(STAGE_POLICIES, st.just(MuEll())),
+    st.sampled_from(["myopic", "lookahead"]),
+    st.sampled_from(["expected", "sampled"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32),
+)
+def test_each_recorded_round_is_the_public_solvers_answer(
+    inst, policy, behavior, mode, rounds, seed
+):
+    """Each round the engine records is the public solve of its own ``stakes_before``.
+
+    The set is :func:`myopic_equilibrium`'s or :meth:`LookaheadSolver.solve`'s
+    for the round's stage policy (``FixedWinner(record.winner)`` under
+    ``MuEll``), and d and v are its :func:`stage_value`.  A run stops at the
+    first round whose plan, or whose ``MuEll`` shadow's, overruns the
+    horizon cap, as in the threshold property.
+    """
+    cap = equilibrium.DEFAULT_HORIZON_CAP
+    try:
+        runner = Runner(inst, policy, behavior, mode, seed, cap)
+    except LookaheadHorizonError:
+        return  # MuEll's shadow overran the cap before round 1
+    for _ in range(rounds):
+        try:
+            runner.step()
+        except LookaheadHorizonError:
+            break
+    for record in runner.trace.records:
+        stakes = dict(record.stakes_before)
+        stage = FixedWinner(record.winner) if isinstance(policy, MuEll) else policy
+        if behavior == "myopic":
+            participants = myopic_equilibrium(stakes, inst, stage)
+        else:
+            participants = LookaheadSolver(inst, stage, cap).solve(stakes)
+        assert (record.participants, record.d, record.v) == (
+            participants, *stage_value(inst, stakes, participants)
+        )
 
 
 # The regime of the oracle tests: stakes of at least 3 against a unit budget
@@ -526,6 +572,7 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+@pytest.mark.reseed
 @settings(max_examples=60, deadline=None)
 @given(table_runs(), STAGE_POLICIES, st.data())
 def test_the_value_table_history_never_shows_in_results(case, policy, data):

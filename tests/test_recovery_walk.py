@@ -41,6 +41,9 @@ from stakegame.equilibrium import RecoveryPlan, stage_utility, stage_value
 
 from conftest import make_instance
 
+# CI draws every test here again on more hypothesis seeds
+pytestmark = pytest.mark.reseed
+
 DATA = Path(__file__).resolve().parent / "data"
 STAKES = st.sampled_from(
     [Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(1, 2), Fraction(5, 3),

@@ -550,6 +550,7 @@ UTILITY_POLICIES = st.one_of(
 ABSTAINING_OWNER = ([1, 1, 1], [4, 1, 1], [Fraction(1, 3), 0, 0], 1)
 
 
+@pytest.mark.reseed
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
     st.lists(TYPES, min_size=n, max_size=n),

@@ -19,7 +19,9 @@ the same seed draws the same winner.
 """
 
 from fractions import Fraction
+from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,8 +40,12 @@ from stakegame import (
     Runner,
     TableValue,
     Trace,
+    run,
     threshold,
 )
+from stakegame.equilibrium import DEFAULT_HORIZON_CAP
+
+from test_golden_traces import GOLDEN
 
 ROUNDS = 12
 CAP = 200
@@ -153,6 +159,7 @@ def play(instance, policy, behavior, mode, seed):
     return Trace(instance, policy, records), overrun
 
 
+@pytest.mark.reseed
 @settings(max_examples=300, deadline=None)
 @given(
     games(),
@@ -178,3 +185,44 @@ def test_a_relabelled_and_scaled_game_is_transformed_round_for_round(game, c, a)
         (relabel(pid), None if v is None else a * v) for pid, v in found.per_player
     )
     assert image_found.theta == (None if found.theta is None else a * found.theta)
+
+
+# How each golden trace was played: behaviour, mode, seed, rounds and horizon
+# cap.  Its instance and policy are read from the trace itself.
+GOLDEN_RUNS = {
+    "sampled_mu_alpha.csv": ("myopic", "sampled", 11, 80, DEFAULT_HORIZON_CAP),
+    "sampled_mu_star_epsilon.csv": ("lookahead", "sampled", 5, 40, DEFAULT_HORIZON_CAP),
+    "lookahead_n16.csv": ("lookahead", "expected", None, 16, DEFAULT_HORIZON_CAP),
+    "mu_all.csv": ("myopic", "expected", None, 12, DEFAULT_HORIZON_CAP),
+    "mu_alpha_expected.csv": ("myopic", "expected", None, 12, DEFAULT_HORIZON_CAP),
+    "mu_all_lookahead.csv": ("lookahead", "expected", None, 12, DEFAULT_HORIZON_CAP),
+    "mu_alpha_lookahead.csv": ("lookahead", "expected", None, 12, DEFAULT_HORIZON_CAP),
+    "lookahead_table_value.csv": ("lookahead", "expected", None, 30, DEFAULT_HORIZON_CAP),
+}
+
+
+@cache
+def golden_trace(filename):
+    return GOLDEN[filename]()
+
+
+@pytest.mark.parametrize(
+    "c, a",
+    [(Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(1)), (Fraction(1), Fraction(5, 3))],
+    ids=["relabelled", "stakes_scaled", "value_scaled"],
+)
+@pytest.mark.parametrize("filename", sorted(GOLDEN))
+def test_each_golden_trace_is_transformed_round_for_round(filename, c, a):
+    """Each golden played relabelled, with stakes scaled by c, or with its value scaled by a."""
+    trace = golden_trace(filename)
+    behavior, mode, seed, rounds, cap = GOLDEN_RUNS[filename]
+    image, image_policy = transformed(trace.instance, trace.policy, c, a)
+    image_trace = run(
+        image, image_policy, behavior, rounds=rounds, mode=mode, seed=seed, horizon_cap=cap
+    )
+
+    assert image_trace.records == [image_record(rec, c, a) for rec in trace.records]
+    found, image_found = threshold(trace), threshold(image_trace)
+    assert image_found.per_player == tuple(
+        (relabel(pid), None if v is None else a * v) for pid, v in found.per_player
+    )

@@ -412,6 +412,7 @@ def dynamics_states(draw):
     )
 
 
+@pytest.mark.reseed
 @settings(max_examples=100, deadline=None)
 @given(dynamics_states(), st.integers(1, 6))
 def test_expected_step_matches_the_fraction_reference(state_, k):
@@ -423,6 +424,7 @@ def test_expected_step_matches_the_fraction_reference(state_, k):
         assert [pid for pid, _ in got.stakes] == sorted(pid for pid, _ in state_.stakes)
 
 
+@pytest.mark.reseed
 @settings(max_examples=100, deadline=None)
 @given(dynamics_states(), st.integers(1, 30))
 def test_check_invariance_matches_the_fraction_reference(state_, steps):
