@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import ZERO, Instance, PlayerId, RoundRecord
+from .core import (
+    ZERO,
+    Instance,
+    PlayerId,
+    RoundRecord,
+    ScaledProfile,
+    StakeProfile,
+    scaled_profile,
+)
 from .equilibrium import DEFAULT_HORIZON_CAP, LookaheadSolver, RankedProfile, _priced_myopic
 from .measures import tau_decentralization_index
 from .policies import (
@@ -54,8 +62,13 @@ class Trace:
 class Runner:
     """Stateful driver: advances one round per step.
 
-    The current stakes are the trace's (``trace.final_stakes()``): the runner
-    keeps no copy of its own.
+    The current stakes are the trace's (``trace.final_stakes()``).  The
+    runner also keeps them in the kernel's integer form, a
+    :class:`~stakegame.core.ScaledProfile` built once from the initial
+    stakes: each round's solve reads it as it is, and the round's payment
+    advances it by :meth:`ScaledProfile.plus
+    <stakegame.core.ScaledProfile.plus>`, which keeps it equal to
+    ``trace.final_stakes()`` in lowest terms.
     """
 
     def __init__(
@@ -88,6 +101,7 @@ class Runner:
             self._shadow = (LookaheadSolver(instance, MuStar(), horizon_cap), instance.stakes())
             self._shadow_step()
         self.trace = Trace(instance, policy)
+        self._stakes = scaled_profile(instance.stakes())
 
     def _shadow_step(self) -> PlayerId:
         """Advance MuEll's shadow one round and return that round's winner.
@@ -101,13 +115,14 @@ class Runner:
         return winner
 
     def _solve(
-        self, stage: Policy, stakes: Dict[PlayerId, Fraction]
+        self, stage: Policy, stakes: StakeProfile | ScaledProfile
     ) -> Tuple[RankedProfile, int]:
         """The round's kernel and equilibrium rank: the set is its suffix r.
 
         A myopic round goes through the one door of the myopic stage solve,
         :func:`~stakegame.equilibrium._priced_myopic`; a lookahead round
         through :meth:`LookaheadSolver._solve`, which returns the same pair.
+        Both take the runner's scaled stakes as they are.
         """
         if self.behavior == "myopic":
             return _priced_myopic(stakes, self.instance, stage)
@@ -119,7 +134,7 @@ class Runner:
         stage = self.policy if self._shadow is None else FixedWinner(self._shadow_step())
         last = self.trace.records[-1] if self.trace.records else None
         before = last.stakes_after if last else self.instance.initial_stakes
-        profile, r = self._solve(stage, dict(before))
+        profile, r = self._solve(stage, self._stakes)
         participants = profile.suffix(r)
         d, v = profile.d[r], Fraction(profile.v_scaled[r], profile.v_scale)
         # reusing the last round's equal participants, v and rewards keeps retained traces small
@@ -132,25 +147,28 @@ class Runner:
         # The record names a point-mass winner, even a fixed winner who sits
         # the round out, whom the rewards rule then pays nothing.  A winner
         # drawn in sampled mode takes the whole budget; otherwise the rule's
-        # expected rewards are paid, one Fraction per paid player.  A policy
-        # that reads stakes reads the kernel's integers, and the draw walks
-        # the kernel's ranking.
+        # expected rewards are paid.  A policy that reads stakes reads the
+        # kernel's integers, and the draw walks the kernel's ranking.
         dist = stage.distribution(self.instance, profile.stakes, participants)
         winner = point_mass_winner(dist)
         if winner is None and self.mode == "sampled":
             winner = draw_winner(dist, profile.ranking, Fraction(self._rng.random()))
-            rewards = ((winner, self.instance.budget),)
+            budget = self.instance.budget
+            nums, den = {winner: budget.numerator}, budget.denominator
         else:
             nums, den = stage.rewards(self.instance, profile.stakes, participants)
-            rewards = tuple(sorted((pid, Fraction(num, den)) for pid, num in nums.items()))
+        rewards = tuple(sorted((pid, Fraction(num, den)) for pid, num in nums.items()))
         if last is not None and rewards == last.rewards:
             rewards = last.rewards
-        paid = dict(rewards)
-        # an unpaid player's pair carries over as it is
+        # the payment advances the integer stakes, and each paid player's
+        # pair is read from them; an unpaid player's pair carries over as it is
         after = before
-        if paid:
+        if nums:
+            stakes = self._stakes = self._stakes.plus(nums, den)
+            scaled, scale = stakes.nums, stakes.den
             after = tuple(
-                (pair[0], pair[1] + paid[pair[0]]) if pair[0] in paid else pair for pair in before
+                (pair[0], Fraction(scaled[pair[0]], scale)) if pair[0] in nums else pair
+                for pair in before
             )
         record = RoundRecord(
             round=len(self.trace.records) + 1,

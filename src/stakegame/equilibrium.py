@@ -484,7 +484,7 @@ class LookaheadSolver:
         return Fraction(num, den)
 
     def _solve(
-        self, stakes: StakeProfile, walked: Dict[tuple, tuple]
+        self, stakes: StakeProfile | ScaledProfile, walked: Dict[tuple, tuple]
     ) -> Tuple[RankedProfile, int]:
         """The profile's kernel and the equilibrium's rank r.
 
@@ -493,8 +493,9 @@ class LookaheadSolver:
         r + 1 run; r is the first rank whose leader is non-harmful, her net
         worth ``net / unit`` from :meth:`RankedProfile.leaders` at least her
         walk's terminal value ``num / den``, decided on integers.  With no
-        such rank, r is n.  The walks start from the kernel's own scaled
-        stakes and share their steps through ``walked``.
+        such rank, r is n.  The stakes are a map or a scaled profile (the
+        engine's, which the kernel takes as it is).  The walks start from the
+        kernel's own scaled stakes and share their steps through ``walked``.
         """
         profile = RankedProfile(stakes, self.instance)
         price, ranking, start = profile.leaders(self.policy), profile.ranking, profile.stakes

@@ -3,9 +3,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stakegame import (
     FixedWinner,
+    Instance,
+    LookaheadHorizonError,
     MuAll,
     MuAlpha,
     MuEll,
@@ -19,6 +23,8 @@ from stakegame import (
 )
 
 from conftest import make_instance
+from test_kernel import COSTS, STAGE_POLICIES, TYPES, instances
+from test_transforms import GOLDEN_RUNS, golden_trace
 
 
 class TestRunner:
@@ -124,6 +130,75 @@ class TestRunner:
         absent = Runner(make_instance([3, 5, 3], [8, 1, 1]), FixedWinner(1)).step()
         assert absent.rewards == ()
         assert absent.stakes_after is absent.stakes_before
+
+
+@pytest.mark.reseed
+@settings(max_examples=100, deadline=None)
+@given(
+    instances(max_n=6, costs=COSTS, types=TYPES.filter(lambda t: t >= 1)),
+    st.one_of(STAGE_POLICIES, st.just(MuEll())),
+    st.sampled_from(["myopic", "lookahead"]),
+    st.sampled_from(["expected", "sampled"]),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+)
+def test_each_record_pays_its_rewards_by_fraction_addition(
+    inst, policy, behavior, mode, rounds, seed
+):
+    """A record's ``stakes_after`` is its ``stakes_before`` plus its ``rewards``, pair by pair.
+
+    The runner advances its stakes on integers; each paid pair must still be
+    the ``Fraction`` sum, and each unpaid pair the very object it was before
+    the round.  A run stops at the first round whose plan, or whose
+    ``MuEll`` shadow's, overruns the horizon cap.
+    """
+    try:
+        runner = Runner(inst, policy, behavior, mode, seed)
+    except LookaheadHorizonError:
+        return  # MuEll's shadow overran the cap before round 1
+    for _ in range(rounds):
+        try:
+            runner.step()
+        except LookaheadHorizonError:
+            break
+    for record in runner.trace.records:
+        paid = dict(record.rewards)
+        assert len(record.stakes_after) == len(record.stakes_before)
+        for pair, pair_after in zip(record.stakes_before, record.stakes_after):
+            pid, stake = pair
+            if pid in paid:
+                assert pair_after == (pid, stake + paid[pid])
+            else:
+                assert pair_after is pair
+
+
+# The expected-mode goldens; none plays MuEll, whose shadow a fresh runner
+# would restart from its own initial stakes.
+CARRIED_GOLDENS = [
+    "lookahead_n16.csv", "lookahead_table_value.csv", "mu_all.csv", "mu_all_lookahead.csv",
+    "mu_alpha_expected.csv", "mu_alpha_lookahead.csv",
+]
+
+
+@pytest.mark.parametrize("filename", CARRIED_GOLDENS)
+def test_a_runner_started_from_a_recorded_round_plays_the_next_one(filename):
+    """The runner's integer stakes are a cache of the trace, not a second source of truth.
+
+    After each round k but the last, a fresh runner on the same game,
+    started from round k's ``stakes_after`` (with a token-value table of
+    its own), steps to round k + 1's record in every field but the round
+    number.
+    """
+    trace = golden_trace(filename)
+    behavior, mode, _, _, cap = GOLDEN_RUNS[filename]
+    inst = trace.instance
+    for record, following in zip(trace.records, trace.records[1:]):
+        start = Instance.build(
+            inst.players, dict(record.stakes_after), inst.budget, inst.tau_threshold,
+            inst.value_function,
+        )
+        got = Runner(start, trace.policy, behavior, mode, horizon_cap=cap).step()
+        assert got == dataclasses.replace(following, round=1)
 
 
 class TestMonitors:

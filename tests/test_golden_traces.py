@@ -11,7 +11,11 @@ the first rounds, so recovery walks run past one step), one 16-player
 lookahead trajectory shaped like the ``lookahead_n16`` benchmark workload,
 and one lookahead trajectory under a value table whose values have coprime
 denominators, read from its scenario file (``MuAll``, 8 players; levels 1-3
-are reached in round 1 and level 4 first in round 15).
+are reached in round 1 and level 4 first in round 15), and one sampled
+``MuAlpha`` trajectory with lookahead players, read from its scenario file
+(6 players, fractional types, a budget of 3/2, two costly players; sets of
+size 6, 5 and 3), where each drawn winner's budget moves the stakes that the
+next round's weights and recovery walks start from.
 A change to the solvers or the engine that is meant to be exact must leave
 every file unchanged.
 
@@ -99,11 +103,20 @@ def table_value_scenario():
     return load_scenario(str(DATA / "scenarios" / "lookahead_table_value.json"))
 
 
-def lookahead_table_value():
-    scenario = table_value_scenario()
+def scenario_trace(scenario):
     return run(
         scenario.instance, scenario.policy, behavior=scenario.behavior, rounds=scenario.rounds,
-        mode=scenario.mode, horizon_cap=scenario.horizon_cap,
+        mode=scenario.mode, seed=scenario.seed, horizon_cap=scenario.horizon_cap,
+    )
+
+
+def lookahead_table_value():
+    return scenario_trace(table_value_scenario())
+
+
+def sampled_mu_alpha_lookahead():
+    return scenario_trace(
+        load_scenario(str(DATA / "scenarios" / "sampled_mu_alpha_lookahead.json"))
     )
 
 
@@ -116,6 +129,7 @@ GOLDEN = {
     "mu_all_lookahead.csv": mu_all_lookahead,
     "mu_alpha_lookahead.csv": mu_alpha_lookahead,
     "lookahead_table_value.csv": lookahead_table_value,
+    "sampled_mu_alpha_lookahead.csv": sampled_mu_alpha_lookahead,
 }
 
 

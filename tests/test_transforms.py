@@ -198,6 +198,7 @@ GOLDEN_RUNS = {
     "mu_all_lookahead.csv": ("lookahead", "expected", None, 12, DEFAULT_HORIZON_CAP),
     "mu_alpha_lookahead.csv": ("lookahead", "expected", None, 12, DEFAULT_HORIZON_CAP),
     "lookahead_table_value.csv": ("lookahead", "expected", None, 30, DEFAULT_HORIZON_CAP),
+    "sampled_mu_alpha_lookahead.csv": ("lookahead", "sampled", 7, 40, DEFAULT_HORIZON_CAP),
 }
 
 
