@@ -120,8 +120,8 @@ def virtual_stake(alpha: Fraction, type_: Fraction, stake: Fraction) -> Fraction
 
 def virtual_stake_weights(
     alpha: Fraction,
-    types: Mapping[PlayerId, Fraction],
-    stakes: StakeProfile,
+    types: StakeProfile | ScaledProfile,
+    stakes: StakeProfile | ScaledProfile,
     ids: Iterable[PlayerId],
 ) -> Tuple[List[int], int, int]:
     """Each id's :func:`virtual_stake` as an int, their total, and 1 - alpha, on one scale.
@@ -149,8 +149,8 @@ def virtual_stake_weights(
 
 def virtual_stake_lottery(
     alpha: Fraction,
-    types: Mapping[PlayerId, Fraction],
-    stakes: StakeProfile,
+    types: StakeProfile | ScaledProfile,
+    stakes: StakeProfile | ScaledProfile,
     ids: Collection[PlayerId],
 ) -> Dict[PlayerId, Fraction]:
     """id -> winning probability for each of ``ids``, its virtual stake over their total.

@@ -146,17 +146,16 @@ class Runner:
 
         # The record names a point-mass winner, even a fixed winner who sits
         # the round out, whom the rewards rule then pays nothing.  A winner
-        # drawn in sampled mode takes the whole budget; otherwise the rule's
-        # expected rewards are paid.  A policy that reads stakes reads the
-        # kernel's integers, and the draw walks the kernel's ranking.
+        # drawn in sampled mode makes the round's stage FixedWinner(winner),
+        # so she takes the whole budget; otherwise the rule's expected
+        # rewards are paid.  A policy that reads stakes reads the kernel's
+        # integers, and the draw walks the kernel's ranking.
         dist = stage.distribution(self.instance, profile.stakes, participants)
         winner = point_mass_winner(dist)
         if winner is None and self.mode == "sampled":
             winner = draw_winner(dist, profile.ranking, Fraction(self._rng.random()))
-            budget = self.instance.budget
-            nums, den = {winner: budget.numerator}, budget.denominator
-        else:
-            nums, den = stage.rewards(self.instance, profile.stakes, participants)
+            stage = FixedWinner(winner)
+        nums, den = stage.rewards(self.instance, profile.stakes, participants)
         rewards = tuple(sorted((pid, Fraction(num, den)) for pid, num in nums.items()))
         if last is not None and rewards == last.rewards:
             rewards = last.rewards

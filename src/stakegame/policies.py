@@ -34,9 +34,10 @@ step.  A recovery walk adds its ints to the walk's scaled stakes by
 :meth:`ScaledProfile.plus <stakegame.core.ScaledProfile.plus>`, and
 :meth:`~stakegame.engine.Runner.step` adds them the same way to the
 runner's own scaled stakes, building a ``Fraction`` only for each paid
-player's record entries; a winner drawn in sampled mode takes the whole
-budget instead.  ``distribution`` names the recorded point-mass winner
-and feeds the draw, :func:`draw_winner`, which walks the round's ranking.
+player's record entries; a winner drawn in sampled mode makes the round's
+stage ``FixedWinner(winner)``, whose ``rewards`` pay her the whole budget.
+``distribution`` names the recorded point-mass winner and feeds the draw,
+:func:`draw_winner`, which walks the round's ranking.
 ``distribution`` and ``member_budget`` return ``Fraction``s.  Every
 winner-take-all policy (``MuAlpha``, ``MuStar``, ``FixedWinner``) takes its
 ``member_budget`` from its ``distribution``, so ``MuStar.distribution`` is

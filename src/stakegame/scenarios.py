@@ -20,7 +20,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from .core import (
     AffineValue,
@@ -108,15 +108,27 @@ def _at_least_one(value: Any, context: str) -> int:
     return n
 
 
+def _unique(pairs: Iterable[Tuple[Any, Any]], context: str) -> Dict[Any, Any]:
+    """The (key, value) pairs as a dict; a key given twice raises, where dict() keeps the last."""
+    read: Dict[Any, Any] = {}
+    for key, value in pairs:
+        if key in read:
+            raise ScenarioError(f"{context} {key!r} is given twice")
+        read[key] = value
+    return read
+
+
 def _value_table(values: Any, context: str) -> Tuple[Tuple[int, Fraction], ...]:
     """(level, value) pairs in level order, read from an object keyed by level."""
     owner, name = context.rsplit(": ", 1)  # the kind's context, and this field's name
     if not isinstance(values, dict):
         raise ScenarioError(f"{owner}: {name!r} must map level -> value")
-    return tuple(sorted({
-        _integer(k, f"{owner}: level"): _number(v, f"{owner}: value of level {k}")
-        for k, v in values.items()
-    }.items()))
+    # " 1" and "1" are two keys of the object but spell one level
+    return tuple(sorted(_unique(
+        ((_integer(k, f"{owner}: level"), _number(v, f"{owner}: value of level {k}"))
+         for k, v in values.items()),
+        f"{owner}: level",
+    ).items()))
 
 
 # family -> kind -> (class, field -> reader).  The fields are the class's
@@ -230,10 +242,13 @@ def parse_scenario(data: Dict[str, Any], name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario file: JSON text, so UTF-8 whatever the locale's codec."""
+    """Read a scenario file: JSON text, so UTF-8 whatever the locale's codec.
+
+    An object that repeats a key is rejected, not read as its last value.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda pairs: _unique(pairs, f"{path}: key"))
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
         except UnicodeDecodeError as exc:

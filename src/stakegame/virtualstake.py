@@ -18,18 +18,20 @@ integer weights of :func:`~stakegame.core.virtual_stake_weights`, which
 rejects a non-positive total or a negative virtual stake with the policy's
 messages.
 
-The expected dynamics run on those integers.  :func:`expected_step`,
-:func:`check_invariance` and :func:`sampled_win_frequencies` enter one
-walk: the stakes are ints over one common denominator, brought back to
-lowest terms by one gcd per round, and the weights are ints on the same
-scale, recomputed from the stakes each round.  The sampler takes only the
-walk's first state, its weights, total and growth, and advances them by
-the realized wins instead.  The virtual stakes are checked once, by the
-walk's entry call to ``virtual_stake_weights``, since no weight ever
-falls.  ``check_invariance`` compares its identities by cross-multiplying
-those ints.  What its weight identity can catch: the weight total is
-linear in the stake total, the types being fixed, so for alpha < 1 it
-breaks together with the stake identity, and at alpha = 1 it cannot move.
+The expected dynamics run on those integers.  :func:`expected_step` and
+:func:`check_invariance` enter one walk, the expected ``MuAlpha`` round
+under full participation with a unit budget: each round weighs the stakes
+with ``virtual_stake_weights`` and pays every player her weight over the
+total by :meth:`ScaledProfile.plus <stakegame.core.ScaledProfile.plus>`,
+the one integer step that the runner and the recovery walks take too, so
+the stakes stay a :class:`~stakegame.core.ScaledProfile` in lowest terms.
+:func:`sampled_win_frequencies` takes its entry weights, total and growth
+from one ``virtual_stake_weights`` call and advances them by the realized
+wins instead.  ``check_invariance`` compares its identities by
+cross-multiplying those ints.  What its weight identity can catch: the
+weight total is linear in the stake total, the types being fixed, so for
+alpha < 1 it breaks together with the stake identity, and at alpha = 1 it
+cannot move.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 from typing import Dict, Iterator, List, Tuple
 
 from .core import (
     PlayerId,
     ScalarLike,
+    ScaledProfile,
     rank,
     scalar,
     scaled_profile,
@@ -110,55 +112,37 @@ def expected_step(state: VirtualStakeState) -> VirtualStakeState:
 
     The stakes of the state returned are in id order.
     """
-    stakes, den, *_ = next(islice(_walk(state), 1, None))
-    ids = sorted(pid for pid, _ in state.stakes)
+    stakes = next(islice(_walk(state), 1, None))[0]
     return VirtualStakeState(
         alpha=state.alpha,
         types=state.types,
-        stakes=tuple((pid, Fraction(s, den)) for pid, s in zip(ids, stakes)),
+        stakes=tuple(
+            (pid, Fraction(stakes.nums[pid], stakes.den)) for pid in sorted(stakes.nums)
+        ),
     )
 
 
-def _step(stakes: List[int], den: int, weights: List[int], total: int) -> Tuple[List[int], int]:
-    """The stakes ``stakes / den`` after one expected round, in lowest terms.
-
-    Each stake grows by its probability ``weight / total``; one gcd brings
-    the sums back to lowest terms, so the ints stay as small as the
-    ``Fraction`` stakes they stand for.
-    """
-    stakes = [s * total + w * den for s, w in zip(stakes, weights)]
-    den *= total
-    g = gcd(den, *stakes)
-    return [s // g for s in stakes], den // g
-
-
-def _walk(state: VirtualStakeState) -> Iterator[Tuple[List[int], int, List[int], int, int]]:
+def _walk(state: VirtualStakeState) -> Iterator[Tuple[ScaledProfile, List[int], int, int]]:
     """The expected dynamics from ``state`` on ints, one tuple per round, ``state`` first.
 
-    Each tuple is ``(stakes, den, weights, total, growth)``: the stakes in id
-    order as ints over ``den``, in lowest terms; their weights by
-    :func:`virtual_stake_weights` and the weights' total; and ``growth``,
-    the weight one unit of stake adds.  The weights and ``growth`` share one
-    scale, ``den`` times a constant, and the entry weights are
-    :func:`virtual_stake_weights`' own ints: a weight is
-    ``base * den + unit * stake``, with ``base`` the type's part and ``unit``
-    the weight of one stake numerator.  Every next state comes from
-    :func:`_step`, and its weights from its stakes.  The virtual stakes are
-    checked once, by the entry call to :func:`virtual_stake_weights`: no
-    weight ever falls, so none can turn negative.
+    Each tuple is ``(stakes, weights, total, growth)``: the stakes as a
+    :class:`~stakegame.core.ScaledProfile`, in lowest terms; their weights
+    in id order, the weights' total, and ``growth``, the weight one unit of
+    stake adds, all three by :func:`virtual_stake_weights`, on one scale.
+    Each round pays every player her weight over the total, the expected
+    ``MuAlpha`` round with a unit budget, by :meth:`ScaledProfile.plus
+    <stakegame.core.ScaledProfile.plus>`, the step the runner and the
+    recovery walks take.  The types go through ``scaled_profile`` once.
+    Every round's weighting checks the virtual stakes, but only the first
+    can fail: no weight ever falls, so none can turn negative.
     """
-    types = dict(state.types)
-    ids = sorted(types)
-    scaled = scaled_profile(state.stake_dict())
-    weights, total, growth = virtual_stake_weights(state.alpha, types, scaled, ids)
-    stakes, den = [scaled.nums[pid] for pid in ids], scaled.den
-    unit = growth // den
-    base = [(w - unit * s) // den for w, s in zip(weights, stakes)]
+    types = scaled_profile(dict(state.types))
+    ids = sorted(types.nums)
+    stakes = scaled_profile(state.stake_dict())
     while True:
-        yield stakes, den, weights, total, growth
-        stakes, den = _step(stakes, den, weights, total)
-        weights = [b * den + unit * s for b, s in zip(base, stakes)]
-        total, growth = sum(weights), unit * den
+        weights, total, growth = virtual_stake_weights(state.alpha, types, stakes, ids)
+        yield stakes, weights, total, growth
+        stakes = stakes.plus(dict(zip(ids, weights)), total)
 
 
 @dataclass
@@ -197,13 +181,13 @@ def check_invariance(state: VirtualStakeState, steps: int) -> InvarianceReport:
         raise ValueError("need at least one step")
     report = InvarianceReport(steps=steps)
     walk = _walk(state)
-    stakes, den, reference, ref_total, growth = next(walk)
-    held, total = sum(stakes), ref_total
-    for step, (stakes, nden, weights, ntotal, ngrowth) in zip(range(1, steps + 1), walk):
+    stakes, reference, ref_total, growth = next(walk)
+    den, held, total = stakes.den, sum(stakes.nums.values()), ref_total
+    for step, (stakes, weights, ntotal, ngrowth) in zip(range(1, steps + 1), walk):
         # the weights checked here are the ones the next step advances by
         if any(w * ref_total != r * ntotal for w, r in zip(weights, reference)):
             report.probability_breaks.append(step)
-        nheld = sum(stakes)
+        nden, nheld = stakes.den, sum(stakes.nums.values())
         if nheld * den != (held + den) * nden:
             report.stake_recurrence_breaks.append(step)
         if ntotal * den != (total + growth) * nden:
@@ -257,18 +241,19 @@ def sampled_win_frequencies(
     winner is the first whose partial weight sum S has u < S / W, W being
     the total weight.  Since W > 0, that is u * W < S, so the walk compares
     with running weights and never divides.  The walk runs on integers: the
-    weights, their total and the growth are the first state of the expected
-    dynamics' walk, so they are :func:`virtual_stake_weights`' own ints, the
-    one integer weighting ``MuAlpha`` prices its stages with, checked there
-    once, and with u = num / u_den the test is ``num * W < S * u_den``.  A
-    win adds 1 to the winner's stake, so her weight and W both grow by
-    1 - alpha; neither a weight nor W ever falls, so that one check covers
-    every round.
+    weights, their total and the growth come from one
+    :func:`virtual_stake_weights` call, the one integer weighting ``MuAlpha``
+    prices its stages with, which checks the virtual stakes, and with
+    u = num / u_den the test is ``num * W < S * u_den``.  A win adds 1 to the
+    winner's stake, so her weight and W both grow by 1 - alpha; neither a
+    weight nor W ever falls, so that one check covers every round.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    _, _, weights, total, growth = next(_walk(state))
     order = sorted(pid for pid, _ in state.types)
+    weights, total, growth = virtual_stake_weights(
+        state.alpha, dict(state.types), state.stake_dict(), order
+    )
     rng = random.Random(seed)
     wins = [0] * len(order)
     last = len(order) - 1

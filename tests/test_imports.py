@@ -117,3 +117,20 @@ def test_only_equilibrium_builds_the_kernel_and_labels_its_ranks(path):
         if name in ("_labels", "RankedProfile(...)")
     )
     assert found == [], f"{path.name}: reaches past the myopic solve's door at (line, name) {found}"
+
+
+# Integer stakes come back to lowest terms in core alone: a module that steps
+# them does so by ScaledProfile.plus, not by a gcd of its own.
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_imports_gcd(path):
+    found = sorted(
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        and any(alias.name == "gcd" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "gcd"
+        and isinstance(node.value, ast.Name) and node.value.id == "math"
+    )
+    assert found == [], f"{path.name}: takes math.gcd at lines {found}"

@@ -19,6 +19,7 @@ from stakegame import (
     load_scenario,
     parse_scenario,
 )
+from stakegame.cli import main
 from stakegame.scenarios import _KINDS
 
 from conftest import BUILTIN_DECLARATIONS
@@ -114,6 +115,18 @@ class TestParse:
             parse_scenario(data)
         assert str(exc.value) == f"value_function table: {message}"
 
+    def test_a_level_spelled_twice(self, tmp_path, capsys):
+        # " 1" and "1" are two keys of one object; the later one used to win
+        data = minimal_scenario_dict()
+        data["value_function"] = {"kind": "table", "values": {"1": "1", "2": "2", " 1": "1/2"}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(data)
+        assert str(exc.value) == "value_function table: level 1 is given twice"
+        assert main(["run", write_json(tmp_path, data)]) == 2
+        assert capsys.readouterr() == (
+            "", "scenario error: value_function table: level 1 is given twice\n"
+        )
+
 
 # A case per kind, and for each field a case off its default: the file
 # spelling, then the object the reader builds from it.
@@ -191,6 +204,24 @@ class TestRoundTrip:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ScenarioError, match="line"):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("player, rounds, key", [
+        # json.load used to keep the last value: 50 rounds, a stake of 2
+        ('"stake": 1', '5, "rounds": 50', "rounds"),
+        ('"stake": 1, "stake": 2', "5", "stake"),
+    ], ids=["top level", "player"])
+    def test_a_repeated_key_is_rejected(self, tmp_path, capsys, player, rounds, key):
+        path = tmp_path / "sc.json"
+        path.write_text(
+            '{"players": [{"id": 1, "type": 3, %s}, {"id": 2, "type": 2, "stake": 1}], '
+            '"policy": {"kind": "mu_star"}, "budget": 1, "tau_threshold": "1/2", '
+            '"rounds": %s}' % (player, rounds)
+        )
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value) == f"{path}: key {key!r} is given twice"
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"scenario error: {path}: key {key!r} is given twice\n")
 
 
 def test_unknown_builtin():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stakegame import virtualstake
 from stakegame import (
     IdentityValue,
     Instance,
@@ -23,7 +22,7 @@ from stakegame import (
     selection_probabilities,
     validate_instance,
 )
-from stakegame.core import virtual_stake, virtual_stake_weights
+from stakegame.core import ScaledProfile, scaled_profile, virtual_stake, virtual_stake_weights
 
 
 F = Fraction
@@ -426,6 +425,27 @@ def test_expected_step_matches_the_fraction_reference(state_, k):
 
 @pytest.mark.reseed
 @settings(max_examples=100, deadline=None)
+@given(dynamics_states())
+def test_the_expected_step_is_one_mu_alpha_round(state_):
+    # the walk analyses MuAlpha: one expected round of the policy, everyone
+    # playing for a unit budget, advanced by the step the runner takes
+    stakes = state_.stake_dict()
+    inst = Instance.build(
+        players=[Player(id=pid, type_=t) for pid, t in state_.types],
+        initial_stakes=stakes,
+        budget=1,
+        tau_threshold=F(1, 2),
+        value_function=IdentityValue(),
+    )
+    ids = sorted(stakes)
+    paid = scaled_profile(stakes).plus(*MuAlpha(state_.alpha).rewards(inst, stakes, ids))
+    assert expected_step(state_).stake_dict() == {
+        pid: F(paid.nums[pid], paid.den) for pid in ids
+    }
+
+
+@pytest.mark.reseed
+@settings(max_examples=100, deadline=None)
 @given(dynamics_states(), st.integers(1, 30))
 def test_check_invariance_matches_the_fraction_reference(state_, steps):
     report = check_invariance(state_, steps)
@@ -435,19 +455,19 @@ def test_check_invariance_matches_the_fraction_reference(state_, steps):
 
 @pytest.mark.parametrize("alpha", [F(0), F(3, 8), F(1)])
 def test_a_perturbed_step_is_reported(monkeypatch, alpha):
-    # At step j the integer step gives player 1 one unit of stake too many.
-    # From there the dynamics run on, so the stake total breaks at j alone,
-    # and the probabilities stay at their perturbed values.
+    # At step j the integer step, ScaledProfile.plus, gives player 1 one unit
+    # of stake too many.  From there the dynamics run on, so the stake total
+    # breaks at j alone, and the probabilities stay at their perturbed values.
     j, steps = 4, 9
-    step, calls = virtualstake._step, iter(range(1, steps + 1))
+    plus, calls = ScaledProfile.plus, iter(range(1, steps + 1))
 
-    def perturbed(*args):
-        stakes, den = step(*args)
+    def perturbed(self, paid, paid_den):
+        stakes = plus(self, paid, paid_den)
         if next(calls) == j:
-            stakes = [stakes[0] + den] + stakes[1:]
-        return stakes, den
+            return ScaledProfile({**stakes.nums, 1: stakes.nums[1] + stakes.den}, stakes.den)
+        return stakes
 
-    monkeypatch.setattr(virtualstake, "_step", perturbed)
+    monkeypatch.setattr(ScaledProfile, "plus", perturbed)
     report = check_invariance(state(alpha, {1: 2, 2: 1, 3: 3}, {1: 1, 2: F(1, 2), 3: 2}), steps)
     assert report.stake_recurrence_breaks == [j]
     if alpha < 1:
